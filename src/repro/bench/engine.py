@@ -515,13 +515,11 @@ def build_executor(spec: ExperimentSpec) -> PipelineExecutor:
         )
     if spec.server_crash is not None:
         _check_server_index(ex, spec.server_crash.server, "server_crash")
-        ex.fs.enable_fault_tolerance()
         ex.fs.servers[spec.server_crash.server].schedule_outage(
             spec.server_crash.at_time, spec.server_crash.down_for
         )
     if spec.flaky_disk is not None and spec.flaky_disk.error_rate > 0.0:
         _check_server_index(ex, spec.flaky_disk.server, "flaky_disk")
-        ex.fs.enable_fault_tolerance()
         ex.fs.servers[spec.flaky_disk.server].set_flaky(
             spec.flaky_disk.error_rate, spec.flaky_disk.seed
         )
@@ -533,17 +531,7 @@ def run_spec(spec: ExperimentSpec) -> PipelineResult:
     deterministic), which is what makes result caching sound."""
     ex = build_executor(spec)
     if spec.writer is not None:
-        from repro.io.writer import RadarWriter
-
-        writer = RadarWriter(
-            ex.fileset,
-            node_id=ex.machine.io_node_id(0),
-            period=spec.writer.period,
-            n_cpis=spec.writer.n_cpis,
-            start_cpi=spec.writer.start_cpi,
-            initial_delay=spec.writer.initial_delay,
-        )
-        ex.kernel.process(writer.run(ex.kernel), name="radar-writer")
+        ex.spawn_writer(spec.writer)
     return ex.run()
 
 

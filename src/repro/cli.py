@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--warmup", type=int, default=2)
     p_run.add_argument("--replication", type=int, default=1,
                        help="stripe-unit mirror copies (chained declustering); "
-                       ">1 enables fault-tolerant reads/writes")
+                       ">1 lets reads fail over and mirrors writes")
     p_run.add_argument("--hint", action="append", default=[], metavar="K=V",
                        help="ROMIO-style file-system hint (repeatable): "
                        "sieve_buffer_size, cb_nodes, or list_io_max_runs")

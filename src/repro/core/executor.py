@@ -13,17 +13,16 @@
 semantics (``"pfs"`` async-capable, ``"piofs"`` synchronous-only) and
 ``stripe_factor`` is the paper's central knob.
 
-Since the scenario layer, the executor is two-tier: a :class:`Substrate`
-bundles the shared execution fabric (kernel, machine/mesh, file system)
-and :class:`PipelineExecutor` either *builds* a private substrate (the
-classic standalone path — bit-identical to the pre-refactor executor)
-or *receives* one from a :class:`~repro.scenario.ScenarioExecutor`
-hosting several tenant pipelines on the same disks and links.
+A :class:`Substrate` bundles the execution fabric (kernel, machine/mesh,
+file system, metrics sampler) and :class:`PipelineExecutor` is one
+tenant pipeline hosted on it.  A standalone run is a substrate hosting a
+single tenant named ``""``; a :class:`~repro.scenario.ScenarioExecutor`
+hosts several tenant pipelines on the same disks and links.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ConfigurationError
@@ -37,7 +36,13 @@ from repro.core.validate import validate_plan
 from repro.io.fileset import CubeFileSet, CubeSource
 from repro.machine.presets import MachinePreset
 from repro.mpi.communicator import Communicator
-from repro.obs import MetricsRegistry, Sampler, instrument_pipeline
+from repro.io.writer import RadarWriter
+from repro.obs import (
+    MetricsRegistry,
+    Sampler,
+    instrument_pipeline,
+    instrument_substrate,
+)
 from repro.obs.instruments import DEFAULT_BUCKETS
 from repro.pfs.blockdev import DiskSpec
 from repro.pfs.pfs import PFS
@@ -106,8 +111,8 @@ class FSConfig:
     """Which parallel file system to build, and its geometry.
 
     ``replication > 1`` mirrors each stripe unit over that many
-    directories (chained declustering) and switches clients to the
-    fault-tolerant retry/failover path — see ``docs/fault_model.md``.
+    directories (chained declustering): reads fail over between replicas
+    and writes mirror to each — see ``docs/fault_model.md``.
 
     The three optional ROMIO-style hints tune the noncontiguous-access
     strategies (``docs/io_strategies.md``): ``sieve_buffer_size``
@@ -180,13 +185,15 @@ class FSConfig:
 
 @dataclass
 class Substrate:
-    """The shared execution fabric a pipeline runs on.
+    """The execution fabric tenant pipelines run on.
 
-    Standalone runs build a private one (:meth:`build` — the classic
-    construction, bit-identically); a
-    :class:`~repro.scenario.ScenarioExecutor` builds ONE and hands it to
-    every tenant's :class:`PipelineExecutor`, so N pipelines contend for
-    the same kernel clock, mesh links, and stripe-directory disks.
+    :meth:`build` makes one; a standalone :class:`PipelineExecutor`
+    builds a private one and is its only tenant, while a
+    :class:`~repro.scenario.ScenarioExecutor` hands every tenant a
+    :meth:`tenant_view` of ONE, so N pipelines contend for the same
+    kernel clock, mesh links, and stripe-directory disks.  The substrate
+    drives the kernel (:meth:`run`) and reports the shared statistics
+    (:meth:`disk_stats`, :meth:`metrics_artifact`).
 
     Attributes
     ----------
@@ -201,10 +208,10 @@ class Substrate:
         process names, namespace the cube files, and label instruments.
     file_prefix:
         Cube-file prefix inside the shared FS namespace.
-    metrics:
-        Shared :class:`~repro.obs.MetricsRegistry` (scenario-owned), or
-        None.  Standalone executors build their own per
-        ``cfg.metrics_interval`` instead.
+    metrics / sampler:
+        The shared :class:`~repro.obs.MetricsRegistry` and its
+        kernel-hook :class:`~repro.obs.Sampler`, or None when the run is
+        not metered.
     """
 
     kernel: Kernel
@@ -214,6 +221,7 @@ class Substrate:
     tenant: str = ""
     file_prefix: str = "cpi"
     metrics: Optional[MetricsRegistry] = None
+    sampler: Optional[Sampler] = None
 
     @classmethod
     def build(
@@ -221,13 +229,13 @@ class Substrate:
         preset: MachinePreset,
         fs_config: FSConfig,
         n_compute: int,
+        metrics_interval: Optional[float] = None,
     ) -> "Substrate":
-        """Construct a private substrate — the classic executor path.
+        """Construct a substrate, metered when ``metrics_interval`` is set.
 
         The construction order (kernel, machine, disk, FS, hint
-        validation, hint install) is exactly the pre-refactor
-        ``PipelineExecutor.__init__`` sequence: every pre-existing
-        result hash depends on it.
+        validation, hint install) is fixed: every result hash depends
+        on it.
         """
         kernel = Kernel()
         machine = preset.build(
@@ -258,7 +266,66 @@ class Substrate:
         # list-I/O request path consult fs.hints at run time.
         validate_fs_hints(fs_config, fs)
         fs.hints.update(fs_config.hint_dict())
-        return cls(kernel=kernel, machine=machine, fs=fs)
+        substrate = cls(kernel=kernel, machine=machine, fs=fs)
+        if metrics_interval is not None:
+            # Pure observers: event order and every simulated quantity
+            # are identical whether metering is on or off.
+            substrate.metrics = MetricsRegistry()
+            substrate.sampler = Sampler(kernel, substrate.metrics, metrics_interval)
+        return substrate
+
+    def tenant_view(
+        self, tenant: str, rank_base: int, file_prefix: str
+    ) -> "Substrate":
+        """The same fabric and registry, placed for one named tenant."""
+        return replace(
+            self, tenant=tenant, rank_base=rank_base, file_prefix=file_prefix
+        )
+
+    def run(self) -> None:
+        """Drive the kernel to completion, sampling when metered.
+
+        The server and network gauges are registered here rather than at
+        build time, so fault injections armed after construction still
+        get their fault counters.
+        """
+        if self.sampler is not None:
+            instrument_substrate(self.metrics, self)
+            self.sampler.attach()
+        self.kernel.run()
+        if self.sampler is not None:
+            self.sampler.finalize(self.kernel.now)
+
+    def disk_stats(self) -> Dict[str, Any]:
+        """Per-server disk statistics of the whole file system."""
+        servers = self.fs.servers
+        stats: Dict[str, Any] = {
+            "busy_time_per_server": [s.busy_time for s in servers],
+            "requests_per_server": [s.requests_served for s in servers],
+            "bytes_served": self.fs.total_bytes_served(),
+        }
+        if self.fs.fault_tolerant:
+            # Only surfaced with replicas or an injected fault, so that
+            # fault-free result hashes stay bit-identical.
+            stats["requests_failed_per_server"] = [
+                s.requests_failed for s in servers
+            ]
+            stats["bytes_shipped_per_server"] = [s.bytes_shipped for s in servers]
+            stats["outages_per_server"] = [s.outages for s in servers]
+            stats["duplicate_ships_per_server"] = [
+                s.duplicate_ships for s in servers
+            ]
+        return stats
+
+    def metrics_artifact(self) -> Optional[Dict[str, Any]]:
+        """The JSON metrics artifact after :meth:`run`; None unmetered."""
+        if self.sampler is None:
+            return None
+        return self.metrics.to_dict(
+            interval=self.sampler.interval,
+            t_end=self.kernel.now,
+            samples=self.sampler.samples,
+        )
 
 
 @dataclass
@@ -412,18 +479,16 @@ class PipelineResult:
 
 
 class PipelineExecutor:
-    """Build and run one pipeline configuration.
+    """One tenant pipeline on a :class:`Substrate`.
 
-    Standalone (``substrate=None``): builds a private
-    :class:`Substrate` exactly as the pre-refactor executor did and
-    ``run()`` drives the whole simulation — bit-identical results.
-
-    Hosted (``substrate=`` a scenario-owned one): the executor *receives*
-    its kernel/machine/FS, binds its ranks at ``substrate.rank_base``,
-    namespaces its cube files with ``substrate.file_prefix``, and leaves
-    driving the kernel — and harvesting shared-FS statistics — to the
-    :class:`~repro.scenario.ScenarioExecutor` via the
-    :meth:`setup_processes` / :meth:`collect` halves of :meth:`run`.
+    The executor binds its ranks at ``substrate.rank_base``, namespaces
+    its cube files with ``substrate.file_prefix``, and labels its
+    instruments with ``substrate.tenant``.  Without ``substrate=`` it
+    builds a private one (metered per ``cfg.metrics_interval``) and
+    :meth:`run` drives it as the sole tenant.  A
+    :class:`~repro.scenario.ScenarioExecutor` instead calls the
+    :meth:`setup_processes` / :meth:`collect` halves of :meth:`run` for
+    every tenant and drives the shared substrate itself.
     """
 
     def __init__(
@@ -451,16 +516,19 @@ class PipelineExecutor:
         self.seed = seed
         self.scenario = scenario
 
-        self._owns_substrate = substrate is None
         if substrate is None:
             substrate = Substrate.build(
-                preset, fs_config, n_compute=spec.total_nodes
+                preset,
+                fs_config,
+                n_compute=spec.total_nodes,
+                metrics_interval=self.cfg.metrics_interval,
             )
         self.substrate = substrate
         self.kernel = substrate.kernel
         self.machine = substrate.machine
         self.fs = substrate.fs
         self.tenant = substrate.tenant
+        self._stem = f"{self.tenant}." if self.tenant else ""
         # Resolve the spec's I/O strategy (None for hand-built specs with
         # non-registry names) and reject FS/config mismatches before any
         # process is spawned — async-on-PIOFS fails here, not mid-run.
@@ -479,14 +547,11 @@ class PipelineExecutor:
         )
         self.plan = PipelinePlan(spec, params)
         validate_plan(self.plan)
-        if self._owns_substrate:
-            self.comm = Communicator.world(self.machine)
-        else:
-            self.comm = Communicator(
-                self.machine,
-                [substrate.rank_base + r for r in range(spec.total_nodes)],
-                name=substrate.tenant or "comm",
-            )
+        self.comm = Communicator(
+            self.machine,
+            [substrate.rank_base + r for r in range(spec.total_nodes)],
+            name=self.tenant or "world",
+        )
         self.trace = TraceCollector()
         self.results: Dict[str, Any] = {}
         # Per-CPI arrival gate (None = classic all-data-ready behaviour).
@@ -495,28 +560,11 @@ class PipelineExecutor:
             if self.cfg.arrival is not None
             else None
         )
-        # Observability (repro.obs): registry + kernel-hook sampler over
-        # the standard gauge set.  Pure observers — event order and every
-        # simulated quantity are identical whether this is on or off.
-        # Hosted executors share the scenario's registry (tenant-labeled
-        # instruments, substrate gauges registered once by the scenario);
-        # the scenario also owns the one sampler.
-        self.metrics: Optional[MetricsRegistry] = None
-        self._sampler: Optional[Sampler] = None
-        if self._owns_substrate:
-            if self.cfg.metrics_interval is not None:
-                self.metrics = MetricsRegistry()
-                self._sampler = Sampler(
-                    self.kernel, self.metrics, self.cfg.metrics_interval
-                )
-                instrument_pipeline(self.metrics, self)
-        elif substrate.metrics is not None:
-            self.metrics = substrate.metrics
-            instrument_pipeline(
-                self.metrics, self,
-                tenant=substrate.tenant,
-                include_substrate=False,
-            )
+        # Observability (repro.obs): this pipeline's instruments go into
+        # the substrate's registry, tenant-labeled when hosted.
+        self.metrics: Optional[MetricsRegistry] = substrate.metrics
+        if self.metrics is not None:
+            instrument_pipeline(self.metrics, self, tenant=self.tenant)
 
     def setup_processes(self) -> None:
         """Initialise the file set and spawn one process per task node.
@@ -525,7 +573,6 @@ class PipelineExecutor:
         every tenant before driving the shared kernel once.
         """
         self.fileset.initialize()
-        stem = f"{self.tenant}." if self.tenant else ""
         for name, inst in self.plan.instances.items():
             for local, rank in enumerate(inst.ranks):
                 ctx = TaskContext(
@@ -545,26 +592,43 @@ class PipelineExecutor:
                     arrival_times=self._arrival_times,
                 )
                 self.kernel.process(
-                    body_for(inst.spec.kind, ctx), name=f"{stem}{name}[{local}]"
+                    body_for(inst.spec.kind, ctx),
+                    name=f"{self._stem}{name}[{local}]",
                 )
-        if self._sampler is not None:
-            self._sampler.attach()
+
+    def spawn_writer(self, load) -> None:
+        """Spawn a radar writer streaming ``load``'s future CPIs
+        (a :class:`~repro.bench.engine.WriterLoad`) into this pipeline's
+        cube files from the first I/O node."""
+        writer = RadarWriter(
+            self.fileset,
+            node_id=self.machine.io_node_id(0),
+            period=load.period,
+            n_cpis=load.n_cpis,
+            start_cpi=load.start_cpi,
+            initial_delay=load.initial_delay,
+        )
+        self.kernel.process(
+            writer.run(self.kernel), name=f"{self._stem}radar-writer"
+        )
 
     def run(self) -> PipelineResult:
-        """Execute the configured number of CPIs and measure."""
+        """Execute the configured number of CPIs and measure, driving
+        the substrate as its sole tenant."""
         self.setup_processes()
-        self.kernel.run()
-        if self._sampler is not None:
-            self._sampler.finalize(self.kernel.now)
-        return self.collect()
+        self.substrate.run()
+        result = self.collect()
+        result.disk_stats = self.substrate.disk_stats()
+        result.metrics = self.substrate.metrics_artifact()
+        return result
 
     def collect(self) -> PipelineResult:
         """Measure and assemble the result after the kernel has run.
 
-        Second half of :meth:`run`.  Hosted executors leave the
-        shared-FS statistics and the metrics artifact to the scenario
-        (a tenant's result would otherwise claim the whole machine's
-        disk traffic as its own).
+        Second half of :meth:`run`.  The substrate's disk statistics and
+        metrics artifact are left to whoever drove it (a tenant's result
+        would otherwise claim the whole machine's disk traffic as its
+        own).
         """
         meas = measure(
             self.trace,
@@ -585,27 +649,6 @@ class PipelineExecutor:
             detections=detections,
             elapsed_sim_time=self.kernel.now,
         )
-        if self._owns_substrate:
-            result.disk_stats = {
-                "busy_time_per_server": [s.busy_time for s in self.fs.servers],
-                "requests_per_server": [s.requests_served for s in self.fs.servers],
-                "bytes_served": self.fs.total_bytes_served(),
-            }
-        if self._owns_substrate and self.fs.fault_tolerant:
-            # Only surfaced on fault-tolerant runs so that pre-existing
-            # no-fault result hashes stay bit-identical.
-            result.disk_stats["requests_failed_per_server"] = [
-                s.requests_failed for s in self.fs.servers
-            ]
-            result.disk_stats["bytes_shipped_per_server"] = [
-                s.bytes_shipped for s in self.fs.servers
-            ]
-            result.disk_stats["outages_per_server"] = [
-                s.outages for s in self.fs.servers
-            ]
-            result.disk_stats["duplicate_ships_per_server"] = [
-                s.duplicate_ships for s in self.fs.servers
-            ]
         if self.cfg.read_deadline is not None:
             result.dropped_cpis = sorted(self.results.get("dropped_cpis", []))
         result.rank_traffic = {
@@ -626,12 +669,4 @@ class PipelineExecutor:
             )
             for v in meas.latencies:
                 hist.observe(v)
-            if self._sampler is not None:
-                # Hosted executors share the scenario's registry; the
-                # scenario emits the one combined artifact instead.
-                result.metrics = self.metrics.to_dict(
-                    interval=self.cfg.metrics_interval,
-                    t_end=self.kernel.now,
-                    samples=self._sampler.samples,
-                )
         return result

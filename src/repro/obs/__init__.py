@@ -10,8 +10,9 @@ visible over simulated time instead of only post-hoc:
 * :mod:`repro.obs.sampler` — the kernel-hook :class:`Sampler` that
   snapshots pull gauges at a fixed simulated interval with zero effect
   on event ordering;
-* :mod:`repro.obs.instrument` — :func:`instrument_pipeline`, the
-  standard gauge set over a live executor's hot seams;
+* :mod:`repro.obs.instrument` — :func:`instrument_substrate` and
+  :func:`instrument_pipeline`, the standard gauge sets over a live
+  substrate's and pipeline's hot seams;
 * :mod:`repro.obs.report` — read-side analysis of the exported JSON
   artifact (:func:`bottleneck_profile`, summaries, sparklines);
 * :mod:`repro.obs.service` — :class:`ServiceMetrics`, the experiment

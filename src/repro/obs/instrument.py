@@ -1,16 +1,20 @@
 """Wiring: register pull gauges over a live pipeline's hot seams.
 
-:func:`instrument_pipeline` walks an already-constructed
-:class:`~repro.core.executor.PipelineExecutor` and registers pull gauges
-over state the simulation maintains anyway:
+Two entry points register pull gauges over state the simulation
+maintains anyway.  :func:`instrument_substrate` covers the shared
+fabric of a :class:`~repro.core.executor.Substrate`:
 
 * per-stripe-server disk queue depth, cumulative busy seconds, and
   per-directory bytes served (:class:`~repro.pfs.server.IOServer`);
 * fault-layer counters (failed requests, outages, client retries and
-  replica failovers) when the fault-tolerant path is active;
+  replica failovers) when replicas or an injected fault are present;
 * per-link occupancy of the interconnect (mesh links or multistage
   injection/ejection ports), with per-link busy fractions folded into a
-  summary at finalize;
+  summary at finalize.
+
+:func:`instrument_pipeline` covers one tenant
+:class:`~repro.core.executor.PipelineExecutor`:
+
 * cumulative MPI message/byte totals (``Communicator.traffic``);
 * reader-side state — cancelled asynchronous reads, and (registered by
   the readers themselves via ``ctx.metrics``) outstanding prefetch
@@ -139,30 +143,18 @@ def _instrument_network(registry: MetricsRegistry, network) -> None:
 
 
 def instrument_pipeline(
-    registry: MetricsRegistry,
-    executor,
-    tenant: str = "",
-    include_substrate: bool = True,
+    registry: MetricsRegistry, executor, tenant: str = ""
 ) -> None:
-    """Register the standard gauge set over ``executor``'s components.
+    """Register one pipeline's gauges over ``executor``'s components.
 
-    Called by :class:`~repro.core.executor.PipelineExecutor` when
-    ``cfg.metrics_interval`` is set, after the machine/FS/communicator
-    are built and before any process is spawned.
-
-    Scenario hosting: a non-empty ``tenant`` adds a ``tenant`` label to
-    every per-pipeline instrument (MPI traffic, reader state, drops) so
-    N tenants' series split cleanly in one shared registry, and
-    ``include_substrate=False`` skips the server/network gauges — the
-    substrate is shared, so the scenario registers those exactly once
-    (see :func:`instrument_substrate`).  Standalone runs (``tenant=""``)
-    keep their exact pre-existing metric names and labels.
+    Called by :class:`~repro.core.executor.PipelineExecutor` on a
+    metered substrate, after its communicator is built and before any
+    process is spawned.  A non-empty ``tenant`` adds a ``tenant`` label
+    to every instrument (MPI traffic, reader state, drops) so N
+    tenants' series split cleanly in one shared registry; standalone
+    runs (``tenant=""``) carry no label.
     """
     labels = {"tenant": tenant} if tenant else {}
-    if include_substrate:
-        _instrument_servers(registry, executor.fs)
-        _instrument_network(registry, executor.machine.network)
-
     traffic = executor.comm.traffic
     registry.gauge(
         "mpi_messages_total",
@@ -194,8 +186,10 @@ def instrument_pipeline(
 
 
 def instrument_substrate(registry: MetricsRegistry, substrate) -> None:
-    """Register the *shared* gauges of a scenario substrate, once.
+    """Register the *shared* server and network gauges of a substrate.
 
+    Called once by :meth:`~repro.core.executor.Substrate.run` as the
+    sampler attaches, after any fault injection has armed the servers.
     The stripe servers and the interconnect belong to every tenant at
     once; per-tenant attribution of disk traffic comes from the file
     system's per-path byte accounting instead

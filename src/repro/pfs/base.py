@@ -129,9 +129,9 @@ class ParallelFileSystem:
         Label for reports.
     replication:
         Copies of each stripe unit (chained declustering over successive
-        directories).  ``replication > 1`` enables the fault-tolerant
-        client path: reads fail over between replicas, writes mirror to
-        every replica.
+        directories).  Reads fail over between replicas and writes
+        mirror to every replica; every request retries transient faults
+        under the :class:`RetryPolicy`.
     retry:
         Client :class:`RetryPolicy`; defaults are used when omitted.
     """
@@ -160,16 +160,15 @@ class ParallelFileSystem:
         self.machine = machine
         self.kernel = machine.kernel
         self.layout = StripeLayout(stripe_unit, stripe_factor, replication)
+        # Replica set of every directory, primary first (per-request
+        # lookups stay off the hot path).
+        self._replicas = [
+            self.layout.replica_directories(d) for d in range(stripe_factor)
+        ]
         self.disk = disk
         self.name = name
         self.backing = BackingStore()
         self.retry_policy = retry if retry is not None else RetryPolicy()
-        # The fault-tolerant client path (retry loops, replica failover)
-        # is byte-for-byte benign in timing but spawns differently-named
-        # processes, so it stays off unless replication or a fault
-        # injection asks for it — the legacy path keeps every existing
-        # golden result hash intact.
-        self._fault_tolerant = replication > 1
         self._open_handles = 0
         #: Client-side fault accounting: retry loop iterations that hit a
         #: fault, and reads ultimately satisfied by a non-primary replica.
@@ -204,12 +203,17 @@ class ParallelFileSystem:
 
     @property
     def fault_tolerant(self) -> bool:
-        """True when the retry/failover client path is active."""
-        return self._fault_tolerant
+        """True when replicas or an armed server fault make the fault
+        counters meaningful.
 
-    def enable_fault_tolerance(self) -> None:
-        """Switch clients to the retry/failover path (used by fault injection)."""
-        self._fault_tolerant = True
+        Every client request runs the retry/failover path; this only
+        decides whether the substrate's ``disk_stats`` and the metrics
+        registry report the fault counters, so fault-free results carry
+        none.
+        """
+        return self.layout.replication > 1 or any(
+            s.fault_armed for s in self.servers
+        )
 
     # -- namespace ---------------------------------------------------------
     def create(
@@ -326,25 +330,13 @@ class ParallelFileSystem:
         if token is not None:
             yield token.request()
         try:
-            runs = self._map(handle.path, offset, nbytes)
-            if self._fault_tolerant:
-                procs = [
-                    self.kernel.process(
-                        self._service_with_retry(run, handle),
-                        name=f"read:{handle.path}@dir{run.directory}",
-                    )
-                    for run in runs
-                ]
-            else:
-                procs = [
-                    self.kernel.process(
-                        self.servers[run.directory].service(
-                            run.nbytes, run.n_units, handle.node_id
-                        ),
-                        name=f"read:{handle.path}@dir{run.directory}",
-                    )
-                    for run in runs
-                ]
+            procs = [
+                self.kernel.process(
+                    self._service_with_retry(run, handle),
+                    name=f"read:{handle.path}@dir{run.directory}",
+                )
+                for run in self._map(handle.path, offset, nbytes)
+            ]
             if procs:
                 yield self.kernel.all_of(procs)
         finally:
@@ -412,24 +404,13 @@ class ParallelFileSystem:
                             group[0][1],
                         )
                     )
-            if self._fault_tolerant:
-                procs = [
-                    self.kernel.process(
-                        self._service_with_retry(run, handle),
-                        name=f"readl:{handle.path}@dir{run.directory}",
-                    )
-                    for run, handle in batches
-                ]
-            else:
-                procs = [
-                    self.kernel.process(
-                        self.servers[run.directory].service(
-                            run.nbytes, run.n_units, handle.node_id
-                        ),
-                        name=f"readl:{handle.path}@dir{run.directory}",
-                    )
-                    for run, handle in batches
-                ]
+            procs = [
+                self.kernel.process(
+                    self._service_with_retry(run, handle),
+                    name=f"readl:{handle.path}@dir{run.directory}",
+                )
+                for run, handle in batches
+            ]
             if procs:
                 yield self.kernel.all_of(procs)
         finally:
@@ -472,24 +453,10 @@ class ParallelFileSystem:
         self.backing.write(handle.path, offset, data)
         return total
 
-    def _write_one_run(self, handle: FileHandle, run):
-        if self._fault_tolerant:
-            yield from self._write_one_run_ft(handle, run)
-            return
-        server = self.servers[run.directory]
-        if handle.node_id != server.node_id:
-            yield from self.machine.network.transfer(
-                handle.node_id, server.node_id, run.nbytes
-            )
-        yield from server.service(run.nbytes, run.n_units, handle.node_id, ship=False)
-
-    # -- fault-tolerant client path -----------------------------------------
+    # -- retrying client path -------------------------------------------------
     def _attempt_service(self, server: IOServer, run, handle: FileHandle):
-        """One read attempt against one server, optionally deadline-bounded."""
+        """One deadline-bounded read attempt against one server."""
         timeout_s = self.retry_policy.request_timeout
-        if timeout_s is None:
-            yield from server.service(run.nbytes, run.n_units, handle.node_id)
-            return
         proc = self.kernel.process(
             server.service(run.nbytes, run.n_units, handle.node_id),
             name=f"attempt:{handle.path}@{server.name}",
@@ -519,12 +486,20 @@ class ParallelFileSystem:
         the data is simply requested from the mirror).
         """
         policy = self.retry_policy
-        replicas = self.layout.replica_directories(run.directory)
+        bounded = policy.request_timeout is not None
+        replicas = self._replicas[run.directory]
         last_exc: Optional[IOFaultError] = None
         for attempt in range(policy.max_attempts):
             server = self.servers[replicas[attempt % len(replicas)]]
             try:
-                yield from self._attempt_service(server, run, handle)
+                if bounded:
+                    yield from self._attempt_service(server, run, handle)
+                else:
+                    # Unbounded attempts go straight to the server: one
+                    # generator frame per disk request on fault-free runs.
+                    yield from server.service(
+                        run.nbytes, run.n_units, handle.node_id
+                    )
                 if attempt % len(replicas) != 0:
                     self.client_failovers += 1
                 return
@@ -562,9 +537,9 @@ class ParallelFileSystem:
             f"write to dir {directory} failed after {policy.max_attempts} attempts"
         ) from last_exc
 
-    def _write_one_run_ft(self, handle: FileHandle, run):
+    def _write_one_run(self, handle: FileHandle, run):
         """Mirror a write to every replica; fail only if all replicas fail."""
-        replicas = self.layout.replica_directories(run.directory)
+        replicas = self._replicas[run.directory]
         errors: List[IOFaultError] = []
         for directory in replicas:
             try:

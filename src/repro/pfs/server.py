@@ -65,6 +65,7 @@ class IOServer:
         self._up = True
         self._error_rate = 0.0
         self._rng: Optional[random.Random] = None
+        self._outage_scheduled = False
 
     @property
     def queue_length(self) -> int:
@@ -72,6 +73,12 @@ class IOServer:
         return self._disk_res.queue_length
 
     # -- fault state machine ---------------------------------------------------
+    @property
+    def fault_armed(self) -> bool:
+        """True once a fault was injected: a crash (taken down or
+        scheduled) or a flaky disk with a positive error rate."""
+        return self.outages > 0 or self._outage_scheduled or self._error_rate > 0.0
+
     @property
     def up(self) -> bool:
         """True while the server accepts and completes requests."""
@@ -106,6 +113,7 @@ class IOServer:
                 yield self.kernel.timeout(down_for)
                 self.set_up()
 
+        self._outage_scheduled = True
         self.kernel.process(body(), name=f"outage:{self.name}")
 
     def set_flaky(self, error_rate: float, seed: int = 0) -> None:

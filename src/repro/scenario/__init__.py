@@ -1,7 +1,7 @@
 """Multi-tenant scenarios: N pipelines sharing one machine and PFS.
 
-The scenario layer turns the executor's two-tier architecture
-(:class:`~repro.core.executor.Substrate` +
+The scenario layer turns the executor's substrate-and-tenants
+architecture (:class:`~repro.core.executor.Substrate` +
 :class:`~repro.core.executor.PipelineExecutor`) into a declarative
 experiment surface:
 

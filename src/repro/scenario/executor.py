@@ -1,23 +1,21 @@
 """The scenario executor: N tenant pipelines on one shared substrate.
 
-:class:`ScenarioExecutor` is the top tier of the two-tier execution
-architecture: it builds ONE :class:`~repro.core.executor.Substrate`
-(kernel, machine sized for the sum of the tenants' nodes, one parallel
-file system) and hosts a slimmed-down
-:class:`~repro.core.executor.PipelineExecutor` per tenant, each of which
-*receives* the substrate instead of constructing its own.  Tenants
-occupy contiguous compute-node blocks, namespace their cube files with
-their tenant name, and contend for the same stripe-directory disks and
-mesh links — the shared-PFS interference regime the paper's strategy
-comparison sharpens into.
+:class:`ScenarioExecutor` builds ONE
+:class:`~repro.core.executor.Substrate` (kernel, machine sized for the
+sum of the tenants' nodes, one parallel file system, one metrics
+sampler) and hosts a :class:`~repro.core.executor.PipelineExecutor` per
+tenant on a view of it; a standalone run is the same arrangement with
+a single tenant named ``""``.  Tenants occupy contiguous compute-node
+blocks, namespace their cube files with their tenant name, and contend
+for the same stripe-directory disks and mesh links — the shared-PFS
+interference regime the paper's strategy comparison sharpens into.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.executor import PipelineExecutor, Substrate
-from repro.obs import MetricsRegistry, Sampler, instrument_substrate
 from repro.scenario.spec import ScenarioResult, ScenarioSpec
 from repro.trace.gantt import render_scenario_gantt
 
@@ -45,38 +43,24 @@ class ScenarioExecutor:
         # ONE substrate for everyone: the machine's compute section is
         # the concatenation of the tenants' node blocks; I/O nodes and
         # the FS come from the shared FSConfig exactly as standalone.
-        base_substrate = Substrate.build(
-            self.preset, spec.fs, n_compute=sum(p.total_nodes for p in pipelines)
+        # Its one registry holds the shared server/network gauges once
+        # and each tenant's instruments under a ``tenant`` label.
+        self.substrate = Substrate.build(
+            self.preset,
+            spec.fs,
+            n_compute=sum(p.total_nodes for p in pipelines),
+            metrics_interval=spec.metrics_interval,
         )
-        self.kernel = base_substrate.kernel
-        self.machine = base_substrate.machine
-        self.fs = base_substrate.fs
-
-        # Scenario-owned observability: one registry + one sampler; the
-        # shared server/network gauges are registered exactly once, and
-        # each tenant's pipeline instruments carry a ``tenant`` label.
-        self.metrics: Optional[MetricsRegistry] = None
-        self._sampler: Optional[Sampler] = None
-        if spec.metrics_interval is not None:
-            self.metrics = MetricsRegistry()
-            self._sampler = Sampler(self.kernel, self.metrics, spec.metrics_interval)
-            instrument_substrate(self.metrics, base_substrate)
+        self.kernel = self.substrate.kernel
+        self.machine = self.substrate.machine
+        self.fs = self.substrate.fs
+        self.metrics = self.substrate.metrics
 
         self.tenant_names: List[str] = list(names)
         self.executors: Dict[str, PipelineExecutor] = {}
-        self._prefixes: Dict[str, str] = {}
         rank_base = 0
         for name, tenant, pipeline in zip(names, spec.tenants, pipelines):
             prefix = f"{name}.cpi"
-            sub = Substrate(
-                kernel=self.kernel,
-                machine=self.machine,
-                fs=self.fs,
-                rank_base=rank_base,
-                tenant=name,
-                file_prefix=prefix,
-                metrics=self.metrics,
-            )
             self.executors[name] = PipelineExecutor(
                 pipeline,
                 spec.params,
@@ -84,9 +68,8 @@ class ScenarioExecutor:
                 spec.fs,
                 tenant.cfg,
                 seed=spec.seed,
-                substrate=sub,
+                substrate=self.substrate.tenant_view(name, rank_base, prefix),
             )
-            self._prefixes[name] = prefix
             rank_base += pipeline.total_nodes
             if self.metrics is not None:
                 # Per-tenant share of the shared disks' request volume
@@ -104,29 +87,12 @@ class ScenarioExecutor:
             ex = self.executors[name]
             ex.setup_processes()
             if tenant.writer is not None:
-                self._spawn_writer(name, ex, tenant.writer)
-        if self._sampler is not None:
-            self._sampler.attach()
-
-    def _spawn_writer(self, name: str, ex: PipelineExecutor, w) -> None:
-        from repro.io.writer import RadarWriter
-
-        writer = RadarWriter(
-            ex.fileset,
-            node_id=self.machine.io_node_id(0),
-            period=w.period,
-            n_cpis=w.n_cpis,
-            start_cpi=w.start_cpi,
-            initial_delay=w.initial_delay,
-        )
-        self.kernel.process(writer.run(self.kernel), name=f"{name}.radar-writer")
+                ex.spawn_writer(tenant.writer)
 
     def run(self) -> ScenarioResult:
         """Drive the shared kernel to completion and collect per tenant."""
         self.setup_processes()
-        self.kernel.run()
-        if self._sampler is not None:
-            self._sampler.finalize(self.kernel.now)
+        self.substrate.run()
         tenants = {
             name: self.executors[name].collect() for name in self.tenant_names
         }
@@ -135,30 +101,14 @@ class ScenarioExecutor:
             tenants=tenants,
             elapsed_sim_time=self.kernel.now,
         )
-        result.disk_stats = {
-            "busy_time_per_server": [s.busy_time for s in self.fs.servers],
-            "requests_per_server": [s.requests_served for s in self.fs.servers],
-            "bytes_served": self.fs.total_bytes_served(),
-        }
-        if self.fs.fault_tolerant:
-            result.disk_stats["requests_failed_per_server"] = [
-                s.requests_failed for s in self.fs.servers
-            ]
-            result.disk_stats["outages_per_server"] = [
-                s.outages for s in self.fs.servers
-            ]
+        result.disk_stats = self.substrate.disk_stats()
         result.tenant_bytes = {
             name: self.fs.bytes_for_prefix(f"{name}.")
             for name in self.tenant_names
         }
-        if self.metrics is not None:
-            # Per-tenant cpi_latency_seconds histograms were observed by
-            # each tenant's collect(); emit the one combined artifact.
-            result.metrics = self.metrics.to_dict(
-                interval=self.spec.metrics_interval,
-                t_end=self.kernel.now,
-                samples=self._sampler.samples,
-            )
+        # Each tenant's collect() observed its cpi_latency_seconds
+        # histogram; the one artifact combines them.
+        result.metrics = self.substrate.metrics_artifact()
         return result
 
     def gantt(self, width: int = 100) -> str:

@@ -227,7 +227,6 @@ class TestDuplicateShipAccounting:
         disk = DiskSpec(bandwidth=1e3, overhead=0.0)
         policy = RetryPolicy(max_attempts=2, request_timeout=0.1, backoff_base=0.01)
         k, fs = make_fs(sf=1, unit=8192, disk=disk, retry=policy)
-        fs.enable_fault_tolerance()
         fs.create("p", phantom_size=4096)
         h = fs.open("p", 0)
         with pytest.raises(RetriesExhaustedError):
@@ -241,7 +240,6 @@ class TestDuplicateShipAccounting:
 
     def test_fault_free_run_has_no_duplicates(self):
         k, fs = make_fs(sf=2)
-        fs.enable_fault_tolerance()
         fs.create("p", phantom_size=65536)
         h = fs.open("p", 0)
         run(k, fs.read(h, 0, 65536))

@@ -329,3 +329,22 @@ class TestEngineAndStore:
                 "pfs_client_failovers_total"} <= names
         assert gauges["pfs_server_outages_total"] >= 1
         assert gauges["pfs_client_retries_total"] >= 1
+
+    def test_fault_counters_surface_without_replication(self, small_params):
+        """An unreplicated cell with an injected flaky disk still gets
+        the fault gauges: they register once the fault is armed."""
+        from repro.bench.engine import ExperimentSpec, FlakyDisk, run_spec
+
+        spec = ExperimentSpec(
+            assignment=NodeAssignment.balanced(small_params, 14),
+            params=small_params,
+            fs=FSConfig("pfs", stripe_factor=4),
+            cfg=ExecutionConfig(n_cpis=4, warmup=1, metrics_interval=0.5),
+            flaky_disk=FlakyDisk(server=0, error_rate=0.2, seed=1),
+        )
+        result = run_spec(spec)
+        failed = sum(result.disk_stats["requests_failed_per_server"])
+        assert failed >= 1
+        gauges = result.metrics["gauges"]
+        assert gauges["pfs_requests_failed_total"] == failed
+        assert gauges["pfs_client_retries_total"] == failed

@@ -181,6 +181,39 @@ class TestFlakyDisk:
         assert srv.requests_served == pattern.count(True)
 
 
+class TestFaultTolerantProperty:
+    """``fault_tolerant`` is computed from state: replicas, or a server
+    with a fault armed.  It only selects which fault counters report."""
+
+    def test_fresh_unreplicated_fs_is_not(self):
+        _, fs = make_fs(sf=2)
+        assert not fs.fault_tolerant
+        fs.servers[1].set_flaky(0.0)
+        assert not fs.fault_tolerant
+
+    def test_set_down_arms_it(self):
+        _, fs = make_fs(sf=2)
+        fs.servers[0].set_down()
+        assert fs.fault_tolerant
+        fs.servers[0].set_up()  # a recovered crash still happened
+        assert fs.fault_tolerant
+
+    def test_scheduled_outage_arms_it_before_it_fires(self):
+        _, fs = make_fs(sf=2)
+        fs.servers[1].schedule_outage(at_time=5.0, down_for=1.0)
+        assert fs.servers[1].up
+        assert fs.fault_tolerant
+
+    def test_flaky_disk_arms_it(self):
+        _, fs = make_fs(sf=2)
+        fs.servers[0].set_flaky(0.05)
+        assert fs.fault_tolerant
+
+    def test_replication_makes_it(self):
+        _, fs = make_fs(sf=2, replication=2)
+        assert fs.fault_tolerant
+
+
 class TestRetryAndFailover:
     def test_failover_reads_from_mirror(self):
         k, fs = make_fs(sf=2, replication=2)
@@ -195,7 +228,6 @@ class TestRetryAndFailover:
 
     def test_retry_rides_out_transient_outage(self):
         k, fs = make_fs(sf=1)
-        fs.enable_fault_tolerance()
         fs.create("p", phantom_size=1024)
         fs.servers[0].schedule_outage(at_time=0.0, down_for=0.3)
         h = fs.open("p", 0)
@@ -206,7 +238,6 @@ class TestRetryAndFailover:
 
     def test_retries_exhausted_on_permanent_outage(self):
         k, fs = make_fs(sf=1, retry=RetryPolicy(max_attempts=3))
-        fs.enable_fault_tolerance()
         fs.create("p", phantom_size=1024)
         fs.servers[0].set_down()
         h = fs.open("p", 0)
@@ -226,7 +257,6 @@ class TestRetryAndFailover:
         disk = DiskSpec(bandwidth=1e3, overhead=0.0)  # 1 KB/s: 4 s per unit
         policy = RetryPolicy(max_attempts=2, request_timeout=0.1, backoff_base=0.01)
         k, fs = make_fs(sf=1, unit=8192, disk=disk, retry=policy)
-        fs.enable_fault_tolerance()
         fs.create("p", phantom_size=4096)
         h = fs.open("p", 0)
         with pytest.raises(RetriesExhaustedError):

@@ -167,6 +167,43 @@ class TestSubstrateSeam:
         assert total >= sum(duo.tenant_bytes.values())
 
 
+    def test_replicated_scenario_reports_every_fault_key(self, small_params):
+        fs = FSConfig(kind="pfs", stripe_factor=4, replication=2)
+        duo = run_scenario(scenario(small_params, 2, fs=fs))
+        standalone = run_spec(ExperimentSpec(
+            assignment=NodeAssignment.balanced(small_params, 14),
+            pipeline="embedded-io", fs=fs, params=small_params, cfg=FAST,
+        ))
+        for key in ("requests_failed_per_server", "bytes_shipped_per_server",
+                    "outages_per_server", "duplicate_ships_per_server"):
+            assert len(duo.disk_stats[key]) == 4, key
+        assert set(duo.disk_stats) == set(standalone.disk_stats)
+
+    def test_one_writer_spawn_names_its_process(self, small_params,
+                                                monkeypatch):
+        from repro.bench.engine import WriterLoad, build_executor
+        from repro.sim.kernel import Kernel
+
+        names = []
+        spawn = Kernel.process
+
+        def recording(kernel, generator, name=""):
+            names.append(name)
+            return spawn(kernel, generator, name=name)
+
+        monkeypatch.setattr(Kernel, "process", recording)
+        load = WriterLoad(period=0.5, n_cpis=2)
+        build_executor(ExperimentSpec(
+            assignment=NodeAssignment.balanced(small_params, 14),
+            params=small_params, cfg=FAST,
+        )).spawn_writer(load)
+        ScenarioExecutor(scenario(
+            small_params, tenants=(tenant(small_params, writer=load),),
+        )).setup_processes()
+        assert names.count("radar-writer") == 1
+        assert names.count("t0.radar-writer") == 1
+
+
 # ---------------------------------------------------------------------------
 # Satellite: arrival determinism across execution paths
 # ---------------------------------------------------------------------------
