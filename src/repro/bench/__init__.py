@@ -30,6 +30,7 @@ from repro.bench.experiments import (
     CellResult,
     ExperimentResult,
     InterferenceAblation,
+    grid,
     run_ablation_async,
     run_ablation_bottleneck_migration,
     run_ablation_combination_analysis,
@@ -39,11 +40,11 @@ from repro.bench.experiments import (
     run_ablation_stripe_sweep,
     run_ablation_writer_interference,
     run_fig8,
-    run_single,
     run_table1,
     run_table2,
     run_table3,
     run_table4,
+    sweep,
 )
 from repro.bench.store import ResultStore
 
@@ -65,7 +66,8 @@ __all__ = [
     "WriterLoad",
     "CellResult",
     "ExperimentResult",
-    "run_single",
+    "grid",
+    "sweep",
     "run_table1",
     "run_table2",
     "run_table3",

@@ -11,13 +11,16 @@ All drivers run on the declarative engine
 :class:`~repro.bench.engine.SweepRunner`.  Pass a shared runner (with a
 :class:`~repro.bench.store.ResultStore` and/or ``jobs > 1``) to cache
 cells across drivers and to parallelize sweeps; by default each driver
-uses a private serial, uncached runner — the seed behavior.
+uses a private serial, uncached runner — the seed behavior.  A
+grid-shaped driver is one :func:`sweep` call: a base spec plus its axes
+(:func:`grid`), so its cells are data rather than nested loops.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+import itertools
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.bench.cases import BenchCase, paper_cases
 from repro.bench.engine import (
@@ -31,16 +34,18 @@ from repro.bench.engine import (
     machine_key,
 )
 from repro.core.context import ExecutionConfig
-from repro.core.executor import FSConfig, PipelineExecutor, PipelineResult
+from repro.core.executor import FSConfig, PipelineResult
 from repro.core.model import CombinationAnalysis
-from repro.core.pipeline import NodeAssignment, PipelineSpec
+from repro.core.pipeline import NodeAssignment
+from repro.errors import ConfigurationError
 from repro.machine.presets import MachinePreset, ibm_sp
 from repro.stap.params import STAPParams
 from repro.trace.report import format_table, grouped_bar_chart
 
 __all__ = [
     "ExperimentResult",
-    "run_single",
+    "grid",
+    "sweep",
     "run_table1",
     "run_table2",
     "run_table3",
@@ -68,6 +73,96 @@ DEFAULT_CFG = ExecutionConfig(n_cpis=8, warmup=2)
 def _runner(runner: Optional[SweepRunner]) -> SweepRunner:
     """The driver's runner: caller-provided, or private serial/uncached."""
     return runner if runner is not None else SweepRunner(jobs=1)
+
+
+# ---------------------------------------------------------------------------
+# declarative spec grids
+
+
+def _replace_path(obj, path: str, value):
+    """``obj`` with the field at dotted ``path`` set to ``value``."""
+    head, _, rest = path.partition(".")
+    if rest:
+        value = _replace_path(getattr(obj, head), rest, value)
+    return replace(obj, **{head: value})
+
+
+def _check_path(base, path: str) -> None:
+    """Reject a dotted path that does not name a field reachable in ``base``."""
+    obj = base
+    for name in path.split("."):
+        if not is_dataclass(obj) or name not in {f.name for f in fields(obj)}:
+            raise ConfigurationError(
+                f"grid axis {path!r}: {type(obj).__name__} has no field "
+                f"{name!r}"
+            )
+        obj = getattr(obj, name)
+
+
+def grid(
+    base,
+    axes: Mapping[str, Union[Sequence[Any], Mapping[Any, Any]]],
+    where: Optional[Callable[[Any], bool]] = None,
+) -> Dict[Any, Any]:
+    """Expand ``base`` over the product of ``axes`` into ``{key: spec}``.
+
+    ``base`` is any frozen spec dataclass (:class:`ExperimentSpec`,
+    :class:`~repro.scenario.ScenarioSpec`).  Each axis maps a dotted
+    field path (``"fs.stripe_factor"``, ``"disk_fault.slow_factor"``)
+    to its values: a sequence, whose values are also the keys, or a
+    ``{key: value}`` mapping for axes whose key differs from the stored
+    value (rate ``0.0`` -> ``flaky_disk=None``).  The product runs
+    first-axis-outermost, as nested ``for`` loops in axis order would.
+    A cell's key is the tuple of its axis keys, or the bare key when
+    there is one axis.  ``where(spec)`` returning false drops the cell.
+    Cells are built with nested :func:`dataclasses.replace`, so every
+    spec validates and hashes exactly like a hand-built one.
+    """
+    paths = list(axes)
+    for path in paths:
+        _check_path(base, path)
+    columns = [
+        list(values.items()) if isinstance(values, Mapping)
+        else [(v, v) for v in values]
+        for values in axes.values()
+    ]
+    cells: Dict[Any, Any] = {}
+    for combo in itertools.product(*columns):
+        spec = base
+        for path, (_, value) in zip(paths, combo):
+            spec = _replace_path(spec, path, value)
+        if where is None or where(spec):
+            key = tuple(k for k, _ in combo)
+            cells[key[0] if len(key) == 1 else key] = spec
+    return cells
+
+
+def sweep(
+    base,
+    axes: Mapping[str, Union[Sequence[Any], Mapping[Any, Any]]],
+    runner: Optional[SweepRunner] = None,
+    where: Optional[Callable[[Any], bool]] = None,
+) -> Dict[Any, Any]:
+    """:func:`grid` plus one ``runner.run`` call: ``{key: result}``."""
+    cells = grid(base, axes, where)
+    return dict(zip(cells, _runner(runner).run(list(cells.values()))))
+
+
+def _base(
+    case_number: int,
+    params: Optional[STAPParams],
+    cfg: ExecutionConfig,
+    seed: int,
+    **spec_fields,
+) -> ExperimentSpec:
+    """An ablation's base cell: paper case ``case_number``, embedded I/O
+    on the Paragon's PFS at stripe factor 64 unless ``spec_fields`` say
+    otherwise."""
+    params = params or STAPParams()
+    return ExperimentSpec(
+        assignment=NodeAssignment.case(case_number, params),
+        params=params, cfg=cfg, seed=seed, **spec_fields,
+    )
 
 
 @dataclass
@@ -211,23 +306,6 @@ class ExperimentResult:
             + "\n\n"
             + grouped_bar_chart(lat, title=f"{self.name}: latency (s)", unit="s")
         )
-
-
-def run_single(
-    spec: PipelineSpec,
-    preset: MachinePreset,
-    fs: FSConfig,
-    params: Optional[STAPParams] = None,
-    cfg: ExecutionConfig = DEFAULT_CFG,
-) -> PipelineResult:
-    """Run one already-built pipeline configuration (timing mode).
-
-    This is the non-declarative escape hatch for ad-hoc pipeline
-    objects; grid sweeps go through :class:`ExperimentSpec` and a
-    :class:`SweepRunner` instead.
-    """
-    params = params or STAPParams()
-    return PipelineExecutor(spec, params, preset, fs, cfg).run()
 
 
 def _sweep(
@@ -412,23 +490,8 @@ def run_ablation_stripe_sweep(
     calibrated surrogate (:mod:`repro.bench.surrogate`) and only
     simulates the contested ones.
     """
-    params = params or STAPParams()
-    a = NodeAssignment.case(case_number, params)
-    specs = [
-        ExperimentSpec(
-            assignment=a,
-            pipeline="embedded",
-            machine="paragon",
-            fs=FSConfig(kind="pfs", stripe_factor=sf),
-            params=params,
-            cfg=cfg,
-            seed=seed,
-            screening=screening,
-        )
-        for sf in stripe_factors
-    ]
-    results = _runner(runner).run(specs)
-    return dict(zip(stripe_factors, results))
+    base = _base(case_number, params, cfg, seed, screening=screening)
+    return sweep(base, {"fs.stripe_factor": stripe_factors}, runner)
 
 
 def run_ablation_bottleneck_migration(
@@ -451,22 +514,8 @@ def run_ablation_bottleneck_migration(
     :func:`repro.obs.report.bottleneck_profile` to get the handoff as
     numbers.
     """
-    params = params or STAPParams()
-    a = NodeAssignment.case(case_number, params)
-    specs = [
-        ExperimentSpec(
-            assignment=a,
-            pipeline="embedded",
-            machine="paragon",
-            fs=FSConfig(kind="pfs", stripe_factor=sf),
-            params=params,
-            cfg=replace(cfg, metrics_interval=interval),
-            seed=seed,
-        )
-        for sf in stripe_factors
-    ]
-    results = _runner(runner).run(specs)
-    return dict(zip(stripe_factors, results))
+    base = _base(case_number, params, replace(cfg, metrics_interval=interval), seed)
+    return sweep(base, {"fs.stripe_factor": stripe_factors}, runner)
 
 
 def run_ablation_io_strategy(
@@ -492,23 +541,11 @@ def run_ablation_io_strategy(
     balanced chunks still help) rather than the classic noncontiguous-
     access wins; see docs/io_strategies.md.
     """
-    params = params or STAPParams()
-    a = NodeAssignment.case(case_number, params)
-    grid = [(s, sf) for s in strategies for sf in stripe_factors]
-    specs = [
-        ExperimentSpec(
-            assignment=a,
-            pipeline=strategy,
-            machine="paragon",
-            fs=FSConfig(kind="pfs", stripe_factor=sf),
-            params=params,
-            cfg=cfg,
-            seed=seed,
-        )
-        for strategy, sf in grid
-    ]
-    results = _runner(runner).run(specs)
-    return dict(zip(grid, results))
+    return sweep(
+        _base(case_number, params, cfg, seed),
+        {"pipeline": strategies, "fs.stripe_factor": stripe_factors},
+        runner,
+    )
 
 
 def run_ablation_noncontiguous(
@@ -539,30 +576,13 @@ def run_ablation_noncontiguous(
     """
     from repro.strategies import get_strategy
 
-    params = params or STAPParams()
-    a = NodeAssignment.case(case_number, params)
-    grid = []
-    for strategy, kind, sf in (
-        (s, k, f) for s in strategies for k in fs_kinds for f in stripe_factors
-    ):
-        strat = get_strategy(strategy)
-        if kind == "piofs" and (strat.requires_async or strat.requires_list_io):
-            continue
-        grid.append((strategy, kind, sf))
-    specs = [
-        ExperimentSpec(
-            assignment=a,
-            pipeline=strategy,
-            machine="paragon",
-            fs=FSConfig(kind=kind, stripe_factor=sf),
-            params=params,
-            cfg=cfg,
-            seed=seed,
-        )
-        for strategy, kind, sf in grid
-    ]
-    results = _runner(runner).run(specs)
-    return dict(zip(grid, results))
+    return sweep(
+        _base(case_number, params, cfg, seed),
+        {"pipeline": strategies, "fs.kind": fs_kinds,
+         "fs.stripe_factor": stripe_factors},
+        runner,
+        where=lambda s: not get_strategy(s.pipeline).missing_capability(s.fs.kind),
+    )
 
 
 def run_ablation_async(
@@ -585,24 +605,12 @@ def run_ablation_async(
     pipeline beat is the disk cycle and overlap cannot help — reads of
     different nodes already overlap other nodes' computation.
     """
-    params = params or STAPParams()
-    a = NodeAssignment.case(case_number, params)
-    machine = machine_key(preset or ibm_sp())
-    kinds = ("pfs", "piofs")
-    specs = [
-        ExperimentSpec(
-            assignment=a,
-            pipeline="embedded",
-            machine=machine,
-            fs=FSConfig(kind=kind, stripe_factor=stripe_factor),
-            params=params,
-            cfg=cfg,
-            seed=seed,
-        )
-        for kind in kinds
-    ]
-    results = _runner(runner).run(specs)
-    return dict(zip(kinds, results))
+    base = _base(
+        case_number, params, cfg, seed,
+        machine=machine_key(preset or ibm_sp()),
+        fs=FSConfig(stripe_factor=stripe_factor),
+    )
+    return sweep(base, {"fs.kind": ("pfs", "piofs")}, runner)
 
 
 def run_ablation_combination_analysis(
@@ -670,23 +678,11 @@ def run_ablation_straggler_disk(
     ``slow_factor`` and measures the pipeline at an otherwise healthy
     configuration (case 3, stripe factor 64).
     """
-    params = params or STAPParams()
-    a = NodeAssignment.case(case_number, params)
-    specs = [
-        ExperimentSpec(
-            assignment=a,
-            pipeline="embedded",
-            machine="paragon",
-            fs=FSConfig(kind="pfs", stripe_factor=stripe_factor),
-            params=params,
-            cfg=cfg,
-            seed=seed,
-            disk_fault=DiskFault(server=0, slow_factor=slow),
-        )
-        for slow in slow_factors
-    ]
-    results = _runner(runner).run(specs)
-    return dict(zip(slow_factors, results))
+    base = _base(
+        case_number, params, cfg, seed,
+        fs=FSConfig(stripe_factor=stripe_factor), disk_fault=DiskFault(server=0),
+    )
+    return sweep(base, {"disk_fault.slow_factor": slow_factors}, runner)
 
 
 def run_ablation_straggler_node(
@@ -705,24 +701,9 @@ def run_ablation_straggler_node(
     task has.  The dual of the disk straggler: tail latency in compute
     instead of I/O.
     """
-    params = params or STAPParams()
-    a = NodeAssignment.case(case_number, params)
-    specs = [
-        ExperimentSpec(
-            assignment=a,
-            pipeline="embedded",
-            machine="paragon",
-            fs=FSConfig(kind="pfs", stripe_factor=64),
-            params=params,
-            cfg=cfg,
-            seed=seed,
-            # Node 0 belongs to the Doppler task.
-            node_fault=NodeFault(node=0, slow_factor=slow),
-        )
-        for slow in slow_factors
-    ]
-    results = _runner(runner).run(specs)
-    return dict(zip(slow_factors, results))
+    # Node 0 belongs to the Doppler task.
+    base = _base(case_number, params, cfg, seed, node_fault=NodeFault(node=0))
+    return sweep(base, {"node_fault.slow_factor": slow_factors}, runner)
 
 
 def run_ablation_writer_interference(
@@ -742,18 +723,9 @@ def run_ablation_writer_interference(
     measured throughput, so the noisy spec is fully declarative (and
     cacheable) once the quiet cell is known.
     """
-    params = params or STAPParams()
     runner = _runner(runner)
-    a = NodeAssignment.case(case_number, params)
-    quiet_spec = ExperimentSpec(
-        assignment=a,
-        pipeline="embedded",
-        machine="paragon",
-        fs=FSConfig(kind="pfs", stripe_factor=stripe_factor),
-        params=params,
-        cfg=cfg,
-        seed=seed,
-    )
+    quiet_spec = _base(case_number, params, cfg, seed,
+                       fs=FSConfig(stripe_factor=stripe_factor))
     quiet = runner.run_one(quiet_spec)
     period = 1.0 / max(quiet.throughput, 1e-9)
     noisy = runner.run_one(
@@ -800,46 +772,27 @@ def run_ablation_server_outage(
     pipeline beats, ``None`` disables dropping (reads stall through the
     outage), a float is used as-is.
     """
-    params = params or STAPParams()
     runner = _runner(runner)
-    a = NodeAssignment.case(case_number, params)
-
-    def spec_for(replication, crash, run_cfg):
-        return ExperimentSpec(
-            assignment=a,
-            pipeline="embedded",
-            machine="paragon",
-            fs=FSConfig(
-                kind="pfs", stripe_factor=stripe_factor, replication=replication
-            ),
-            params=params,
-            cfg=run_cfg,
-            seed=seed,
-            server_crash=crash,
-        )
+    base = _base(case_number, params, cfg, seed,
+                 fs=FSConfig(stripe_factor=stripe_factor))
 
     # Calibrate crash time and deadline off the healthy run.
-    quiet = runner.run_one(spec_for(1, None, cfg))
+    quiet = runner.run_one(base)
     beat = 1.0 / max(quiet.throughput, 1e-9)
     deadline = 4.0 * beat if read_deadline == "auto" else read_deadline
-    run_cfg = replace(cfg, read_deadline=deadline)
     at_time = 0.3 * quiet.elapsed_sim_time
-
-    keys: List[Tuple[int, float]] = []
-    specs: List[ExperimentSpec] = []
-    for rep in replications:
-        for dur in (0.0,) + tuple(outage_durations):
-            crash = None
-            if dur > 0:
-                crash = ServerCrash(
-                    server=0,
-                    at_time=at_time,
-                    down_for=None if dur == float("inf") else dur,
-                )
-            keys.append((rep, dur))
-            specs.append(spec_for(rep, crash, run_cfg))
-    results = runner.run(specs)
-    return dict(zip(keys, results))
+    crashes = {
+        dur: None if dur <= 0 else ServerCrash(
+            server=0, at_time=at_time,
+            down_for=None if dur == float("inf") else dur,
+        )
+        for dur in (0.0,) + tuple(outage_durations)
+    }
+    return sweep(
+        replace(base, cfg=replace(cfg, read_deadline=deadline)),
+        {"fs.replication": replications, "server_crash": crashes},
+        runner,
+    )
 
 
 def run_ablation_flaky_disk(
@@ -863,36 +816,18 @@ def run_ablation_flaky_disk(
     cell per ``(replication, error_rate)`` pair; rate ``0.0`` cells are
     fault-free baselines.
     """
-    params = params or STAPParams()
-    runner = _runner(runner)
-    a = NodeAssignment.case(case_number, params)
-
-    keys: List[Tuple[int, float]] = []
-    specs: List[ExperimentSpec] = []
-    for rep in replications:
-        for rate in error_rates:
-            flaky = (
-                FlakyDisk(server=0, error_rate=rate, seed=flaky_seed)
-                if rate > 0
-                else None
-            )
-            keys.append((rep, rate))
-            specs.append(
-                ExperimentSpec(
-                    assignment=a,
-                    pipeline="embedded",
-                    machine="paragon",
-                    fs=FSConfig(
-                        kind="pfs", stripe_factor=stripe_factor, replication=rep
-                    ),
-                    params=params,
-                    cfg=cfg,
-                    seed=seed,
-                    flaky_disk=flaky,
-                )
-            )
-    results = runner.run(specs)
-    return dict(zip(keys, results))
+    flaky = {
+        rate: None if rate <= 0 else FlakyDisk(
+            server=0, error_rate=rate, seed=flaky_seed
+        )
+        for rate in error_rates
+    }
+    return sweep(
+        _base(case_number, params, cfg, seed,
+              fs=FSConfig(stripe_factor=stripe_factor)),
+        {"fs.replication": replications, "flaky_disk": flaky},
+        runner,
+    )
 
 
 @dataclass
@@ -1026,24 +961,26 @@ def run_ablation_interference(
     runner = _runner(runner)
     a = NodeAssignment.case(case_number, params)
 
-    def scenario(sf: int, names: Tuple[str, ...],
-                 tenant_cfg: ExecutionConfig) -> ScenarioSpec:
-        return ScenarioSpec(
-            tenants=tuple(
-                TenantSpec(assignment=a, pipeline=strategy, cfg=tenant_cfg)
-                for strategy in names
-            ),
-            machine="paragon",
-            fs=FSConfig(kind="pfs", stripe_factor=sf),
-            params=params,
-            seed=seed,
+    def tenants(names, tenant_cfg: ExecutionConfig) -> tuple:
+        return tuple(
+            TenantSpec(assignment=a, pipeline=strategy, cfg=tenant_cfg)
+            for strategy in names
         )
 
-    # Solo baselines: every (stripe factor, strategy), deadline-free.
     pair_sf = min(stripe_factors)
-    solo_keys = [(sf, s) for sf in stripe_factors for s in strategies]
-    solo_specs = [scenario(sf, (s,), cfg) for sf, s in solo_keys]
-    solos = dict(zip(solo_keys, runner.run(solo_specs)))
+    base = ScenarioSpec(
+        tenants=tenants(strategies[:1], cfg),
+        machine="paragon",
+        fs=FSConfig(kind="pfs", stripe_factor=pair_sf),
+        params=params,
+        seed=seed,
+    )
+
+    # Solo baselines: every (stripe factor, strategy), deadline-free.
+    solos = sweep(base, {
+        "fs.stripe_factor": stripe_factors,
+        "tenants": {s: tenants((s,), cfg) for s in strategies},
+    }, runner)
 
     deadline: Optional[float]
     if read_deadline == "auto":
@@ -1056,22 +993,20 @@ def run_ablation_interference(
     contended_cfg = replace(cfg, read_deadline=deadline)
 
     # Tenant scaling: same strategy mix, growing contention.
-    scaling_keys = [(sf, n) for sf in stripe_factors for n in tenant_counts]
-    scaling_specs = [
-        scenario(sf, tuple(strategies[i % len(strategies)] for i in range(n)),
-                 contended_cfg)
-        for sf, n in scaling_keys
-    ]
-    scaling = dict(zip(scaling_keys, runner.run(scaling_specs)))
+    scaling = sweep(base, {
+        "fs.stripe_factor": stripe_factors,
+        "tenants": {
+            n: tenants((strategies[i % len(strategies)] for i in range(n)),
+                       contended_cfg)
+            for n in tenant_counts
+        },
+    }, runner)
 
     # Pair matrix: every unordered strategy pair at the tightest sf.
-    pair_keys = [
-        (strategies[i], strategies[j])
-        for i in range(len(strategies))
-        for j in range(i, len(strategies))
-    ]
-    pair_specs = [scenario(pair_sf, key, contended_cfg) for key in pair_keys]
-    pairs = dict(zip(pair_keys, runner.run(pair_specs)))
+    pairs = sweep(base, {"tenants": {
+        key: tenants(key, contended_cfg)
+        for key in itertools.combinations_with_replacement(strategies, 2)
+    }}, runner)
 
     return InterferenceAblation(
         strategies=strategies,

@@ -6,6 +6,7 @@ Examples::
     python -m repro run --case 3 --fs pfs --stripe-factor 16
     python -m repro run --pipeline separate --machine sp --fs piofs
     python -m repro run --strategy collective-two-phase --fs pfs
+    python -m repro profile --pipeline list-io --case 1 --cpis 4
     python -m repro run --case 3 --metrics --metrics-interval 0.25
     python -m repro metrics show <hash-prefix>
     python -m repro strategies list
@@ -38,11 +39,19 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from typing import Dict, List, Optional
 
-from repro.bench.engine import ExperimentSpec, FlakyDisk, ServerCrash, SweepRunner
+from repro.bench.engine import (
+    PIPELINES,
+    ExperimentSpec,
+    FlakyDisk,
+    ServerCrash,
+    SweepRunner,
+)
 from repro.strategies import get_strategy, strategy_names
 from repro.bench.experiments import (
+    grid,
     run_ablation_stripe_sweep,
     run_table1,
     run_table2,
@@ -62,8 +71,56 @@ from repro.trace.report import bar_chart, format_table
 
 __all__ = ["main", "build_parser"]
 
-_PIPELINE_CHOICES = ("combined", "embedded", "separate")
 _MACHINE_CHOICES = ("paragon", "sp")
+
+
+def _add_cell_opts(p: argparse.ArgumentParser, lists: bool = False) -> None:
+    """Flags naming one experiment cell, shared by run/profile/submit.
+
+    With ``lists`` (submit), ``--case`` and ``--stripe-factor`` take
+    comma-separated values and the command expands their product.
+    """
+    p.add_argument("--pipeline", "--strategy", dest="pipeline",
+                   choices=sorted(PIPELINES), default="embedded", metavar="NAME",
+                   help="registered I/O strategy (see 'repro strategies "
+                   "list') or legacy pipeline key; --strategy is an alias")
+    if lists:
+        p.add_argument("--case", default="1",
+                       help="comma-separated paper cases, e.g. 1,2,3")
+        p.add_argument("--stripe-factor", default="64",
+                       help="comma-separated stripe factors, e.g. 16,32,64")
+    else:
+        p.add_argument("--case", type=int, choices=(1, 2, 3), default=1,
+                       help="paper node-assignment case (25/50/100 nodes)")
+        p.add_argument("--stripe-factor", type=int, default=64)
+    p.add_argument("--machine", choices=_MACHINE_CHOICES, default="paragon")
+    p.add_argument("--fs", choices=("pfs", "piofs"), default="pfs")
+    p.add_argument("--cpis", type=int, default=8)
+    p.add_argument("--warmup", type=int, default=2)
+    p.add_argument("--seed", type=int, default=0,
+                   help="experiment seed (part of the cache key)")
+
+
+def _cell_spec(
+    args, case: Optional[int] = None, stripe_factor: Optional[int] = None
+) -> ExperimentSpec:
+    """The experiment cell the :func:`_add_cell_opts` flags name.
+
+    ``case``/``stripe_factor`` stand in for those flags when they hold
+    lists (submit).
+    """
+    params = STAPParams()
+    case = args.case if case is None else case
+    sf = args.stripe_factor if stripe_factor is None else stripe_factor
+    return ExperimentSpec(
+        assignment=NodeAssignment.case(case, params),
+        pipeline=args.pipeline,
+        machine=args.machine,
+        fs=FSConfig(kind=args.fs, stripe_factor=sf),
+        params=params,
+        cfg=ExecutionConfig(n_cpis=args.cpis, warmup=args.warmup),
+        seed=args.seed,
+    )
 
 
 def _add_engine_opts(p: argparse.ArgumentParser) -> None:
@@ -92,17 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one pipeline configuration")
-    p_run.add_argument("--pipeline", choices=_PIPELINE_CHOICES, default="embedded")
-    p_run.add_argument("--strategy", choices=strategy_names(), default=None,
-                       help="registered I/O strategy; overrides --pipeline "
-                       "(see 'repro strategies list')")
-    p_run.add_argument("--case", type=int, choices=(1, 2, 3), default=1,
-                       help="paper node-assignment case (25/50/100 nodes)")
-    p_run.add_argument("--machine", choices=_MACHINE_CHOICES, default="paragon")
-    p_run.add_argument("--fs", choices=("pfs", "piofs"), default="pfs")
-    p_run.add_argument("--stripe-factor", type=int, default=64)
-    p_run.add_argument("--cpis", type=int, default=8)
-    p_run.add_argument("--warmup", type=int, default=2)
+    _add_cell_opts(p_run)
     p_run.add_argument("--replication", type=int, default=1,
                        help="stripe-unit mirror copies (chained declustering); "
                        ">1 lets reads fail over and mirrors writes")
@@ -131,8 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "calibrated analytic model can decide without "
                             "simulating (see repro.bench.surrogate); "
                             "'predict-all' never simulates")
-    p_run.add_argument("--seed", type=int, default=0,
-                       help="experiment seed (part of the cache key)")
     p_run.add_argument("--threaded", action="store_true",
                        help="SMP phase-threaded nodes (IPPS'99 design)")
     p_run.add_argument("--metrics", action="store_true",
@@ -157,15 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="profile one pipeline configuration under cProfile",
     )
-    p_prof.add_argument("--pipeline", choices=_PIPELINE_CHOICES, default="embedded")
-    p_prof.add_argument("--case", type=int, choices=(1, 2, 3), default=1,
-                        help="paper node-assignment case (25/50/100 nodes)")
-    p_prof.add_argument("--machine", choices=_MACHINE_CHOICES, default="paragon")
-    p_prof.add_argument("--fs", choices=("pfs", "piofs"), default="pfs")
-    p_prof.add_argument("--stripe-factor", type=int, default=64)
-    p_prof.add_argument("--cpis", type=int, default=8)
-    p_prof.add_argument("--warmup", type=int, default=2)
-    p_prof.add_argument("--seed", type=int, default=0)
+    _add_cell_opts(p_prof)
     p_prof.add_argument("--lines", type=int, default=25,
                         help="rows of the profile to print (default 25)")
     p_prof.add_argument("--sort", choices=("tottime", "cumtime", "ncalls"),
@@ -274,17 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="free-form job label shown in 'repro jobs list'")
     p_sub.add_argument("--follow", action="store_true",
                        help="stream results back as cells complete")
-    p_sub.add_argument("--pipeline", choices=_PIPELINE_CHOICES,
-                       default="embedded")
-    p_sub.add_argument("--case", default="1",
-                       help="comma-separated paper cases, e.g. 1,2,3")
-    p_sub.add_argument("--machine", choices=_MACHINE_CHOICES, default="paragon")
-    p_sub.add_argument("--fs", choices=("pfs", "piofs"), default="pfs")
-    p_sub.add_argument("--stripe-factor", default="64",
-                       help="comma-separated stripe factors, e.g. 16,32,64")
-    p_sub.add_argument("--cpis", type=int, default=8)
-    p_sub.add_argument("--warmup", type=int, default=2)
-    p_sub.add_argument("--seed", type=int, default=0)
+    _add_cell_opts(p_sub, lists=True)
 
     p_jobs = sub.add_parser(
         "jobs", help="list/inspect/cancel jobs on a running service"
@@ -409,7 +436,6 @@ def _parse_hints(pairs: List[str]) -> Dict[str, int]:
 
 
 def _cmd_run(args) -> int:
-    params = STAPParams()
     if args.read_deadline is not None and args.read_deadline <= 0:
         raise ReproError(
             f"--read-deadline must be > 0 seconds, got {args.read_deadline}"
@@ -425,10 +451,6 @@ def _cmd_run(args) -> int:
         metrics_interval = (
             args.metrics_interval if args.metrics_interval is not None else 0.1
         )
-    cfg = ExecutionConfig(
-        n_cpis=args.cpis, warmup=args.warmup, threaded=args.threaded,
-        read_deadline=args.read_deadline, metrics_interval=metrics_interval,
-    )
     server_crash = None
     if args.crash_server is not None:
         server_crash = ServerCrash(
@@ -441,18 +463,14 @@ def _cmd_run(args) -> int:
             server=args.flaky_server, error_rate=args.flaky_rate,
             seed=args.flaky_seed,
         )
-    exp = ExperimentSpec(
-        assignment=NodeAssignment.case(args.case, params),
-        pipeline=args.strategy if args.strategy else args.pipeline,
-        machine=args.machine,
-        fs=FSConfig(
-            kind=args.fs, stripe_factor=args.stripe_factor,
-            replication=args.replication,
-            **_parse_hints(args.hint),
-        ),
-        params=params,
-        cfg=cfg,
-        seed=args.seed,
+    cell = _cell_spec(args)
+    exp = replace(
+        cell,
+        fs=replace(cell.fs, replication=args.replication,
+                   **_parse_hints(args.hint)),
+        cfg=replace(cell.cfg, threaded=args.threaded,
+                    read_deadline=args.read_deadline,
+                    metrics_interval=metrics_interval),
         server_crash=server_crash,
         flaky_disk=flaky_disk,
         screening=args.screening,
@@ -578,16 +596,7 @@ def _cmd_profile(args) -> int:
 
     from repro.bench.engine import build_executor
 
-    params = STAPParams()
-    spec = ExperimentSpec(
-        assignment=NodeAssignment.case(args.case, params),
-        pipeline=args.pipeline,
-        machine=args.machine,
-        fs=FSConfig(kind=args.fs, stripe_factor=args.stripe_factor),
-        params=params,
-        cfg=ExecutionConfig(n_cpis=args.cpis, warmup=args.warmup),
-        seed=args.seed,
-    )
+    spec = _cell_spec(args)
     # Build outside the profile so only the simulation itself is timed;
     # keeping the executor also keeps its kernel for --queue-stats.
     ex = build_executor(spec)
@@ -604,27 +613,13 @@ def _cmd_profile(args) -> int:
     )
     stats.sort_stats(args.sort).print_stats(args.lines)
     if args.queue_stats:
-        from repro.analysis import render_queue_stats as _render_qs
+        from repro.analysis import render_queue_stats
 
-        print(_render_qs(ex.kernel.queue_stats()))
+        print(render_queue_stats(ex.kernel.queue_stats()))
     if args.output:
         stats.dump_stats(args.output)
         print(f"raw pstats data written to {args.output}")
     return 0
-
-
-def render_queue_stats(qs: dict) -> str:
-    """Deprecated alias; use :func:`repro.analysis.render_queue_stats`."""
-    import warnings
-
-    from repro.analysis import render_queue_stats as _render_qs
-
-    warnings.warn(
-        "repro.cli.render_queue_stats moved to "
-        "repro.analysis.render_queue_stats",
-        DeprecationWarning, stacklevel=2,
-    )
-    return _render_qs(qs)
 
 
 def _cmd_detect(args) -> int:
@@ -877,16 +872,11 @@ def _cmd_strategies(args) -> int:
     )
     assignment = NodeAssignment.balanced(params, 14)
     cfg = ExecutionConfig(n_cpis=2, warmup=0)
-    supports_async = args.fs != "piofs"
-    supports_list_io = args.fs != "piofs"
     failures = 0
     for name in strategy_names():
-        strat = get_strategy(name)
-        if strat.requires_async and not supports_async:
-            print(f"{name:24s} SKIP (requires async reads; {args.fs} has none)")
-            continue
-        if strat.requires_list_io and not supports_list_io:
-            print(f"{name:24s} SKIP (requires list I/O; {args.fs} has none)")
+        missing = get_strategy(name).missing_capability(args.fs)
+        if missing:
+            print(f"{name:24s} SKIP (requires {missing}; {args.fs} has none)")
             continue
         spec = ExperimentSpec(
             assignment=assignment, pipeline=name, machine="paragon",
@@ -953,23 +943,14 @@ def _cmd_submit(args) -> int:
 
     from repro.service.server import submit_batch
 
-    params = STAPParams()
-    cfg = ExecutionConfig(n_cpis=args.cpis, warmup=args.warmup)
     cases = _parse_int_list(args.case, "--case")
     factors = _parse_int_list(args.stripe_factor, "--stripe-factor")
-    specs = [
-        ExperimentSpec(
-            assignment=NodeAssignment.case(case, params),
-            pipeline=args.pipeline,
-            machine=args.machine,
-            fs=FSConfig(kind=args.fs, stripe_factor=factor),
-            params=params,
-            cfg=cfg,
-            seed=args.seed,
-        ).to_dict()
-        for case in cases
-        for factor in factors
-    ]
+    base = _cell_spec(args, case=cases[0], stripe_factor=factors[0])
+    cells = grid(base, {
+        "assignment": {c: NodeAssignment.case(c, base.params) for c in cases},
+        "fs.stripe_factor": factors,
+    })
+    specs = [spec.to_dict() for spec in cells.values()]
     client = args.client or getpass.getuser()
     events = submit_batch(
         args.host, args.port, specs,

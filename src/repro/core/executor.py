@@ -44,9 +44,8 @@ from repro.obs import (
     instrument_substrate,
 )
 from repro.obs.instruments import DEFAULT_BUCKETS
+from repro.pfs import FS_CLASSES
 from repro.pfs.blockdev import DiskSpec
-from repro.pfs.pfs import PFS
-from repro.pfs.piofs import PIOFS
 from repro.sim.kernel import Kernel
 from repro.stap.cfar import Detection
 from repro.stap.params import STAPParams
@@ -251,7 +250,7 @@ class Substrate:
                 else preset.disk_overhead
             ),
         )
-        fs_cls = {"pfs": PFS, "piofs": PIOFS}.get(fs_config.kind)
+        fs_cls = FS_CLASSES.get(fs_config.kind)
         if fs_cls is None:
             raise ConfigurationError(f"unknown file system kind {fs_config.kind!r}")
         fs = fs_cls(
@@ -534,11 +533,7 @@ class PipelineExecutor:
         # process is spawned — async-on-PIOFS fails here, not mid-run.
         self.strategy = strategy_for_spec(spec.name)
         if self.strategy is not None:
-            self.strategy.validate(
-                self.fs.supports_async,
-                self.cfg,
-                supports_list_io=self.fs.supports_list_io,
-            )
+            self.strategy.validate(self.fs, self.cfg)
         source = (
             CubeSource(params, scenario) if (self.cfg.compute and scenario) else None
         )

@@ -30,6 +30,11 @@ from repro.pfs.base import FileHandle, ParallelFileSystem, OpenMode, RetryPolicy
 from repro.pfs.pfs import PFS
 from repro.pfs.piofs import PIOFS
 
+#: ``FSConfig.kind`` -> file-system class.  The classes' capability flags
+#: (``supports_async``, ``supports_list_io``) are the one answer to "can
+#: this strategy run here" (:meth:`repro.strategies.IOStrategy.missing_capability`).
+FS_CLASSES = {"pfs": PFS, "piofs": PIOFS}
+
 __all__ = [
     "StripeLayout",
     "UnitRun",
@@ -42,4 +47,5 @@ __all__ = [
     "RetryPolicy",
     "PFS",
     "PIOFS",
+    "FS_CLASSES",
 ]

@@ -15,9 +15,11 @@ one strategy owns behind a single seam:
 * **reader construction** — :meth:`IOStrategy.make_reader` builds the
   per-node slab reader (the access method: independent sync/async reads,
   data sieving, collective two-phase, ...);
-* **capability requirements** — :meth:`IOStrategy.validate` rejects a
-  file system or execution config the strategy cannot run on *at build
-  time* (e.g. async prefetch on PIOFS), instead of failing with an
+* **capability requirements** — :meth:`IOStrategy.missing_capability`
+  answers "can it run on this file system" from the FS classes' flags,
+  and :meth:`IOStrategy.validate` rejects a file system or execution
+  config the strategy cannot run on *at build time* (e.g. async
+  prefetch on PIOFS), instead of failing with an
   :class:`~repro.errors.AsyncUnsupportedError` mid-simulation;
 * **a stable label** — :meth:`IOStrategy.label` for benches and the CLI.
 
@@ -39,6 +41,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Type
 
 from repro.errors import ConfigurationError, PipelineError
+from repro.pfs import FS_CLASSES
 
 __all__ = [
     "IOStrategy",
@@ -79,27 +82,40 @@ class IOStrategy:
         """Build the slab reader for one reading node's range block."""
         raise NotImplementedError
 
-    def validate(
-        self,
-        supports_async: bool,
-        cfg,
-        supports_list_io: Optional[bool] = None,
-    ) -> None:
+    def missing_capability(self, fs) -> Optional[str]:
+        """The file-system call this strategy needs and ``fs`` lacks.
+
+        ``fs`` is a kind name (``"pfs"``/``"piofs"``) or a file-system
+        instance; the answer comes from its class's ``supports_async`` /
+        ``supports_list_io`` flags.  Returns ``"async reads"``,
+        ``"list I/O"``, or None when the strategy can run there.
+        """
+        if isinstance(fs, str):
+            if fs not in FS_CLASSES:
+                raise ConfigurationError(f"unknown file system kind {fs!r}")
+            fs = FS_CLASSES[fs]
+        if self.requires_async and not fs.supports_async:
+            return "async reads"
+        if self.requires_list_io and not fs.supports_list_io:
+            return "list I/O"
+        return None
+
+    def validate(self, fs, cfg) -> None:
         """Reject incompatible file systems / configs at build time.
 
         Raises :class:`~repro.errors.PipelineError` with an actionable
-        message; called by the executor before any process is spawned.
-        ``supports_list_io=None`` (legacy two-argument callers) skips the
-        list-I/O capability check.
+        message; called by the executor with its file system before any
+        process is spawned.
         """
-        if self.requires_async and not supports_async:
+        missing = self.missing_capability(fs)
+        if missing == "async reads":
             raise PipelineError(
                 f"I/O strategy {self.name!r} requires asynchronous reads, "
                 "which this file system does not provide (the paper's PIOFS "
                 "case) — use an async-capable FS (kind='pfs') or a strategy "
                 "without async requirements"
             )
-        if self.requires_list_io and supports_list_io is False:
+        if missing == "list I/O":
             raise PipelineError(
                 f"I/O strategy {self.name!r} requires a list-I/O call "
                 "(read_list), which this file system does not provide "

@@ -39,7 +39,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import warnings
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ReproError
@@ -194,22 +193,12 @@ def write_result_json(
     kind: str = "",
     *,
     pretty: bool = False,
-    indent: Optional[int] = None,
 ) -> str:
     """Write a structured result JSON artifact to ``path``; returns it.
 
     ``pretty=True`` pretty-prints (diffable); the default compact form
-    is what the result store uses.  The legacy ``indent=`` kwarg still
-    works but is deprecated — it maps onto ``pretty``.
+    is what the result store uses.
     """
-    if indent is not None:
-        warnings.warn(
-            "write_result_json(indent=...) is deprecated; use "
-            "pretty=True/False instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        pretty = indent > 0
     return _write_json(to_result_json(result, kind=kind), path, pretty)
 
 

@@ -17,6 +17,7 @@ from repro.analysis import (
     gantt,
     load,
     render,
+    render_queue_stats,
     to_html_report,
     write_analysis_json,
     write_html_report,
@@ -375,6 +376,15 @@ class TestRender:
         with pytest.raises(AnalysisError):
             to_html_report({"not": "an analysis"})
 
+    def test_queue_stats(self):
+        qs = {
+            "total_entries": 10, "lane_entries": 4, "calendar_entries": 6,
+            "nbuckets": 8, "width": 0.5, "count": 2, "lane_ratio": 0.4,
+            "advances": 3, "fallback_scans": 0, "resizes": 1,
+            "occupancy_hist": [0, 2, 1, 0, 0, 0, 0, 0],
+        }
+        assert "calendar queue statistics" in render_queue_stats(qs)
+
     def test_write_exporters_atomic(self, analysis, tmp_path):
         jpath = write_analysis_json(analysis, str(tmp_path / "a.json"),
                                     pretty=True)
@@ -425,15 +435,3 @@ class TestCLI:
         assert main(["analyze", str(tmp_path)]) == 2
         assert "nothing to analyze" in capsys.readouterr().err
 
-    def test_render_queue_stats_shim_warns(self):
-        from repro.cli import render_queue_stats
-
-        qs = {
-            "total_entries": 10, "lane_entries": 4, "calendar_entries": 6,
-            "nbuckets": 8, "width": 0.5, "count": 2, "lane_ratio": 0.4,
-            "advances": 3, "fallback_scans": 0, "resizes": 1,
-            "occupancy_hist": [0, 2, 1, 0, 0, 0, 0, 0],
-        }
-        with pytest.warns(DeprecationWarning, match="repro.analysis"):
-            out = render_queue_stats(qs)
-        assert "calendar queue statistics" in out

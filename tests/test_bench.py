@@ -5,10 +5,9 @@ from repro.bench.cases import PAPER_CASES, paper_cases, paper_filesystems
 from repro.bench.experiments import (
     run_ablation_async,
     run_ablation_combination_analysis,
-    run_single,
 )
 from repro.core.context import ExecutionConfig
-from repro.core.executor import FSConfig
+from repro.core.executor import FSConfig, PipelineExecutor
 from repro.core.pipeline import NodeAssignment, build_embedded_pipeline
 from repro.machine.presets import paragon
 
@@ -36,10 +35,10 @@ class TestCases:
 class TestRunSingle:
     def test_returns_result(self, small_params):
         a = NodeAssignment.balanced(small_params, 14)
-        res = run_single(
-            build_embedded_pipeline(a), paragon(), FSConfig("pfs", 8),
-            small_params, FAST,
-        )
+        res = PipelineExecutor(
+            build_embedded_pipeline(a), small_params, paragon(),
+            FSConfig("pfs", 8), FAST,
+        ).run()
         assert res.throughput > 0 and res.fs_label == "PFS sf=8"
 
 
@@ -67,7 +66,9 @@ class TestRendering:
 
         a = NodeAssignment.balanced(small_params, 14)
         spec = build_embedded_pipeline(a)
-        res = run_single(spec, paragon(), FSConfig("pfs", 8), small_params, FAST)
+        res = PipelineExecutor(
+            spec, small_params, paragon(), FSConfig("pfs", 8), FAST
+        ).run()
         cell = CellResult(
             BenchCase(1, 14, a, paragon(), FSConfig("pfs", 8)), res
         )

@@ -92,6 +92,29 @@ class TestParser:
         assert args.case == "1,2" and args.stripe_factor == "16,64"
         assert args.follow and args.port == 7077
 
+    def test_profile_accepts_registry_strategy(self):
+        args = build_parser().parse_args(
+            ["profile", "--pipeline", "collective-two-phase"]
+        )
+        assert args.pipeline == "collective-two-phase"
+
+    def test_submit_accepts_registry_strategy(self):
+        args = build_parser().parse_args(["submit", "--pipeline", "list-io"])
+        assert args.pipeline == "list-io"
+
+    def test_strategy_is_an_alias_of_pipeline(self):
+        for command in ("run", "profile", "submit"):
+            args = build_parser().parse_args(
+                [command, "--strategy", "data-sieving"]
+            )
+            assert args.pipeline == "data-sieving"
+            assert not hasattr(args, "strategy")
+
+    def test_unknown_pipeline_rejected_everywhere(self):
+        for command in ("run", "profile", "submit"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--pipeline", "bogus"])
+
     def test_jobs_actions(self):
         args = build_parser().parse_args(["jobs", "list"])
         assert args.action == "list" and args.id is None

@@ -149,14 +149,6 @@ class TestMetricsExports:
 
 
 class TestDeprecatedShapes:
-    def test_indent_kwarg_warns_but_works(self, metered, tmp_path):
-        path = str(tmp_path / "r.json")
-        with pytest.warns(DeprecationWarning, match="pretty"):
-            out = export.write_result_json(metered, path, indent=2)
-        assert out == path
-        payload = json.load(open(path))
-        assert payload["kind"] == "PipelineResult"
-
     def test_no_warning_without_indent(self, metered, tmp_path, recwarn):
         export.write_result_json(metered, str(tmp_path / "r.json"))
         assert not [

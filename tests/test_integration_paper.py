@@ -8,9 +8,8 @@ we spot-check each finding on the cells that demonstrate it.
 
 import pytest
 
-from repro.bench.experiments import run_single
 from repro.core.context import ExecutionConfig
-from repro.core.executor import FSConfig
+from repro.core.executor import FSConfig, PipelineExecutor
 from repro.core.pipeline import (
     NodeAssignment,
     build_embedded_pipeline,
@@ -26,7 +25,9 @@ PARAMS = STAPParams()
 
 def run_case(case, builder=build_embedded_pipeline, preset=None, fs=None, cfg=CFG):
     spec = builder(NodeAssignment.case(case, PARAMS))
-    return run_single(spec, preset or paragon(), fs or FSConfig("pfs", 64), PARAMS, cfg)
+    return PipelineExecutor(
+        spec, PARAMS, preset or paragon(), fs or FSConfig("pfs", 64), cfg
+    ).run()
 
 
 @pytest.fixture(scope="module")
