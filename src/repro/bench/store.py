@@ -16,11 +16,14 @@ scheduler threads, and interrupted runs never leave a truncated entry
 behind; temp files orphaned by a killed writer are swept on store open.
 
 Entries additionally embed a **substrate fingerprint** — a hash over the
-spec schema and the source of the simulation substrate packages
-(``repro.sim``, ``repro.pfs``, ``repro.machine``).  A cached result is
-only a hit while the simulator that produced it is byte-identical to the
-one running now; editing any substrate file turns every old entry into a
-miss instead of silently serving stale physics.
+spec schema and the source of every package a cell executes (``sim``,
+``machine``, ``mpi``, ``pfs``, ``io``, ``core``, ``strategies``,
+``scenario``, ``obs``, ``stap``, ``trace``) plus ``bench/engine.py``,
+which builds the executor from a spec.  A cached result is only a hit
+while the code that produced it is byte-identical to the code running
+now; editing any of those files turns every old entry into a miss
+instead of silently serving stale results.  Editing the service, the
+analyzer or the CLI does not.
 """
 
 from __future__ import annotations
@@ -44,19 +47,34 @@ DEFAULT_CACHE_DIR = Path(".cache") / "experiments"
 #: 2: entries carry a substrate fingerprint (stale-simulator detection).
 STORE_SCHEMA = 2
 
-#: Packages whose source defines the simulation's physics; any change to
-#: them invalidates cached results.
-_SUBSTRATE_PACKAGES = ("sim", "pfs", "machine")
+#: Packages a cell executes; any change to them (or to ``bench/engine.py``,
+#: which builds the executor from a spec) invalidates cached results.
+_SUBSTRATE_PACKAGES = (
+    "sim", "machine", "mpi", "pfs", "io", "core", "strategies",
+    "scenario", "obs", "stap", "trace",
+)
 
 _fingerprint_cache: Optional[str] = None
 
 
+def _substrate_files(pkg_root: Path) -> List[Path]:
+    """The source files the fingerprint covers, under package root
+    ``pkg_root`` (the directory of ``repro/__init__.py``)."""
+    files: List[Path] = []
+    for pkg in _SUBSTRATE_PACKAGES:
+        files.extend((pkg_root / pkg).glob("*.py"))
+    files.append(pkg_root / "bench" / "engine.py")
+    return files
+
+
 def _compute_fingerprint(files: List[Path], spec_schema: int) -> str:
-    """Hash name + content of ``files`` (sorted by name) with the schema."""
+    """Hash ``package/name`` + content of ``files`` (sorted by that key)
+    with the schema."""
     h = hashlib.sha256()
     h.update(f"spec_schema={spec_schema}".encode("utf-8"))
-    for path in sorted(files, key=lambda p: p.name):
-        h.update(path.name.encode("utf-8"))
+    named = sorted((f"{p.parent.name}/{p.name}", p) for p in files)
+    for name, path in named:
+        h.update(name.encode("utf-8"))
         h.update(b"\0")
         try:
             h.update(path.read_bytes())
@@ -69,19 +87,16 @@ def _compute_fingerprint(files: List[Path], spec_schema: int) -> str:
 def substrate_fingerprint() -> str:
     """Fingerprint of the currently-imported simulation substrate.
 
-    Covers every ``*.py`` of :mod:`repro.sim`, :mod:`repro.pfs`, and
-    :mod:`repro.machine` plus ``SPEC_SCHEMA``.  Memoized per process —
-    the substrate cannot change under a running interpreter.
+    Covers every file of :func:`_substrate_files` plus ``SPEC_SCHEMA``.
+    Memoized per process — the source cannot change under a running
+    interpreter.
     """
     global _fingerprint_cache
     if _fingerprint_cache is None:
         from repro.bench.engine import SPEC_SCHEMA
         import repro
 
-        pkg_root = Path(repro.__file__).parent
-        files: List[Path] = []
-        for pkg in _SUBSTRATE_PACKAGES:
-            files.extend((pkg_root / pkg).glob("*.py"))
+        files = _substrate_files(Path(repro.__file__).parent)
         _fingerprint_cache = _compute_fingerprint(files, SPEC_SCHEMA)
     return _fingerprint_cache
 

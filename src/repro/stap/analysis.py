@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from repro.errors import ConfigurationError
 from repro.stap.doppler import doppler_window
@@ -138,6 +137,8 @@ def clairvoyant_covariance(
 
 def optimal_weights(R: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Clairvoyant MVDR weights ``R^-1 v / (v^H R^-1 v)`` (no loading)."""
+    import scipy.linalg as sla  # only solves load scipy
+
     if R.shape[0] != v.shape[0]:
         raise ConfigurationError("steering/covariance dimension mismatch")
     sol = sla.solve(R, v, assume_a="pos")

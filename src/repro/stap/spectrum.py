@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from repro.errors import ConfigurationError
 from repro.stap.datacube import DataCube
@@ -100,6 +99,8 @@ def mvdr_spectrum(
     diagonal_load: float = 0.01,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Capon (MVDR) angle-Doppler spectrum: ``1 / (v^H R^-1 v)``."""
+    import scipy.linalg as sla  # only solves load scipy
+
     snaps = space_time_snapshots(cube, n_pulses_sub)
     JP = snaps.shape[0]
     R = (snaps @ snaps.conj().T) / snaps.shape[1]

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from repro.errors import ConfigurationError
 from repro.stap.doppler import DopplerOutput, bin_frequency
@@ -118,6 +117,10 @@ def mvdr_from_covariance(
 
     Returns ``(dof, n_beams)`` distortionless weights per beam.
     """
+    # Imported here, not at module level: timing mode never solves, so
+    # simulator, service and analyzer processes never load scipy.
+    import scipy.linalg as sla
+
     dof = R.shape[0]
     if steering.shape[0] != dof:
         raise ConfigurationError(

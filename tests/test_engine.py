@@ -328,6 +328,48 @@ class TestResultStore:
         assert a == substrate_fingerprint()
         assert len(a) == 64
 
+    @pytest.mark.parametrize("module, covered", [
+        ("sim/kernel.py", True),
+        ("machine/mesh.py", True),
+        ("mpi/communicator.py", True),
+        ("pfs/pfs.py", True),
+        ("io/fileset.py", True),
+        ("core/bodies.py", True),
+        ("strategies/readers.py", True),
+        ("scenario/executor.py", True),
+        ("obs/sampler.py", True),
+        ("stap/costs.py", True),
+        ("trace/collector.py", True),
+        ("bench/engine.py", True),
+        ("service/scheduler.py", False),
+        ("analysis/sweep.py", False),
+    ])
+    def test_fingerprint_covers_every_executed_package(
+        self, tmp_path, module, covered
+    ):
+        # A store must not serve a result simulated by code that has
+        # since changed anywhere on the cell's execution path; edits to
+        # the service or the analyzer leave results valid.
+        import shutil
+
+        import repro
+        from repro.bench.engine import SPEC_SCHEMA
+        from repro.bench.store import _compute_fingerprint, _substrate_files
+
+        root = tmp_path / "repro"
+        shutil.copytree(
+            os.path.dirname(repro.__file__), root,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+
+        def fingerprint():
+            return _compute_fingerprint(_substrate_files(root), SPEC_SCHEMA)
+
+        before = fingerprint()
+        target = root / module
+        target.write_bytes(target.read_bytes() + b"#")
+        assert (fingerprint() != before) is covered
+
     def test_entries_and_clear(self, small_params, tmp_path):
         spec = small_spec(small_params)
         store = ResultStore(tmp_path / "cache")
