@@ -29,8 +29,6 @@ what makes the content-addressed cache sound.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -45,6 +43,7 @@ from repro.core.pipeline import (
     build_separate_io_pipeline,
     combine_pulse_cfar,
 )
+from repro.core.serialize import Codec, HashedSpec, sparse
 from repro.errors import ConfigurationError
 from repro.machine.presets import MachinePreset, generic_cluster, ibm_sp, paragon
 from repro.stap.params import STAPParams
@@ -166,37 +165,23 @@ def machine_key(preset: MachinePreset) -> str:
 
 
 @dataclass(frozen=True)
-class DiskFault:
+class DiskFault(Codec):
     """Degrade one stripe directory's disk by ``slow_factor``."""
 
     server: int = 0
     slow_factor: float = 1.0
 
-    def to_dict(self) -> dict:
-        return {"server": self.server, "slow_factor": self.slow_factor}
-
-    @staticmethod
-    def from_dict(d: dict) -> "DiskFault":
-        return DiskFault(**d)
-
 
 @dataclass(frozen=True)
-class NodeFault:
+class NodeFault(Codec):
     """Degrade one compute node's flop rate by ``slow_factor``."""
 
     node: int = 0
     slow_factor: float = 1.0
 
-    def to_dict(self) -> dict:
-        return {"node": self.node, "slow_factor": self.slow_factor}
-
-    @staticmethod
-    def from_dict(d: dict) -> "NodeFault":
-        return NodeFault(**d)
-
 
 @dataclass(frozen=True)
-class ServerCrash:
+class ServerCrash(Codec):
     """Take one stripe server down at ``at_time`` (simulated seconds).
 
     ``down_for=None`` is a permanent crash; a float brings the server
@@ -219,20 +204,9 @@ class ServerCrash:
                 f"down_for must be > 0 or None (permanent), got {self.down_for}"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "server": self.server,
-            "at_time": self.at_time,
-            "down_for": self.down_for,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ServerCrash":
-        return ServerCrash(**d)
-
 
 @dataclass(frozen=True)
-class FlakyDisk:
+class FlakyDisk(Codec):
     """Fail a deterministic ``error_rate`` fraction of one server's requests.
 
     Error positions come from ``random.Random(seed)`` drawn in the
@@ -252,20 +226,9 @@ class FlakyDisk:
                 f"error_rate must be in [0, 1], got {self.error_rate}"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "server": self.server,
-            "error_rate": self.error_rate,
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "FlakyDisk":
-        return FlakyDisk(**d)
-
 
 @dataclass(frozen=True)
-class WriterLoad:
+class WriterLoad(Codec):
     """A concurrent radar writer streaming future CPIs into the files."""
 
     period: float
@@ -273,28 +236,20 @@ class WriterLoad:
     start_cpi: int = 0
     initial_delay: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "period": self.period,
-            "n_cpis": self.n_cpis,
-            "start_cpi": self.start_cpi,
-            "initial_delay": self.initial_delay,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "WriterLoad":
-        return WriterLoad(**d)
-
 
 @dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(HashedSpec):
     """Everything needed to (re)run one experiment cell.
 
     The spec is a pure value: hashable, serializable, and sufficient to
     reproduce the cell bit-for-bit.  ``pipeline`` and ``machine`` name
     entries of :data:`PIPELINES` / :data:`MACHINES` so that a spec never
-    holds live callables or machine objects.
+    holds live callables or machine objects.  Serialization and the
+    content address come from :mod:`repro.core.serialize`; the
+    fault-tolerance fields are sparse.
     """
+
+    SCHEMA = SPEC_SCHEMA
 
     assignment: NodeAssignment
     pipeline: str = "embedded"
@@ -306,8 +261,8 @@ class ExperimentSpec:
     disk_fault: Optional[DiskFault] = None
     node_fault: Optional[NodeFault] = None
     writer: Optional[WriterLoad] = None
-    server_crash: Optional[ServerCrash] = None
-    flaky_disk: Optional[FlakyDisk] = None
+    server_crash: Optional[ServerCrash] = sparse(None)
+    flaky_disk: Optional[FlakyDisk] = sparse(None)
     #: Surrogate-screening mode (see :mod:`repro.bench.surrogate`):
     #: ``"off"`` simulates every cell (the default), ``"screen"``
     #: predicts cells far from decision boundaries, ``"predict-all"``
@@ -392,73 +347,6 @@ class ExperimentSpec:
             f"{self.pipeline} | {self.machine} | {self.fs.label()} | "
             f"{n} nodes | {self.cfg.n_cpis} CPIs{suffix}"
         )
-
-    # -- serialization -----------------------------------------------------
-    def to_dict(self) -> dict:
-        """Lossless JSON-able form.
-
-        The fault-tolerance fields (``server_crash``, ``flaky_disk``)
-        are emitted only when set: specs predating them keep their exact
-        canonical JSON, so every previously-published spec hash — and
-        the result cache keyed on them — is untouched.
-        """
-        d = {
-            "pipeline": self.pipeline,
-            "assignment": self.assignment.to_dict(),
-            "machine": self.machine,
-            "fs": self.fs.to_dict(),
-            "params": self.params.to_dict(),
-            "cfg": self.cfg.to_dict(),
-            "seed": self.seed,
-            "disk_fault": self.disk_fault.to_dict() if self.disk_fault else None,
-            "node_fault": self.node_fault.to_dict() if self.node_fault else None,
-            "writer": self.writer.to_dict() if self.writer else None,
-        }
-        if self.server_crash is not None:
-            d["server_crash"] = self.server_crash.to_dict()
-        if self.flaky_disk is not None:
-            d["flaky_disk"] = self.flaky_disk.to_dict()
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "ExperimentSpec":
-        """Inverse of :meth:`to_dict`."""
-        return ExperimentSpec(
-            assignment=NodeAssignment.from_dict(d["assignment"]),
-            pipeline=d["pipeline"],
-            machine=d["machine"],
-            fs=FSConfig.from_dict(d["fs"]),
-            params=STAPParams.from_dict(d["params"]),
-            cfg=ExecutionConfig.from_dict(d["cfg"]),
-            seed=d["seed"],
-            disk_fault=DiskFault.from_dict(d["disk_fault"]) if d["disk_fault"] else None,
-            node_fault=NodeFault.from_dict(d["node_fault"]) if d["node_fault"] else None,
-            writer=WriterLoad.from_dict(d["writer"]) if d["writer"] else None,
-            server_crash=(
-                ServerCrash.from_dict(d["server_crash"])
-                if d.get("server_crash")
-                else None
-            ),
-            flaky_disk=(
-                FlakyDisk.from_dict(d["flaky_disk"]) if d.get("flaky_disk") else None
-            ),
-        )
-
-    def canonical_json(self) -> str:
-        """Canonical serialized form the hash is computed over."""
-        return json.dumps(
-            {"schema": SPEC_SCHEMA, **self.to_dict()},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-
-    def spec_hash(self) -> str:
-        """Content address: SHA-256 of the canonical JSON form."""
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
-
-    def short_hash(self) -> str:
-        """First 12 hex digits of :meth:`spec_hash`, for display."""
-        return self.spec_hash()[:12]
 
     def build_pipeline(self) -> PipelineSpec:
         """Instantiate the named pipeline on this spec's assignment."""

@@ -1037,7 +1037,11 @@ def _cmd_scenario(args) -> int:
         else:
             with open(args.spec, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        spec = ScenarioSpec.from_dict(json.loads(text))
+        try:
+            d = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ReproError(f"--spec {args.spec}: not JSON ({exc})") from None
+        spec = ScenarioSpec.from_dict(d)
     else:
         params = STAPParams()
         arrival = None

@@ -37,9 +37,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Tuple
 
-from repro.core.serialize import compat_get
+from repro.core.serialize import Codec, sparse
 
 __all__ = ["ArrivalSpec", "ARRIVAL_KINDS"]
 
@@ -48,7 +48,7 @@ ARRIVAL_KINDS = ("fixed", "poisson", "jittered", "burst")
 
 
 @dataclass(frozen=True)
-class ArrivalSpec:
+class ArrivalSpec(Codec):
     """When each CPI becomes available to the pipeline's reader.
 
     Attributes
@@ -75,11 +75,11 @@ class ArrivalSpec:
 
     kind: str = "fixed"
     period: float = 0.0
-    offset: float = 0.0
-    jitter: float = 0.0
-    burst_size: int = 1
-    burst_gap: float = 0.0
-    seed: int = 0
+    offset: float = sparse(0.0)
+    jitter: float = sparse(0.0)
+    burst_size: int = sparse(1)
+    burst_gap: float = sparse(0.0)
+    seed: int = sparse(0)
 
     def __post_init__(self) -> None:
         if self.kind not in ARRIVAL_KINDS:
@@ -138,33 +138,3 @@ class ArrivalSpec:
             else:  # jittered
                 t += self.period + rng.uniform(-self.jitter, self.jitter)
         return tuple(out)
-
-    # -- serialization -----------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Lossless JSON-able form; default fields are omitted so specs
-        stay minimal (and future defaults can ride along hash-free)."""
-        d: Dict[str, Any] = {"kind": self.kind, "period": self.period}
-        if self.offset:
-            d["offset"] = self.offset
-        if self.jitter:
-            d["jitter"] = self.jitter
-        if self.burst_size != 1:
-            d["burst_size"] = self.burst_size
-        if self.burst_gap:
-            d["burst_gap"] = self.burst_gap
-        if self.seed:
-            d["seed"] = self.seed
-        return d
-
-    @staticmethod
-    def from_dict(d: Dict[str, Any]) -> "ArrivalSpec":
-        """Inverse of :meth:`to_dict`."""
-        return ArrivalSpec(
-            kind=compat_get(d, "kind", "fixed"),
-            period=compat_get(d, "period", 0.0),
-            offset=compat_get(d, "offset", 0.0),
-            jitter=compat_get(d, "jitter", 0.0),
-            burst_size=compat_get(d, "burst_size", 1),
-            burst_gap=compat_get(d, "burst_gap", 0.0),
-            seed=compat_get(d, "seed", 0),
-        )

@@ -13,6 +13,7 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.core.arrivals import ArrivalSpec
 from repro.core.plan import PipelinePlan
+from repro.core.serialize import Codec, sparse
 from repro.core.task import TaskInstance
 from repro.io.fileset import CubeFileSet
 from repro.mpi.communicator import RankComm
@@ -36,7 +37,7 @@ def data_tag(cpi: int) -> int:
 
 
 @dataclass(frozen=True)
-class ExecutionConfig:
+class ExecutionConfig(Codec):
     """How to run a pipeline.
 
     Attributes
@@ -93,9 +94,9 @@ class ExecutionConfig:
     compute: bool = False
     threaded: bool = False
     write_reports: bool = False
-    read_deadline: Optional[float] = None
-    metrics_interval: Optional[float] = None
-    arrival: Optional[ArrivalSpec] = None
+    read_deadline: Optional[float] = sparse(None)
+    metrics_interval: Optional[float] = sparse(None)
+    arrival: Optional[ArrivalSpec] = sparse(None)
 
     def __post_init__(self) -> None:
         if self.n_cpis < 1:
@@ -110,38 +111,6 @@ class ExecutionConfig:
             raise ValueError("metrics_interval must be > 0 (or None)")
         if self.arrival is not None and not isinstance(self.arrival, ArrivalSpec):
             raise ValueError("arrival must be an ArrivalSpec (or None)")
-
-    # -- serialization -----------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Lossless JSON-able form.
-
-        ``read_deadline``, ``metrics_interval``, and ``arrival`` are
-        emitted only when set so configs predating those features keep
-        their exact hashes.
-        """
-        d: Dict[str, Any] = {
-            "n_cpis": self.n_cpis,
-            "warmup": self.warmup,
-            "window": self.window,
-            "compute": self.compute,
-            "threaded": self.threaded,
-            "write_reports": self.write_reports,
-        }
-        if self.read_deadline is not None:
-            d["read_deadline"] = self.read_deadline
-        if self.metrics_interval is not None:
-            d["metrics_interval"] = self.metrics_interval
-        if self.arrival is not None:
-            d["arrival"] = self.arrival.to_dict()
-        return d
-
-    @staticmethod
-    def from_dict(d: Dict[str, Any]) -> "ExecutionConfig":
-        """Inverse of :meth:`to_dict`."""
-        if d.get("arrival") is not None and not isinstance(d["arrival"], ArrivalSpec):
-            d = dict(d)
-            d["arrival"] = ArrivalSpec.from_dict(d["arrival"])
-        return ExecutionConfig(**d)
 
 
 class TaskContext:

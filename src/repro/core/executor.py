@@ -29,7 +29,7 @@ from repro.errors import ConfigurationError
 from repro.core.bodies import body_for
 from repro.core.context import ExecutionConfig, TaskContext
 from repro.core.metrics import DroppedCpi, PipelineMeasurement, measure
-from repro.core.serialize import compat_get
+from repro.core.serialize import Codec, sparse
 from repro.core.pipeline import PipelineSpec
 from repro.core.plan import PipelinePlan
 from repro.core.validate import validate_plan
@@ -106,7 +106,7 @@ def validate_fs_hints(fs_config: "FSConfig", fs) -> None:
 
 
 @dataclass(frozen=True)
-class FSConfig:
+class FSConfig(Codec):
     """Which parallel file system to build, and its geometry.
 
     ``replication > 1`` mirrors each stripe unit over that many
@@ -119,9 +119,9 @@ class FSConfig:
     arbitrary alignment granularity, ``cb_nodes`` caps how many of the
     reading task's nodes act as phase-one aggregators in collective
     two-phase I/O, and ``list_io_max_runs`` caps the contiguous pieces
-    one batched list-I/O request may carry.  Unset hints are omitted
-    from serialization, so hint-free configs keep their exact
-    pre-existing hashes.
+    one batched list-I/O request may carry.  ``replication`` and the
+    hints are sparse (:func:`~repro.core.serialize.sparse`), so
+    unreplicated hint-free configs keep their exact pre-existing hashes.
     """
 
     kind: str = "pfs"            # "pfs" (async) or "piofs" (sync-only)
@@ -130,10 +130,10 @@ class FSConfig:
     disk_bw: Optional[float] = None        # default: preset's disk
     disk_overhead: Optional[float] = None
     name: str = ""
-    replication: int = 1
-    sieve_buffer_size: Optional[int] = None
-    cb_nodes: Optional[int] = None
-    list_io_max_runs: Optional[int] = None
+    replication: int = sparse(1)
+    sieve_buffer_size: Optional[int] = sparse(None)
+    cb_nodes: Optional[int] = sparse(None)
+    list_io_max_runs: Optional[int] = sparse(None)
 
     #: The ROMIO-style hint field names, in serialization order.
     HINT_FIELDS = ("sieve_buffer_size", "cb_nodes", "list_io_max_runs")
@@ -154,32 +154,6 @@ class FSConfig:
         if self.replication > 1:
             base += f" rep={self.replication}"
         return base
-
-    # -- serialization -----------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Lossless JSON-able form.
-
-        ``replication`` is emitted only when mirroring is on, and each
-        ROMIO-style hint only when set, so unreplicated hint-free
-        configs keep their exact pre-existing hashes.
-        """
-        d = {
-            "kind": self.kind,
-            "stripe_factor": self.stripe_factor,
-            "stripe_unit": self.stripe_unit,
-            "disk_bw": self.disk_bw,
-            "disk_overhead": self.disk_overhead,
-            "name": self.name,
-        }
-        if self.replication != 1:
-            d["replication"] = self.replication
-        d.update(self.hint_dict())
-        return d
-
-    @staticmethod
-    def from_dict(d: Dict[str, Any]) -> "FSConfig":
-        """Inverse of :meth:`to_dict`."""
-        return FSConfig(**d)
 
 
 @dataclass
@@ -422,35 +396,30 @@ class PipelineResult:
 
     @staticmethod
     def from_dict(d: Dict[str, Any]) -> "PipelineResult":
-        """Inverse of :meth:`to_dict`.
-
-        Reads accept legacy camelCase key spellings (``fsLabel``,
-        ``rankTraffic``, ...) via :func:`~repro.core.serialize
-        .compat_get`; writes are always snake_case.
-        """
+        """Inverse of :meth:`to_dict`."""
         result = PipelineResult(
             spec=PipelineSpec.from_dict(d["spec"]),
             cfg=ExecutionConfig.from_dict(d["cfg"]),
-            fs_label=compat_get(d, "fs_label"),
-            machine_name=compat_get(d, "machine_name"),
+            fs_label=d["fs_label"],
+            machine_name=d["machine_name"],
             trace=TraceCollector.from_dict(d["trace"]),
             measurement=PipelineMeasurement.from_dict(d["measurement"]),
             detections=[Detection.from_dict(x) for x in d["detections"]],
-            elapsed_sim_time=compat_get(d, "elapsed_sim_time"),
+            elapsed_sim_time=d["elapsed_sim_time"],
         )
-        result.disk_stats = compat_get(d, "disk_stats")
-        rank_traffic = compat_get(d, "rank_traffic")
+        result.disk_stats = d["disk_stats"]
+        rank_traffic = d["rank_traffic"]
         if rank_traffic is not None:
             result.rank_traffic = {
                 tuple(int(r) for r in key.split("->")): tuple(counts)
                 for key, counts in rank_traffic.items()
             }
-        rank_task = compat_get(d, "rank_task")
+        rank_task = d["rank_task"]
         if rank_task is not None:
             result.rank_task = {
                 int(rank): task for rank, task in rank_task.items()
             }
-        dropped = compat_get(d, "dropped_cpis", None)
+        dropped = d.get("dropped_cpis")
         if dropped is not None:
             result.dropped_cpis = [DroppedCpi.from_dict(x) for x in dropped]
         result.metrics = d.get("metrics")

@@ -21,7 +21,7 @@ from typing import Dict, List
 
 from repro.errors import PipelineError
 from repro.core.pipeline import PipelineSpec
-from repro.core.serialize import compat_get
+from repro.core.serialize import Codec
 from repro.trace.collector import TraceCollector
 from repro.trace.record import Phase
 
@@ -29,7 +29,7 @@ __all__ = ["TaskPhaseStats", "DroppedCpi", "PipelineMeasurement", "measure"]
 
 
 @dataclass(frozen=True, order=True)
-class DroppedCpi:
+class DroppedCpi(Codec):
     """One CPI a reading node skipped at its graceful-degradation deadline.
 
     Recorded when :attr:`ExecutionConfig.read_deadline` expires before
@@ -43,23 +43,9 @@ class DroppedCpi:
     cpi: int
     waited: float  # simulated seconds spent waiting before giving up
 
-    def to_dict(self) -> Dict[str, object]:
-        """Lossless JSON-able form."""
-        return {
-            "task": self.task,
-            "node": self.node,
-            "cpi": self.cpi,
-            "waited": self.waited,
-        }
-
-    @staticmethod
-    def from_dict(d: Dict[str, object]) -> "DroppedCpi":
-        """Inverse of :meth:`to_dict`."""
-        return DroppedCpi(**d)
-
 
 @dataclass(frozen=True)
-class TaskPhaseStats:
+class TaskPhaseStats(Codec):
     """Steady-state phase breakdown of one task (seconds per CPI)."""
 
     task: str
@@ -71,20 +57,6 @@ class TaskPhaseStats:
     def total(self) -> float:
         """The task's service time T_i."""
         return self.recv + self.compute + self.send
-
-    def to_dict(self) -> Dict[str, object]:
-        """Lossless JSON-able form."""
-        return {
-            "task": self.task,
-            "recv": self.recv,
-            "compute": self.compute,
-            "send": self.send,
-        }
-
-    @staticmethod
-    def from_dict(d: Dict[str, object]) -> "TaskPhaseStats":
-        """Inverse of :meth:`to_dict`."""
-        return TaskPhaseStats(**d)
 
 
 @dataclass
@@ -134,20 +106,15 @@ class PipelineMeasurement:
 
     @staticmethod
     def from_dict(d: Dict[str, object]) -> "PipelineMeasurement":
-        """Inverse of :meth:`to_dict`.
-
-        Accepts legacy camelCase spellings (``taskStats``,
-        ``modelThroughput``, ...) on the read side; emitted keys are
-        always snake_case.
-        """
-        stats = [TaskPhaseStats.from_dict(s) for s in compat_get(d, "task_stats")]
+        """Inverse of :meth:`to_dict`."""
+        stats = [TaskPhaseStats.from_dict(s) for s in d["task_stats"]]
         return PipelineMeasurement(
             task_stats={s.task: s for s in stats},
             throughput=d["throughput"],
             latency=d["latency"],
-            model_throughput=compat_get(d, "model_throughput"),
-            model_latency=compat_get(d, "model_latency"),
-            steady_cpis=list(compat_get(d, "steady_cpis")),
+            model_throughput=d["model_throughput"],
+            model_latency=d["model_latency"],
+            steady_cpis=list(d["steady_cpis"]),
             latencies=list(d["latencies"]),
         )
 

@@ -21,6 +21,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError, PipelineError
 from repro.core.graph import DependencyKind, Edge, TaskGraph
+from repro.core.serialize import Codec
 from repro.core.task import TaskInstance, TaskKind, TaskSpec
 
 __all__ = [
@@ -36,7 +37,7 @@ TD = DependencyKind.TEMPORAL
 
 
 @dataclass(frozen=True)
-class NodeAssignment:
+class NodeAssignment(Codec):
     """Node counts per canonical task (the paper's :math:`P_i`).
 
     ``io_nodes`` is only used by the separate-I/O pipeline; the paper
@@ -81,25 +82,6 @@ class NodeAssignment:
             + self.pulse_compr
             + self.cfar
         )
-
-    # -- serialization -----------------------------------------------------
-    def to_dict(self) -> Dict[str, Optional[int]]:
-        """Lossless JSON-able form."""
-        return {
-            "doppler": self.doppler,
-            "easy_weight": self.easy_weight,
-            "hard_weight": self.hard_weight,
-            "easy_bf": self.easy_bf,
-            "hard_bf": self.hard_bf,
-            "pulse_compr": self.pulse_compr,
-            "cfar": self.cfar,
-            "io_nodes": self.io_nodes,
-        }
-
-    @staticmethod
-    def from_dict(d: Mapping[str, Optional[int]]) -> "NodeAssignment":
-        """Inverse of :meth:`to_dict`."""
-        return NodeAssignment(**dict(d))
 
     @staticmethod
     def balanced(params, total: int, io_nodes: Optional[int] = None) -> "NodeAssignment":

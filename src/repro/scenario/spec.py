@@ -20,8 +20,6 @@ rehydration), and :func:`repro.run`.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
@@ -29,7 +27,7 @@ from repro.bench.engine import MACHINES, PIPELINES, WriterLoad
 from repro.core.context import ExecutionConfig
 from repro.core.executor import FSConfig, PipelineResult
 from repro.core.pipeline import NodeAssignment, PipelineSpec
-from repro.core.serialize import compat_get
+from repro.core.serialize import Codec, HashedSpec, sparse
 from repro.errors import ConfigurationError
 from repro.stap.params import STAPParams
 
@@ -50,7 +48,7 @@ RUN_SCENARIO_RUNNER = "repro.service.tasks:run_scenario_payload"
 
 
 @dataclass(frozen=True)
-class TenantSpec:
+class TenantSpec(Codec):
     """One tenant pipeline inside a scenario.
 
     The tenant brings its own node assignment, pipeline (a
@@ -63,8 +61,8 @@ class TenantSpec:
     assignment: NodeAssignment
     pipeline: str = "embedded-io"
     cfg: ExecutionConfig = field(default_factory=ExecutionConfig)
-    name: str = ""
-    writer: Optional[WriterLoad] = None
+    name: str = sparse("")
+    writer: Optional[WriterLoad] = sparse(None)
 
     def __post_init__(self) -> None:
         if self.pipeline not in PIPELINES:
@@ -77,36 +75,22 @@ class TenantSpec:
         """Instantiate the named pipeline on this tenant's assignment."""
         return PIPELINES.resolve(self.pipeline)(self.assignment)
 
-    # -- serialization -----------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Lossless JSON-able form (optional fields only when set)."""
-        d: Dict[str, Any] = {
-            "pipeline": self.pipeline,
-            "assignment": self.assignment.to_dict(),
-            "cfg": self.cfg.to_dict(),
-        }
-        if self.name:
-            d["name"] = self.name
-        if self.writer is not None:
-            d["writer"] = self.writer.to_dict()
-        return d
-
-    @staticmethod
-    def from_dict(d: Dict[str, Any]) -> "TenantSpec":
-        """Inverse of :meth:`to_dict`."""
-        writer = compat_get(d, "writer", None)
-        return TenantSpec(
-            assignment=NodeAssignment.from_dict(d["assignment"]),
-            pipeline=d["pipeline"],
-            cfg=ExecutionConfig.from_dict(d["cfg"]),
-            name=compat_get(d, "name", ""),
-            writer=WriterLoad.from_dict(writer) if writer else None,
-        )
-
 
 @dataclass(frozen=True)
-class ScenarioSpec:
-    """N tenant pipelines on one shared machine + parallel file system."""
+class ScenarioSpec(HashedSpec):
+    """N tenant pipelines on one shared machine + parallel file system.
+
+    Serialized by :mod:`repro.core.serialize` with a leading
+    ``"kind": "scenario"`` marker (:attr:`KIND`): generic spec consumers
+    (the TCP server, archived payloads) tell a scenario dict from an
+    :class:`~repro.bench.engine.ExperimentSpec` dict by it, and it keeps
+    scenario hashes disjoint from experiment hashes by construction, so
+    both share one :class:`~repro.bench.store.ResultStore` without
+    collisions.
+    """
+
+    KIND = "scenario"
+    SCHEMA = SCENARIO_SCHEMA
 
     tenants: Tuple[TenantSpec, ...]
     machine: str = "paragon"
@@ -115,7 +99,7 @@ class ScenarioSpec:
     seed: int = 0
     #: Scenario-level gauge-sampling interval (:mod:`repro.obs`); the
     #: one shared registry carries tenant-labeled instruments.
-    metrics_interval: Optional[float] = None
+    metrics_interval: Optional[float] = sparse(None)
 
     #: Service-tier payload runner (consulted by the scheduler via
     #: ``getattr(spec, "RUNNER", ...)``).
@@ -153,59 +137,6 @@ class ScenarioSpec:
             f"scenario[{len(self.tenants)}] {mix} | {self.machine} | "
             f"{self.fs.label()} | {self.total_nodes()} nodes"
         )
-
-    # -- serialization -----------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Lossless JSON-able form.
-
-        The ``"kind": "scenario"`` marker is how generic spec consumers
-        (the TCP server, archived payloads) tell a scenario dict from an
-        :class:`~repro.bench.engine.ExperimentSpec` dict.
-        """
-        d: Dict[str, Any] = {
-            "kind": "scenario",
-            "tenants": [t.to_dict() for t in self.tenants],
-            "machine": self.machine,
-            "fs": self.fs.to_dict(),
-            "params": self.params.to_dict(),
-            "seed": self.seed,
-        }
-        if self.metrics_interval is not None:
-            d["metrics_interval"] = self.metrics_interval
-        return d
-
-    @staticmethod
-    def from_dict(d: Dict[str, Any]) -> "ScenarioSpec":
-        """Inverse of :meth:`to_dict` (the ``kind`` marker is ignored)."""
-        return ScenarioSpec(
-            tenants=tuple(TenantSpec.from_dict(t) for t in d["tenants"]),
-            machine=d["machine"],
-            fs=FSConfig.from_dict(d["fs"]),
-            params=STAPParams.from_dict(d["params"]),
-            seed=compat_get(d, "seed", 0),
-            metrics_interval=compat_get(d, "metrics_interval", None),
-        )
-
-    def canonical_json(self) -> str:
-        """Canonical serialized form the hash is computed over."""
-        return json.dumps(
-            {"schema": SCENARIO_SCHEMA, **self.to_dict()},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-
-    def spec_hash(self) -> str:
-        """Content address: SHA-256 of the canonical JSON form.
-
-        The ``kind`` marker inside :meth:`to_dict` keeps scenario hashes
-        disjoint from experiment hashes by construction, so both share
-        one :class:`~repro.bench.store.ResultStore` without collisions.
-        """
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
-
-    def short_hash(self) -> str:
-        """First 12 hex digits of :meth:`spec_hash`, for display."""
-        return self.spec_hash()[:12]
 
     # -- service-tier hooks ------------------------------------------------
     @staticmethod
@@ -276,17 +207,17 @@ class ScenarioResult:
     @staticmethod
     def from_dict(d: Dict[str, Any]) -> "ScenarioResult":
         """Inverse of :meth:`to_dict`."""
-        order = compat_get(d, "tenant_order", None) or list(d["tenants"])
+        order = d.get("tenant_order") or list(d["tenants"])
         result = ScenarioResult(
             spec=ScenarioSpec.from_dict(d["spec"]),
             tenants={
                 name: PipelineResult.from_dict(d["tenants"][name])
                 for name in order
             },
-            elapsed_sim_time=compat_get(d, "elapsed_sim_time"),
-            disk_stats=compat_get(d, "disk_stats", None),
+            elapsed_sim_time=d["elapsed_sim_time"],
+            disk_stats=d.get("disk_stats"),
         )
-        result.tenant_bytes = compat_get(d, "tenant_bytes", None)
+        result.tenant_bytes = d.get("tenant_bytes")
         result.metrics = d.get("metrics")
         result.source = d.get("source", "simulated")
         return result

@@ -20,13 +20,14 @@ from typing import List, Sequence
 
 import numpy as np
 
+from repro.core.serialize import Codec
 from repro.errors import ConfigurationError
 
 __all__ = ["Detection", "CFAR_METHODS", "cfar_threshold_factor", "go_so_false_alarm", "go_so_threshold_factor", "os_false_alarm", "os_threshold_factor", "ca_cfar"]
 
 
 @dataclass(frozen=True, order=True)
-class Detection:
+class Detection(Codec):
     """One CFAR exceedance — the pipeline's final product.
 
     Attributes
@@ -48,21 +49,6 @@ class Detection:
     range_gate: int
     snr_db: float
     cpi_index: int = 0
-
-    def to_dict(self) -> dict:
-        """Lossless JSON-able form."""
-        return {
-            "doppler_bin": int(self.doppler_bin),
-            "beam": int(self.beam),
-            "range_gate": int(self.range_gate),
-            "snr_db": float(self.snr_db),
-            "cpi_index": int(self.cpi_index),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "Detection":
-        """Inverse of :meth:`to_dict`."""
-        return Detection(**d)
 
 
 #: CFAR estimator variants supported by :func:`ca_cfar`.

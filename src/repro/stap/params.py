@@ -12,13 +12,14 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.core.serialize import Codec
 from repro.errors import ConfigurationError
 
 __all__ = ["STAPParams"]
 
 
 @dataclass(frozen=True)
-class STAPParams:
+class STAPParams(Codec):
     """Dimensions and knobs of the PRI-staggered post-Doppler algorithm.
 
     Attributes
@@ -62,6 +63,7 @@ class STAPParams:
         :func:`repro.stap.doppler.doppler_window`.
     dtype:
         Cube element type; complex64 matches the 16 MiB file size.
+        Serialized by name.
     """
 
     n_channels: int = 16
@@ -175,34 +177,6 @@ class STAPParams:
         """Beam steering angles (radians), uniform in sin-space."""
         sines = np.linspace(-0.6, 0.6, self.n_beams)
         return np.arcsin(sines)
-
-    # -- serialization -----------------------------------------------------
-    def to_dict(self) -> dict:
-        """Lossless JSON-able form (dtype stored by name)."""
-        return {
-            "n_channels": self.n_channels,
-            "n_pulses": self.n_pulses,
-            "n_ranges": self.n_ranges,
-            "n_beams": self.n_beams,
-            "n_hard_bins": self.n_hard_bins,
-            "n_training": self.n_training,
-            "diagonal_load": self.diagonal_load,
-            "covariance_memory": self.covariance_memory,
-            "pulse_len": self.pulse_len,
-            "cfar_window": self.cfar_window,
-            "cfar_guard": self.cfar_guard,
-            "pfa": self.pfa,
-            "cfar_method": self.cfar_method,
-            "window_kind": self.window_kind,
-            "dtype": np.dtype(self.dtype).name,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "STAPParams":
-        """Inverse of :meth:`to_dict`."""
-        kwargs = dict(d)
-        kwargs["dtype"] = np.dtype(kwargs["dtype"])
-        return STAPParams(**kwargs)
 
     def scaled(self, factor: float) -> "STAPParams":
         """A smaller/larger copy for tests: scales ranges and training."""

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -446,6 +448,27 @@ class TestScenarioCli:
         saved = json.loads(out_path.read_text())
         assert saved["kind"] == "scenario" and set(saved["tenants"]) == {
             "t0", "t1"}
+
+    def test_bad_spec_file_is_clean_error(self, capsys, tmp_path):
+        from repro.core.pipeline import NodeAssignment
+        from repro.scenario import ScenarioSpec, TenantSpec
+        from repro.stap.params import STAPParams
+
+        spec = ScenarioSpec(
+            tenants=(TenantSpec(NodeAssignment.case(1, STAPParams())),))
+        d = spec.to_dict()
+        d["fs"]["strip_factor"] = 4
+        bad_key = tmp_path / "bad_key.json"
+        bad_key.write_text(json.dumps(d))
+        assert main(["scenario", "run", "--spec", str(bad_key)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'strip_factor'" in err
+
+        not_json = tmp_path / "not.json"
+        not_json.write_text("{tenants: ")
+        assert main(["scenario", "run", "--spec", str(not_json)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not.json" in err
 
     def test_bad_tenant_descriptor_is_clean_error(self, capsys):
         assert main(["scenario", "run", "--tenant", "embedded-io:x"]) == 2

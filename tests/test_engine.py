@@ -4,6 +4,7 @@ import json
 import os
 import time
 
+import numpy as np
 import pytest
 
 from repro.bench.engine import (
@@ -18,6 +19,7 @@ from repro.bench.engine import (
     run_spec,
 )
 from repro.bench.store import ResultStore
+from repro.core.arrivals import ArrivalSpec
 from repro.core.context import ExecutionConfig
 from repro.errors import ConfigurationError
 from repro.core.executor import FSConfig
@@ -36,6 +38,144 @@ GOLDEN_SPEC_HASH = (
 )
 
 
+def _golden_cfg(**kw):
+    return ExecutionConfig(n_cpis=3, warmup=1, **kw)
+
+
+def _golden_spec(**kw):
+    """The GOLDEN_SPEC_HASH spec with ``kw`` overriding its fields."""
+    kw.setdefault("assignment", NodeAssignment.case(1, STAPParams()))
+    kw.setdefault("cfg", _golden_cfg())
+    return ExperimentSpec(**kw)
+
+
+def _golden_scenario(**kw):
+    from repro.scenario import ScenarioSpec, TenantSpec
+
+    case1 = NodeAssignment.case(1, STAPParams())
+    kw.setdefault("tenants", (
+        TenantSpec(case1, cfg=_golden_cfg()),
+        TenantSpec(case1, pipeline="separate-io", cfg=_golden_cfg()),
+    ))
+    return ScenarioSpec(**kw)
+
+
+def _golden_named_scenario():
+    from repro.scenario import TenantSpec
+
+    case1 = NodeAssignment.case(1, STAPParams())
+    return _golden_scenario(
+        tenants=(
+            TenantSpec(case1, cfg=_golden_cfg(read_deadline=0.5),
+                       name="radar",
+                       writer=WriterLoad(period=0.5, n_cpis=4)),
+            TenantSpec(case1, pipeline="separate-io", cfg=_golden_cfg()),
+        ),
+        fs=FSConfig("piofs", 16),
+        seed=3,
+        metrics_interval=0.25,
+    )
+
+
+# Published content addresses, one entry per optional field set on its
+# own plus the scenario shapes.  A spec that leaves a sparse field at its
+# default must hash exactly as before the field existed, and one that
+# sets it must keep the hash it was published under.  If an entry fails,
+# the canonical serialization changed: declare the new field sparse, or
+# bump SPEC_SCHEMA/SCENARIO_SCHEMA (and re-pin) so that old cache
+# entries read as misses instead of being misread.
+GOLDEN_SPECS = {
+    "default": (_golden_spec, GOLDEN_SPEC_HASH),
+    "disk_fault": (
+        lambda: _golden_spec(disk_fault=DiskFault(server=1, slow_factor=4.0)),
+        "1432251daf47527ae74c5e8678b410f8d0a448fa1b38e4d0e6e04903bc0afd1a",
+    ),
+    "node_fault": (
+        lambda: _golden_spec(node_fault=NodeFault(node=2, slow_factor=2.0)),
+        "956ce6e967b11325c3960d591e09bfa4be356c266e151057765e2df7d1c86301",
+    ),
+    "writer": (
+        lambda: _golden_spec(writer=WriterLoad(
+            period=0.5, n_cpis=4, start_cpi=2, initial_delay=0.25)),
+        "9dfe8db6ea38655ea8fd2213c396de4e094a3984f2be8051aac74d0abb629374",
+    ),
+    "server_crash": (
+        lambda: _golden_spec(
+            server_crash=ServerCrash(server=1, at_time=0.5, down_for=2.0)),
+        "ac9bb3fac2cfc3b95835301fce8db26d862ec077cd8b204a0de56036adb02cd1",
+    ),
+    "server_crash_permanent": (
+        lambda: _golden_spec(
+            server_crash=ServerCrash(server=1, at_time=0.5)),
+        "f3dc67f0b39161f267fca775b441ca69ab9f00699404c13133bed56be9b49e23",
+    ),
+    "flaky_disk": (
+        lambda: _golden_spec(
+            flaky_disk=FlakyDisk(server=2, error_rate=0.1, seed=3)),
+        "569117b0eb25dcafba1d0926770888033b3afda21e4a153872c592e843270d1f",
+    ),
+    "replication": (
+        lambda: _golden_spec(fs=FSConfig("pfs", 8, replication=2)),
+        "b415b02095ffecd65714398bf693ac419532c9f944003d50d800fe92ce9c12d9",
+    ),
+    "sieve_buffer_size": (
+        lambda: _golden_spec(fs=FSConfig(sieve_buffer_size=65536)),
+        "a9ac54772763ac215d519b5af25947dd55cf115ad43a73d88e8252b29654b52b",
+    ),
+    "cb_nodes": (
+        lambda: _golden_spec(fs=FSConfig(cb_nodes=4)),
+        "c71837c5a90b0f68a1bf1fe250035d9506537563ede7ca9f4508af9b197782d1",
+    ),
+    "list_io_max_runs": (
+        lambda: _golden_spec(fs=FSConfig(list_io_max_runs=8)),
+        "198bb6f032b51d1f5318c53178ebcbf03e6594c83ace8e9a382f6ee9a2f31751",
+    ),
+    "read_deadline": (
+        lambda: _golden_spec(cfg=_golden_cfg(read_deadline=0.5)),
+        "a90464d4ffa706cea0ed6c8dcde8087a89c6314c14b451904d84cb669289f219",
+    ),
+    "metrics_interval": (
+        lambda: _golden_spec(cfg=_golden_cfg(metrics_interval=0.25)),
+        "53fd32f636807d60ce9a6e769f8f2ead453539be687b369715c1cb94dcd4808d",
+    ),
+    "arrival_fixed": (
+        lambda: _golden_spec(cfg=_golden_cfg(
+            arrival=ArrivalSpec(period=0.1, offset=0.05))),
+        "af57be07d8a5ccfa33d9ee4457754a009f58a03710493ef98af3b083914d199d",
+    ),
+    "arrival_poisson": (
+        lambda: _golden_spec(cfg=_golden_cfg(
+            arrival=ArrivalSpec(kind="poisson", period=0.1, seed=7))),
+        "12aede884da666ccaffcb611009c5367ae06b8b0f16a6c49083c115aea2efed4",
+    ),
+    "arrival_jittered": (
+        lambda: _golden_spec(cfg=_golden_cfg(
+            arrival=ArrivalSpec(kind="jittered", period=0.1, jitter=0.02,
+                                seed=3))),
+        "fd87ac9d35d7fd100440a86edfb78ea274bc73f8b65c89ccb9591e13c21ef075",
+    ),
+    "arrival_burst": (
+        lambda: _golden_spec(cfg=_golden_cfg(
+            arrival=ArrivalSpec(kind="burst", period=0.4, burst_size=3,
+                                burst_gap=0.05))),
+        "ebfc219dcae14d87bd84e23d570278864b12418f69a802020c3ee20b0d7ce936",
+    ),
+    "params_dtype": (
+        lambda: _golden_spec(
+            params=STAPParams(dtype=np.complex128, cfar_method="os")),
+        "4aab7d359bec7af1ef95f5b65b5069f6256a0238e4366ec5b7bf5f4a9b06ccef",
+    ),
+    "scenario": (
+        _golden_scenario,
+        "a3ec8c08d5a4d79d60bc83c73972e426f68a8c06b4bf01d05643419b5662c0cb",
+    ),
+    "scenario_named_writer_metrics": (
+        _golden_named_scenario,
+        "53d480dff7411c81efa73f0ffa38d2e12b13fc5c26ce9caadd142bda7caf961f",
+    ),
+}
+
+
 def small_spec(small_params, **kw):
     kw.setdefault("assignment", NodeAssignment.balanced(small_params, 14))
     kw.setdefault("fs", FSConfig("pfs", 8))
@@ -52,6 +192,20 @@ class TestSpec:
         )
         assert spec.spec_hash() == GOLDEN_SPEC_HASH
         assert spec.short_hash() == GOLDEN_SPEC_HASH[:12]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
+    def test_golden_hash_table(self, name):
+        build, pinned = GOLDEN_SPECS[name]
+        spec = build()
+        assert spec.spec_hash() == pinned
+        clone = type(spec).from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert clone == spec and clone.spec_hash() == pinned
+
+    def test_screening_stays_out_of_the_hash(self):
+        for mode in ("screen", "predict-all"):
+            spec = _golden_spec(screening=mode)
+            assert spec.spec_hash() == GOLDEN_SPEC_HASH
+            assert "screening" not in spec.to_dict()
 
     def test_canonical_json_is_sorted_and_compact(self):
         spec = ExperimentSpec(assignment=NodeAssignment.case(1, STAPParams()))
@@ -77,6 +231,44 @@ class TestSpec:
         clone = ExperimentSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert clone == spec
         assert clone.spec_hash() == spec.spec_hash()
+
+    def test_from_dict_rejects_unknown_key(self):
+        d = _golden_spec().to_dict()
+        d["flaky_dsk"] = {"server": 1, "error_rate": 0.1, "seed": 0}
+        with pytest.raises(ConfigurationError,
+                           match="ExperimentSpec.*'flaky_dsk'"):
+            ExperimentSpec.from_dict(d)
+
+    def test_from_dict_rejects_unknown_nested_key(self):
+        d = _golden_spec().to_dict()
+        d["fs"]["stripe_facter"] = 4
+        with pytest.raises(ConfigurationError,
+                           match="FSConfig.*'stripe_facter'"):
+            ExperimentSpec.from_dict(d)
+
+    def test_from_dict_rejects_missing_required_field(self):
+        d = _golden_spec().to_dict()
+        del d["assignment"]
+        with pytest.raises(ConfigurationError,
+                           match="ExperimentSpec.*'assignment'"):
+            ExperimentSpec.from_dict(d)
+        d = _golden_spec().to_dict()
+        del d["assignment"]["cfar"]
+        with pytest.raises(ConfigurationError,
+                           match="NodeAssignment.*'cfar'"):
+            ExperimentSpec.from_dict(d)
+
+    def test_from_dict_missing_optional_field_takes_default(self):
+        d = _golden_spec(seed=4).to_dict()
+        for key in ("seed", "machine", "disk_fault"):
+            del d[key]
+        assert ExperimentSpec.from_dict(d) == _golden_spec()
+
+    def test_from_dict_rejects_wrong_shape(self):
+        d = _golden_spec().to_dict()
+        d["fs"] = 8
+        with pytest.raises(ConfigurationError, match="FSConfig"):
+            ExperimentSpec.from_dict(d)
 
     def test_every_field_perturbs_the_hash(self, small_params):
         from dataclasses import replace

@@ -91,6 +91,26 @@ class TestScenarioSpec:
         assert "scenario[3]" in spec.label()
         assert spec.total_nodes() == 3 * spec.tenants[0].build_pipeline().total_nodes
 
+    def test_from_dict_rejects_unknown_keys(self, small_params):
+        d = scenario(small_params).to_dict()
+        d["metrics_intreval"] = 0.5
+        with pytest.raises(ConfigurationError,
+                           match="ScenarioSpec.*'metrics_intreval'"):
+            ScenarioSpec.from_dict(d)
+        d = scenario(small_params).to_dict()
+        d["tenants"][1]["writter"] = {"period": 1.0, "n_cpis": 2}
+        with pytest.raises(ConfigurationError, match="TenantSpec.*'writter'"):
+            ScenarioSpec.from_dict(d)
+        with pytest.raises(ConfigurationError, match="TenantSpec.*'nme'"):
+            TenantSpec.from_dict({**tenant(small_params).to_dict(), "nme": "a"})
+
+    def test_from_dict_rejects_missing_tenants(self, small_params):
+        d = scenario(small_params).to_dict()
+        del d["tenants"]
+        with pytest.raises(ConfigurationError,
+                           match="ScenarioSpec.*'tenants'"):
+            ScenarioSpec.from_dict(d)
+
     def test_validation(self, small_params):
         with pytest.raises(ConfigurationError, match="at least one tenant"):
             scenario(small_params, tenants=())

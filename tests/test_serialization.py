@@ -7,11 +7,25 @@ cache-served result renders byte-identically to a fresh simulation.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.bench.engine import (
+    DiskFault,
+    ExperimentSpec,
+    FlakyDisk,
+    NodeFault,
+    ServerCrash,
+    WriterLoad,
+)
+from repro.core.arrivals import ArrivalSpec
 from repro.core.context import ExecutionConfig
 from repro.core.executor import FSConfig, PipelineExecutor, PipelineResult
+from repro.core.metrics import DroppedCpi, TaskPhaseStats
 from repro.core.pipeline import (
     NodeAssignment,
     PipelineSpec,
@@ -19,6 +33,8 @@ from repro.core.pipeline import (
     build_separate_io_pipeline,
 )
 from repro.machine.presets import paragon
+from repro.scenario import ScenarioSpec, TenantSpec
+from repro.stap.cfar import Detection
 from repro.stap.params import STAPParams
 
 FAST = ExecutionConfig(n_cpis=4, warmup=1)
@@ -162,3 +178,172 @@ class TestStructuredExport:
 
         with pytest.raises(TypeError, match="to_dict"):
             to_result_json(object())
+
+
+# ---------------------------------------------------------------------------
+# Property: every spec class survives a JSON round trip, hash included
+# ---------------------------------------------------------------------------
+_seeds = st.integers(0, 2**31 - 1)
+_small = st.integers(1, 8)
+_nonneg = st.floats(0.0, 100.0, allow_nan=False)
+_pos = st.floats(0.01, 100.0, allow_nan=False)
+_names = st.sampled_from(["read", "doppler", "cfar", "pc_cfar"])
+
+
+def _opt(strategy):
+    return st.none() | strategy
+
+
+disk_faults = st.builds(DiskFault, server=st.integers(0, 63), slow_factor=_pos)
+node_faults = st.builds(NodeFault, node=st.integers(0, 63), slow_factor=_pos)
+server_crashes = st.builds(ServerCrash, server=st.integers(0, 63),
+                           at_time=_nonneg, down_for=_opt(_pos))
+flaky_disks = st.builds(FlakyDisk, server=st.integers(0, 63),
+                        error_rate=st.floats(0.0, 1.0), seed=_seeds)
+writers = st.builds(WriterLoad, period=_pos, n_cpis=_small,
+                    start_cpi=st.integers(0, 8), initial_delay=_nonneg)
+
+
+@st.composite
+def arrivals(draw):
+    kind = draw(st.sampled_from(["fixed", "poisson", "jittered", "burst"]))
+    period = draw(_pos)
+    kw = {"offset": draw(_nonneg), "seed": draw(_seeds)}
+    if kind == "jittered":
+        kw["jitter"] = draw(st.floats(0.0, period))
+    if kind == "burst":
+        kw["burst_size"] = size = draw(_small)
+        kw["burst_gap"] = period / size * draw(st.floats(0.0, 1.0))
+    return ArrivalSpec(kind=kind, period=period, **kw)
+
+
+@st.composite
+def exec_configs(draw):
+    n_cpis = draw(_small)
+    return ExecutionConfig(
+        n_cpis=n_cpis,
+        warmup=draw(st.integers(0, n_cpis - 1)),
+        window=draw(st.integers(1, 4)),
+        compute=draw(st.booleans()),
+        threaded=draw(st.booleans()),
+        write_reports=draw(st.booleans()),
+        read_deadline=draw(_opt(_pos)),
+        metrics_interval=draw(_opt(_pos)),
+        arrival=draw(_opt(arrivals())),
+    )
+
+
+fs_configs = st.builds(
+    FSConfig,
+    kind=st.sampled_from(["pfs", "piofs"]),
+    stripe_factor=st.integers(1, 64),
+    stripe_unit=st.sampled_from([4096, 65536]),
+    disk_bw=_opt(_pos),
+    disk_overhead=_opt(_nonneg),
+    name=st.sampled_from(["", "fast disks"]),
+    replication=st.integers(1, 3),
+    sieve_buffer_size=_opt(st.integers(1, 1 << 20)),
+    cb_nodes=_opt(_small),
+    list_io_max_runs=_opt(_small),
+)
+stap_params = st.builds(
+    STAPParams,
+    n_channels=st.sampled_from([4, 8]),
+    n_pulses=st.sampled_from([16, 32]),
+    n_ranges=st.sampled_from([128, 256]),
+    n_hard_bins=st.sampled_from([4, 8]),
+    n_training=st.just(32),
+    diagonal_load=_nonneg,
+    covariance_memory=st.floats(0.0, 0.99),
+    pulse_len=st.sampled_from([8, 16]),
+    pfa=st.floats(1e-9, 0.5),
+    cfar_method=st.sampled_from(["ca", "goca", "soca", "os"]),
+    window_kind=st.sampled_from(["hann", "hamming", "blackman", "rect"]),
+    dtype=st.sampled_from([np.complex64, np.complex128]).map(np.dtype),
+)
+assignments = st.builds(
+    NodeAssignment, _small, _small, _small, _small, _small, _small, _small,
+    io_nodes=_opt(_small),
+)
+experiment_specs = st.builds(
+    ExperimentSpec,
+    assignment=assignments,
+    pipeline=st.sampled_from(["embedded", "separate", "combined",
+                              "embedded-io", "collective-two-phase"]),
+    machine=st.sampled_from(["paragon", "sp", "generic"]),
+    fs=fs_configs,
+    params=stap_params,
+    cfg=exec_configs(),
+    seed=_seeds,
+    disk_fault=_opt(disk_faults),
+    node_fault=_opt(node_faults),
+    writer=_opt(writers),
+    server_crash=_opt(server_crashes),
+    flaky_disk=_opt(flaky_disks),
+    screening=st.sampled_from(["off", "screen", "predict-all"]),
+)
+tenant_specs = st.builds(
+    TenantSpec,
+    assignment=assignments,
+    pipeline=st.sampled_from(["embedded-io", "separate-io"]),
+    cfg=exec_configs(),
+    name=st.sampled_from(["", "radar"]),
+    writer=_opt(writers),
+)
+
+
+@st.composite
+def scenario_specs(draw):
+    tenants = draw(st.lists(tenant_specs, min_size=1, max_size=3))
+    # Tenant names must be unique once resolved (``name`` or ``t<i>``).
+    tenants = [replace(t, name=t.name and f"{t.name}{i}")
+               for i, t in enumerate(tenants)]
+    return ScenarioSpec(
+        tenants=tuple(tenants),
+        machine=draw(st.sampled_from(["paragon", "sp"])),
+        fs=draw(fs_configs),
+        params=draw(stap_params),
+        seed=draw(_seeds),
+        metrics_interval=draw(_opt(_pos)),
+    )
+
+
+CODEC_CLASSES = {
+    "DiskFault": disk_faults,
+    "NodeFault": node_faults,
+    "ServerCrash": server_crashes,
+    "FlakyDisk": flaky_disks,
+    "WriterLoad": writers,
+    "ExperimentSpec": experiment_specs,
+    "FSConfig": fs_configs,
+    "ExecutionConfig": exec_configs(),
+    "ArrivalSpec": arrivals(),
+    "STAPParams": stap_params,
+    "NodeAssignment": assignments,
+    "TenantSpec": tenant_specs,
+    "ScenarioSpec": scenario_specs(),
+    "DroppedCpi": st.builds(DroppedCpi, _names, st.integers(0, 63),
+                            st.integers(0, 99), _nonneg),
+    "TaskPhaseStats": st.builds(TaskPhaseStats, _names, _nonneg, _nonneg,
+                                _nonneg),
+    "Detection": st.builds(Detection, st.integers(0, 127), st.integers(0, 7),
+                           st.integers(0, 1023),
+                           st.floats(-50.0, 150.0, allow_nan=False),
+                           st.integers(0, 99)),
+}
+
+
+class TestCodecRoundTrips:
+    @pytest.mark.parametrize("cls_name", sorted(CODEC_CLASSES))
+    def test_json_round_trip(self, cls_name):
+        @settings(max_examples=25, deadline=None)
+        @given(CODEC_CLASSES[cls_name])
+        def check(obj):
+            assert type(obj).__name__ == cls_name
+            clone = round_trip(obj)
+            assert clone == obj
+            assert clone.to_dict() == obj.to_dict()
+            if hasattr(obj, "spec_hash"):
+                assert clone.spec_hash() == obj.spec_hash()
+
+        check()

@@ -1,4 +1,4 @@
-"""Golden serialization-key conventions: snake_case out, camel tolerated in."""
+"""Golden serialization-key convention: results serialize to snake_case."""
 
 from __future__ import annotations
 
@@ -9,9 +9,7 @@ import pytest
 
 from repro.core.context import ExecutionConfig
 from repro.core.executor import FSConfig, PipelineExecutor, PipelineResult
-from repro.core.metrics import PipelineMeasurement
 from repro.core.pipeline import NodeAssignment, build_embedded_pipeline
-from repro.core.serialize import camel, compat_get
 from repro.machine.presets import paragon
 
 _CAMEL = re.compile(r"[a-z][A-Z]")
@@ -63,45 +61,3 @@ class TestGoldenKeys:
         clone = PipelineResult.from_dict(d)
         assert clone.to_dict() == result.to_dict()
 
-
-class TestCamelCompatReads:
-    def test_helpers(self):
-        assert camel("task_stats") == "taskStats"
-        assert camel("fs_label") == "fsLabel"
-        assert camel("seed") == "seed"
-        assert compat_get({"taskStats": 1}, "task_stats") == 1
-        assert compat_get({"task_stats": 1, "taskStats": 2}, "task_stats") == 1
-        assert compat_get({}, "task_stats", None) is None
-        with pytest.raises(KeyError, match="task_stats"):
-            compat_get({}, "task_stats")
-
-    def test_measurement_reads_camel(self, result):
-        d = result.measurement.to_dict()
-        legacy = {
-            "taskStats": d["task_stats"],
-            "throughput": d["throughput"],
-            "latency": d["latency"],
-            "modelThroughput": d["model_throughput"],
-            "modelLatency": d["model_latency"],
-            "steadyCpis": d["steady_cpis"],
-            "latencies": d["latencies"],
-        }
-        clone = PipelineMeasurement.from_dict(legacy)
-        assert clone.to_dict() == d  # re-emitted snake_case
-
-    def test_result_reads_camel_top_level(self, result):
-        d = json.loads(json.dumps(result.to_dict()))
-        legacy = dict(d)
-        for key in ("fs_label", "machine_name", "elapsed_sim_time",
-                    "disk_stats", "rank_traffic", "rank_task"):
-            legacy[camel(key)] = legacy.pop(key)
-        clone = PipelineResult.from_dict(legacy)
-        assert clone.to_dict() == d
-
-    def test_writes_never_emit_camel(self, result):
-        """The compat path is read-only: a camelCase round trip comes
-        back out canonically snake_case."""
-        legacy = json.loads(json.dumps(result.to_dict()))
-        legacy["fsLabel"] = legacy.pop("fs_label")
-        emitted = PipelineResult.from_dict(legacy).to_dict()
-        assert "fs_label" in emitted and "fsLabel" not in emitted

@@ -825,6 +825,16 @@ class TestServer:
              if e["event"] == "result"}
         assert a == b
 
+    def test_misspelled_spec_key_rejected(self, served_scheduler,
+                                          small_params):
+        # A typo must not run (and cache) a different cell than the
+        # client sent.
+        _, server = served_scheduler
+        d = small_spec(small_params).to_dict()
+        d["flaky_dsk"] = {"server": 1, "error_rate": 0.1, "seed": 0}
+        with pytest.raises(ServiceError, match="bad specs.*'flaky_dsk'"):
+            request(server.host, server.port, {"op": "submit", "specs": [d]})
+
     def test_bad_requests_rejected_not_fatal(self, served_scheduler):
         _, server = served_scheduler
         with pytest.raises(ServiceError, match="unknown op"):
