@@ -1,7 +1,7 @@
 """Perf-regression smoke test against the committed baseline.
 
 Runs the cheap sections of the perf suite (kernel micro + one small
-pipeline cell) and compares them to ``BENCH_pr7.json`` at the repository
+pipeline cell) and compares them to ``BENCH_pr18.json`` at the repository
 root.  It fails when either
 
 * the function-call count grows more than 20% over the baseline (a
@@ -13,7 +13,7 @@ root.  It fails when either
 
 Wall-clock times are recorded in the baseline for human comparison but
 never asserted on.  Run ``python -m repro.bench.perfsuite --write
-BENCH_pr7.json`` to refresh the baseline after an intentional change.
+BENCH_pr18.json`` to refresh the baseline after an intentional change.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import pytest
 
 from repro.bench import perfsuite
 
-BASELINE_PATH = pathlib.Path(__file__).resolve().parents[2] / "BENCH_pr7.json"
+BASELINE_PATH = pathlib.Path(__file__).resolve().parents[2] / "BENCH_pr18.json"
 
 
 @pytest.fixture(scope="module")

@@ -301,29 +301,14 @@ def render(analysis: Dict[str, Any], fmt: str = "text") -> str:
     )
 
 
-# -- queue stats (moved from repro.cli) --------------------------------------
+# -- queue stats -------------------------------------------------------------
 def render_queue_stats(qs: dict) -> str:
-    """Human-readable calendar-queue statistics (``profile --queue-stats``)."""
-    total = qs["total_entries"]
-    lane = qs["lane_entries"]
-    cal = qs["calendar_entries"]
-    lines = [
-        "calendar queue statistics",
-        f"  ring        : {qs['nbuckets']} buckets x {qs['width']:g} s wide, "
-        f"{qs['count']} live entries",
-        f"  events      : {total} scheduled — {lane} lane (zero-delay, "
-        f"{qs['lane_ratio']:.1%}), {cal} calendar",
-        f"  advances    : {qs['advances']} clock advances, "
-        f"{qs['fallback_scans']} fallback scans, {qs['resizes']} resizes",
-    ]
-    occ = qs["occupancy_hist"]
-    labels = ["0", "1", "2-3", "4-7", "8-15", "16-31", "32-63", "64-127"]
-    cells = []
-    for i, n in enumerate(occ):
-        if n == 0:
-            continue
-        label = labels[i] if i < len(labels) else f"{1 << (i - 1)}+"
-        cells.append(f"{label} entries: {n}")
-    lines.append("  occupancy   : " + ("; ".join(cells) + " buckets"
-                                       if cells else "empty ring"))
-    return "\n".join(lines)
+    """Human-readable kernel event-queue statistics (``profile --queue-stats``)."""
+    return "\n".join([
+        "event queue statistics",
+        f"  events      : {qs['total_entries']} scheduled — "
+        f"{qs['lane_entries']} lane (zero-delay, {qs['lane_ratio']:.1%}), "
+        f"{qs['calendar_entries']} timed (heap)",
+        f"  advances    : {qs['advances']} clock advances",
+        f"  heap        : {qs['heap_size']} live entries, peak {qs['heap_peak']}",
+    ])

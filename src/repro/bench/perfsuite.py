@@ -1,16 +1,16 @@
 """Microbenchmark suite for the DES kernel and pipeline hot paths.
 
 Measures the following and records them in a JSON baseline file
-(``BENCH_pr7.json`` at the repository root; ``BENCH_pr2.json`` is the
-committed pre-calendar-kernel baseline, kept for the cumulative
-speedup story):
+(``BENCH_pr18.json`` at the repository root; ``BENCH_pr2.json`` and
+``BENCH_pr7.json`` are the committed baselines of earlier kernels, kept
+for the cumulative speedup story):
 
 * ``kernel_ops`` — raw kernel throughput on a synthetic workload of
   timeouts, resource handoffs, and store transfers (events/second);
-* ``kernel_ops_calendar`` — calendar-ring stress: timers spread over
-  four decades of delay, so entries file into the calendar rather than
-  the now-lane and the width/occupancy feedback loops run (also records
-  the kernel's cumulative ``queue_stats()`` counters);
+* ``kernel_ops_calendar`` — timer stress: timers spread over four
+  decades of delay, so entries go to the timed heap rather than the
+  now-lane (also records the kernel's cumulative ``queue_stats()``
+  counters; the name dates from the calendar-queue kernel);
 * ``cell_embedded_case3`` / ``cell_separate_case3`` — one full pipeline
   simulation each (the paper's 100-node case), recording wall time,
   total function calls under cProfile, and the result hash;
@@ -34,8 +34,8 @@ never gated on — CI machines are too noisy for that.
 
 Usage::
 
-    python -m repro.bench.perfsuite --write BENCH_pr7.json
-    python -m repro.bench.perfsuite --check BENCH_pr7.json --only cell_smoke
+    python -m repro.bench.perfsuite --write BENCH_pr18.json
+    python -m repro.bench.perfsuite --check BENCH_pr18.json --only cell_smoke
 """
 
 from __future__ import annotations
@@ -130,12 +130,10 @@ def _kernel_workload(n_workers: int = 50, n_iters: int = 400) -> int:
 
 
 def _calendar_workload(n_timers: int = 1000, rounds: int = 16):
-    """Calendar-ring stress: pure timer traffic spread over four decades
-    of delay (0.01–10 s), so almost every entry files into the calendar
-    rather than the now-lane.  Each timer re-arms at a drifting decade,
-    forcing the width estimator to track a moving gap distribution and
-    the occupancy loop to resize as the ring drains.  Returns the kernel
-    (for ``queue_stats()``)."""
+    """Timer stress: pure timer traffic spread over four decades of delay
+    (0.01–10 s), so almost every entry goes to the timed heap rather than
+    the now-lane, with about a thousand entries live.  Each timer re-arms
+    at a drifting decade.  Returns the kernel (for ``queue_stats()``)."""
     from repro.sim.kernel import Kernel
 
     k = Kernel()
@@ -325,7 +323,7 @@ def measure_kernel_ops() -> Dict[str, Any]:
 
 
 def measure_kernel_ops_calendar() -> Dict[str, Any]:
-    """Calendar-queue throughput plus the ring's cumulative counters."""
+    """Timer throughput plus the kernel's cumulative queue counters."""
     wall, calls, k = _profiled(_calendar_workload)
     qs = k.queue_stats()
     return {

@@ -209,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
                         default="tottime", help="profile sort key")
     p_prof.add_argument("--queue-stats", action="store_true",
                         help="after the profile table, print the kernel's "
-                             "calendar-queue statistics (bucket occupancy, "
-                             "lane/calendar split, resizes)")
+                             "event-queue statistics (lane/heap split, "
+                             "clock advances, live and peak heap size)")
     p_prof.add_argument("--output", default=None, metavar="FILE",
                         help="also dump raw pstats data to FILE "
                         "(inspect with python -m pstats)")

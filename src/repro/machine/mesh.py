@@ -180,9 +180,10 @@ class MeshNetwork(Network):
         Body kept in lockstep with :meth:`transfer` — inlined rather than
         delegated because every ``yield`` in a ``yield from`` chain also
         resumes the delegating frame, and deliveries account for most of
-        the yields in a message-heavy simulation.
+        the yields in a message-heavy simulation.  The endpoints are not
+        re-validated: the communicator checked every rank's node when it
+        was built, and message sizes are never negative.
         """
-        self._validate(src, dst, nbytes, self.n_nodes)
         if src == dst:
             yield Timeout(self.kernel, self.latency * 0.5)
             mailbox.put_nowait(msg)

@@ -19,6 +19,7 @@ from typing import Dict
 
 from repro.errors import ConfigurationError
 from repro.machine.network import Network
+from repro.sim.events import Timeout
 from repro.sim.kernel import Kernel
 from repro.sim.resources import Resource
 
@@ -51,19 +52,90 @@ class MultistageNetwork(Network):
         The fixed acquisition order (injection before ejection) cannot
         deadlock because every holder of an ejection port already owns its
         injection port and will release both after a finite timeout.
+
+        Ports are capacity-1, so the grant is inlined as in
+        :meth:`MeshNetwork.transfer`: a busy port queues FIFO through
+        ``request()``; a free one is taken directly, and when the kernel
+        is quiescent (nothing else due now) without the yield on the
+        born-fired grant, which would resume straight back here with
+        nothing able to interleave.
         """
         self._validate(src, dst, nbytes, self.n_nodes)
+        kernel = self.kernel
         if src == dst:
-            yield self.kernel.timeout(self.latency * 0.5)
+            yield Timeout(kernel, self.latency * 0.5)
             return
-        inj = self._port(self._in_ports, src, "inj")
-        ej = self._port(self._out_ports, dst, "ej")
-        yield inj.request()
+        inj = self._in_ports.get(src) or self._port(self._in_ports, src, "inj")
+        ej = self._out_ports.get(dst) or self._port(self._out_ports, dst, "ej")
+        if inj._in_use:
+            yield inj.request()
+        elif kernel._lane or kernel._due:
+            inj._in_use = 1
+            yield inj._granted
+        else:
+            inj._in_use = 1
         try:
-            yield ej.request()
+            if ej._in_use:
+                yield ej.request()
+            elif kernel._lane or kernel._due:
+                ej._in_use = 1
+                yield ej._granted
+            else:
+                ej._in_use = 1
             try:
-                yield self.kernel.timeout(self.pure_transfer_time(nbytes))
+                yield Timeout(kernel, self.latency + nbytes / self.bandwidth)
             finally:
-                ej.release()
+                # Inline of release(): hand off to a waiter, else go idle.
+                if ej._waiters:
+                    ej.release()
+                else:
+                    ej._in_use = 0
         finally:
-            inj.release()
+            if inj._waiters:
+                inj.release()
+            else:
+                inj._in_use = 0
+
+    def deliver(self, src: int, dst: int, nbytes: int, mailbox, msg):
+        """Port-contended transfer fused with the mailbox deposit.
+
+        Body kept in lockstep with :meth:`transfer` (see
+        :meth:`MeshNetwork.deliver` for why it is inlined).  The endpoints
+        are not re-validated: the communicator checked every rank's node
+        when it was built, and message sizes are never negative.
+        """
+        kernel = self.kernel
+        if src == dst:
+            yield Timeout(kernel, self.latency * 0.5)
+            mailbox.put_nowait(msg)
+            return
+        inj = self._in_ports.get(src) or self._port(self._in_ports, src, "inj")
+        ej = self._out_ports.get(dst) or self._port(self._out_ports, dst, "ej")
+        if inj._in_use:
+            yield inj.request()
+        elif kernel._lane or kernel._due:
+            inj._in_use = 1
+            yield inj._granted
+        else:
+            inj._in_use = 1
+        try:
+            if ej._in_use:
+                yield ej.request()
+            elif kernel._lane or kernel._due:
+                ej._in_use = 1
+                yield ej._granted
+            else:
+                ej._in_use = 1
+            try:
+                yield Timeout(kernel, self.latency + nbytes / self.bandwidth)
+            finally:
+                if ej._waiters:
+                    ej.release()
+                else:
+                    ej._in_use = 0
+        finally:
+            if inj._waiters:
+                inj.release()
+            else:
+                inj._in_use = 0
+        mailbox.put_nowait(msg)

@@ -193,9 +193,14 @@ class Communicator:
         """
         # Ranks were validated at isend time; index the map directly.
         r2n = self.rank_to_node
-        entry = self.traffic.setdefault((msg.src, msg.dst), [0, 0])
-        entry[0] += 1
-        entry[1] += msg.nbytes
+        key = (msg.src, msg.dst)
+        try:
+            entry = self.traffic[key]
+        except KeyError:  # first message on this rank pair
+            self.traffic[key] = [1, msg.nbytes]
+        else:
+            entry[0] += 1
+            entry[1] += msg.nbytes
         # put_nowait at arrival: nobody consumes the put-completion
         # event, so the mailbox deposit materialises no event.
         return self.machine.network.deliver(
@@ -282,9 +287,12 @@ class RankComm:
         (MPI's ERR_TRUNCATE), surfacing under-provisioned buffers that a
         real port would hit.
         """
-        if source != ANY_SOURCE:
-            self._check_peer(source)
-        ev = self.comm._match(self.rank, source, tag)
+        comm = self.comm
+        if source != ANY_SOURCE and not (0 <= source < comm.size):
+            raise MPIError(  # inline of _check_peer (hot path)
+                f"peer rank {source} outside communicator of size {comm.size}"
+            )
+        ev = comm._match(self.rank, source, tag)
         kernel = self.kernel
         if ev._ok and not kernel._lane and not kernel._due:
             # Message already buffered and kernel quiescent: a yield on

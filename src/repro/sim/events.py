@@ -22,6 +22,7 @@ kernel's scheduling queues (they live here, not in ``kernel``, so that
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Callable, Iterator, List, Optional
 
 from repro.errors import SimulationError
@@ -194,7 +195,8 @@ class Timeout(Event):
         else:
             t = kernel._now + delay
             if t > kernel._now:
-                kernel._cal_insert(t, kernel._seq, _KIND_TIMEOUT, self, value)
+                kernel._timed += 1
+                heappush(kernel._heap, (t, kernel._seq, _KIND_TIMEOUT, self, value))
             else:
                 # Positive delay that vanishes in float addition: due at
                 # the current timestamp, after everything already queued.

@@ -3,51 +3,41 @@
 The kernel owns the simulated clock and three scheduling structures that
 together behave like one priority queue ordered by ``(time, seq)``:
 
-* a **calendar queue** — a power-of-two ring of buckets, each a plain
-  list in insertion (= ``seq``) order — for entries with a positive
-  delay.  A bucket covers one *day* of ``_cal_width`` simulated seconds;
-  an entry at time ``t`` lives in bucket ``day(t) & mask`` where
-  ``day(t) = floor(t / width)``.  Days beyond the ring's horizon alias
-  onto the same buckets ("next year"), so scans filter by the entry's
-  stored day.
+* a **heap** of ``(time, seq, kind, a, b)`` entries — a plain list kept
+  by :mod:`heapq` — for entries with a positive delay;
 * a **now lane** — a plain ``deque`` of ``(seq, kind, a, b)`` entries —
   for zero-delay actions (event firings, process resumptions, chained
   callbacks), which in pipeline workloads are the majority of all
-  scheduling traffic.
-* a **due batch** — a deque of entries extracted from the calendar whose
-  time equals the current clock.  When the lane and the due batch drain,
-  the kernel scans the ring from the current day, finds the earliest
-  entry, and extracts *every* entry at that timestamp in one sweep —
-  one bucket scan per clock advance instead of a heap push/pop pair per
-  event.
+  scheduling traffic;
+* a **due batch** — a deque of heap entries already popped at the
+  current clock.  When the lane and the due batch drain, the kernel pops
+  the heap minimum, advances the clock to its time, and moves every
+  equal-time peer into the due batch in one sweep.
 
 ``seq`` is a monotone counter so that entries at equal times fire in
 insertion order — this makes every simulation in the package fully
 deterministic.  Lane and due entries are both FIFO in ``seq``, so
 merging them needs one integer comparison only while the due batch is
 non-empty; the common case (due empty) pops the lane unconditionally.
-
-The bucket width is a power of two sized from the observed gaps between
-scheduled timestamps: it starts at 1.0 and is recalibrated lazily (at
-power-of-two insert counts and on ring resizes), with the ring grown or
-shrunk when the entry count crosses occupancy thresholds.  A scan that
-finds nothing within one ring revolution falls back to a global min
-scan and widens the ring's horizon after repeated fallbacks.
+Every heap entry lies strictly in the future: a positive delay that
+vanishes in float addition (``now + d == now``) goes to the due batch.
 
 Entries are *tagged tuples* rather than closures: ``kind`` selects the
 dispatch (resume a process, fire an event's captured callbacks, trigger
 a timeout, call ``a(*b)``, or invoke a raw thunk), so the hot path
-allocates no lambdas.  :meth:`Kernel.run` inlines both the pop-minimum
-merge and the full process resume cycle — one generator ``send`` per
-simulated resumption with no intervening Python frame — while
-:meth:`Kernel.step` remains the single-step API with identical
-semantics.
+allocates no lambdas.  :meth:`Kernel.run` inlines the clock advance, the
+pop-minimum merge and the full process resume cycle — one generator
+``send`` per simulated resumption with no intervening Python frame —
+while :meth:`Kernel.step` remains the single-step API with identical
+semantics.  ``run`` also pauses the cyclic garbage collector for its
+duration (see its docstring).
 """
 
 from __future__ import annotations
 
+import gc
 from collections import deque
-from math import log2 as _log2
+from heapq import heappop, heappush
 from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import DeadlockError, SimulationError
@@ -66,13 +56,6 @@ from repro.sim.events import (
 )
 
 __all__ = ["Kernel"]
-
-# Ring sizing/calibration thresholds.  The ring never shrinks below
-# _CAL_MIN_BUCKETS; it grows when the entry count exceeds twice the
-# bucket count and shrinks when it falls below an eighth of it.
-_CAL_MIN_BUCKETS = 64
-_CAL_MIN_WIDTH = 2.0 ** -40
-_CAL_MAX_WIDTH = 2.0 ** 20
 
 # The overwhelmingly common event fire has exactly one listener: the
 # ``_on_event`` bound method of a single waiting Process.  The fire sites
@@ -112,36 +95,24 @@ class Kernel:
         # Invariant: the lane drains completely before the clock advances,
         # so every lane entry's implicit time is exactly ``self._now``.
         self._lane: Deque[Tuple[int, int, Any, Any]] = deque()
-        # Calendar entries already extracted at the current timestamp,
-        # FIFO in seq like the lane.  Only non-empty between a clock
-        # advance and the dispatch of the entries that caused it.
+        # Heap entries already popped at the current timestamp, FIFO in
+        # seq like the lane.  Only non-empty between a clock advance and
+        # the dispatch of the entries that caused it.
         self._due: Deque[Tuple[int, int, Any, Any]] = deque()
-        # Calendar ring: bucket entries are (day, time, seq, kind, a, b)
-        # in insertion (= seq) order.
-        self._cal_buckets: List[List[Tuple[int, float, int, int, Any, Any]]] = [
-            [] for _ in range(_CAL_MIN_BUCKETS)
-        ]
-        self._cal_mask: int = _CAL_MIN_BUCKETS - 1
-        self._cal_width: float = 1.0
-        self._cal_inv: float = 1.0
-        self._cal_count: int = 0
-        # Reservoir of recent clock-advance gaps; every 64 samples the
-        # bucket width is recalibrated from their median (and the ring
-        # rehashed only if the power-of-two width actually changed).
-        self._cal_gaps: List[float] = []
-        # Instrumentation (see queue_stats): all maintained off the lane
-        # hot path — only calendar inserts and clock advances touch them.
-        self._cal_inserts: int = 0
-        self._cal_advances: int = 0
-        self._cal_fallbacks: int = 0
-        self._cal_resizes: int = 0
+        # Timed entries (time, seq, kind, a, b), time > now, as a heapq.
+        self._heap: List[Tuple[float, int, int, Any, Any]] = []
+        # Instrumentation (see queue_stats), kept off the lane hot path:
+        # only heap pushes and clock advances touch these.
+        self._timed: int = 0
+        self._advances: int = 0
+        self._heap_peak: int = 0
         self._active: int = 0  # live (unfinished) processes, for deadlock detection
         # Exceptions from processes that failed with nobody waiting on
         # them; run() re-raises these instead of deadlocking opaquely.
         self._unobserved_failures: List[BaseException] = []
         # Observability hook (see repro.obs.sampler): when set, called as
         # ``_monitor(now)`` right after the clock advances to a time
-        # >= ``_monitor_next`` — i.e. only on calendar extraction, since
+        # >= ``_monitor_next`` — i.e. only on a heap pop, since
         # lane entries never move the clock.  The monitor must be a pure
         # observer: it maintains ``_monitor_next`` itself and must not
         # schedule, so event order is identical with or without it.
@@ -154,180 +125,51 @@ class Kernel:
         """Current simulated time."""
         return self._now
 
-    # -- calendar queue --------------------------------------------------
-    def _cal_insert(self, t: float, seq: int, kind: int, a: Any, b: Any) -> None:
-        """File an entry at future time ``t`` into the calendar ring."""
-        day = int(t * self._cal_inv)
-        self._cal_buckets[day & self._cal_mask].append((day, t, seq, kind, a, b))
-        self._cal_count += 1
-        self._cal_inserts += 1
-        if self._cal_count > self._cal_mask + 1:
-            self._cal_resize((self._cal_mask + 1) << 1)
+    # -- timed entries ---------------------------------------------------
+    def _advance(self) -> None:
+        """Advance the clock to the earliest timed entry.
 
-    def _cal_entries(self) -> List[Tuple[int, float, int, int, Any, Any]]:
-        """All calendar entries in global seq order."""
-        entries = [e for bucket in self._cal_buckets for e in bucket]
-        entries.sort(key=lambda e: e[2])
-        return entries
-
-    def _cal_rehash(self, nbuckets: int, width: float) -> None:
-        """Rebuild the ring with a new geometry.
-
-        Entries are re-filed in seq order so the per-bucket invariant
-        (bucket lists are ascending in seq) survives the rebuild.
+        Pops the heap minimum and every equal-time peer into the due
+        batch (heap order is ``(time, seq)``, so they arrive seq-ascending)
+        and runs the monitor hook.  :meth:`run` inlines this; the caller
+        guarantees the heap is non-empty.
         """
-        entries = self._cal_entries()
-        self._cal_mask = nbuckets - 1
-        self._cal_width = width
-        inv = self._cal_inv = 1.0 / width
-        buckets = self._cal_buckets = [[] for _ in range(nbuckets)]
-        mask = self._cal_mask
-        for e in entries:
-            t = e[1]
-            day = int(t * inv)
-            buckets[day & mask].append((day, t, e[2], e[3], e[4], e[5]))
-        self._cal_resizes += 1
-
-    def _cal_resize(self, nbuckets: int) -> None:
-        nbuckets = max(nbuckets, _CAL_MIN_BUCKETS)
-        self._cal_rehash(nbuckets, self._cal_pick_width())
-
-    def _cal_pick_width(self) -> float:
-        """Pick a power-of-two bucket width from observed timer gaps.
-
-        Uses the median of the recent clock-advance gaps (the observed
-        timer granularity), scaled so a couple of gaps fit per bucket.
-        With no samples yet (a fresh kernel), falls back to the gaps
-        between the distinct timestamps currently in the ring; degenerate
-        distributions keep the current width.
-        """
-        gaps = sorted(self._cal_gaps)
-        if not gaps:
-            times = sorted({e[1] for bucket in self._cal_buckets for e in bucket})
-            gaps = [b - a for a, b in zip(times, times[1:]) if b > a]
-            if not gaps:
-                return self._cal_width
-        raw = gaps[len(gaps) // 2] * 2.0
-        if raw <= 0.0:
-            return self._cal_width
-        width = 2.0 ** round(_log2(raw))
-        return min(max(width, _CAL_MIN_WIDTH), _CAL_MAX_WIDTH)
-
-    def _advance(self, until: Optional[float]) -> bool:
-        """Advance the clock to the earliest calendar timestamp.
-
-        Extracts *all* entries at that timestamp into the due batch (in
-        seq order — bucket lists are seq-ascending, so a linear filter
-        preserves it), then runs the monitor hook.  Returns False
-        without extracting if the timestamp lies beyond ``until``.
-        Caller guarantees ``_cal_count > 0``.
-        """
-        inv = self._cal_inv
-        mask = self._cal_mask
-        buckets = self._cal_buckets
-        day = int(self._now * inv)
-        best_t = None
-        bucket = None
-        for i in range(mask + 1):
-            cand = buckets[(day + i) & mask]
-            if cand:
-                d = day + i
-                for e in cand:
-                    if e[0] == d:
-                        t = e[1]
-                        if best_t is None or t < best_t:
-                            best_t = t
-                if best_t is not None:
-                    bucket = cand
-                    break
-        if best_t is None:
-            # Nothing within one ring revolution: the earliest entry is
-            # more than nbuckets*width away.  Global min scan, then widen
-            # the horizon if this keeps happening.
-            self._cal_fallbacks += 1
-            for cand in buckets:
-                for e in cand:
-                    t = e[1]
-                    if best_t is None or t < best_t:
-                        best_t = t
-            bucket = buckets[int(best_t * inv) & mask]
-        if until is not None and best_t > until:
-            return False
-        keep = []
-        due_append = self._due.append
-        extracted = 0
-        for e in bucket:
-            if e[1] == best_t:
-                due_append((e[2], e[3], e[4], e[5]))
-                extracted += 1
-            else:
-                keep.append(e)
-        bucket[:] = keep
-        count = self._cal_count = self._cal_count - extracted
-        gap = best_t - self._now
-        self._now = best_t
-        self._cal_advances += 1
-        if best_t >= self._monitor_next:
-            self._monitor(best_t)
-        if self._cal_fallbacks and self._cal_fallbacks & 31 == 0:
-            # Persistent fallbacks mean the horizon is too short for the
-            # gap distribution; double the width (and clear the streak by
-            # counting the rehash as progress).
-            self._cal_fallbacks += 1
-            del self._cal_gaps[:]
-            self._cal_rehash(
-                self._cal_mask + 1, min(self._cal_width * 2.0, _CAL_MAX_WIDTH)
-            )
-        else:
-            gaps = self._cal_gaps
-            gaps.append(gap)
-            if len(gaps) == 64:
-                width = self._cal_pick_width()
-                del gaps[:]
-                # Hysteresis: adjacent powers of two straddling the
-                # median gap would otherwise oscillate, rehashing every
-                # reservoir flush.  Only a >= 4x drift re-files entries.
-                if width >= self._cal_width * 4.0 or width * 4.0 <= self._cal_width:
-                    self._cal_rehash(self._cal_mask + 1, width)
-            if self._cal_mask + 1 > _CAL_MIN_BUCKETS and count < (self._cal_mask + 1) >> 3:
-                self._cal_resize((self._cal_mask + 1) >> 1)
-        return True
-
-    def _cal_find_min(self) -> float:
-        """Earliest calendar timestamp (pure; caller checks count > 0)."""
-        best = None
-        for bucket in self._cal_buckets:
-            for e in bucket:
-                if best is None or e[1] < best:
-                    best = e[1]
-        return best
+        heap = self._heap
+        if len(heap) > self._heap_peak:
+            self._heap_peak = len(heap)
+        entry = heappop(heap)
+        t = entry[0]
+        due = self._due
+        due.append(entry[1:])
+        while heap and heap[0][0] == t:
+            due.append(heappop(heap)[1:])
+        self._now = t
+        self._advances += 1
+        if t >= self._monitor_next:
+            self._monitor(t)
 
     def queue_stats(self) -> Dict[str, Any]:
-        """Snapshot of calendar-queue geometry and traffic counters.
+        """Scheduling traffic counters, cumulative over the kernel's life.
 
-        Exposed through ``repro profile --queue-stats``; all counters are
-        cumulative over the kernel's lifetime.
+        Exposed through ``repro profile --queue-stats``.  ``calendar_*``,
+        ``fallback_scans`` and ``resizes`` keep the names the calendar-ring
+        kernel reported under (benchmark ledgers read them): timed entries
+        are heap entries now, and a heap never rescans or resizes, so the
+        last two are always 0.
         """
         total = self._seq
-        cal = self._cal_inserts
-        # Occupancy histogram of the live ring, bucketed by per-bucket
-        # entry-count bit length (index 0 = empty buckets).
-        occ_hist = [0] * 16
-        for b in self._cal_buckets:
-            occ_hist[min(len(b).bit_length(), 15)] += 1
+        timed = self._timed
+        live = len(self._heap)
         return {
-            "nbuckets": self._cal_mask + 1,
-            "width": self._cal_width,
-            "count": self._cal_count,
-            "bucket_lengths": [len(b) for b in self._cal_buckets],
             "total_entries": total,
-            "calendar_entries": cal,
-            "lane_entries": total - cal,
-            "lane_ratio": (total - cal) / total if total else 0.0,
-            "advances": self._cal_advances,
-            "fallback_scans": self._cal_fallbacks,
-            "resizes": self._cal_resizes,
-            "occupancy_hist": occ_hist,
+            "lane_entries": total - timed,
+            "calendar_entries": timed,
+            "lane_ratio": (total - timed) / total if total else 0.0,
+            "advances": self._advances,
+            "heap_size": live,
+            "heap_peak": max(self._heap_peak, live),
+            "fallback_scans": 0,
+            "resizes": 0,
         }
 
     # -- scheduling ------------------------------------------------------
@@ -341,7 +183,8 @@ class Kernel:
         else:
             t = self._now + delay
             if t > self._now:
-                self._cal_insert(t, self._seq, _KIND_RAW, action, None)
+                self._timed += 1
+                heappush(self._heap, (t, self._seq, _KIND_RAW, action, None))
             else:
                 # Positive delay vanishing in float addition: the entry
                 # is due at the current timestamp, after everything
@@ -404,10 +247,10 @@ class Kernel:
         """Execute the next scheduled action, advancing the clock.
 
         The next action is the minimum of the lane head, the due-batch
-        head, and the calendar minimum under ``(time, seq)`` order.  Lane
-        and due entries both live at the current time, so merging them is
-        a seq comparison; the calendar is consulted only when both are
-        empty (a clock advance).
+        head, and the heap minimum under ``(time, seq)`` order.  Lane and
+        due entries both live at the current time, so merging them is a
+        seq comparison; the heap is consulted only when both are empty (a
+        clock advance).
         """
         lane = self._lane
         due = self._due
@@ -418,8 +261,8 @@ class Kernel:
                 _seq, kind, a, b = due.popleft()
         elif lane:
             _seq, kind, a, b = lane.popleft()
-        elif self._cal_count:
-            self._advance(None)
+        elif self._heap:
+            self._advance()
             _seq, kind, a, b = due.popleft()
         else:
             raise SimulationError("step() on an empty event queue")
@@ -478,16 +321,38 @@ class Kernel:
 
         Notes
         -----
-        The loop body below duplicates :meth:`step`'s pop-and-dispatch
-        logic on purpose, and additionally inlines the entire
-        ``Process._resume`` cycle into the ``_KIND_RESUME`` arm: at
-        hundreds of thousands of resumptions per pipeline cell, the
+        The cyclic garbage collector is paused for the length of the run
+        and restored on every exit (return or exception); a caller that
+        had already disabled it finds it still disabled.  The loop
+        allocates millions of short-lived tuples and events per cell,
+        which would otherwise trigger a young-generation collection
+        every few hundred dispatches — about 7% of a pipeline cell's
+        wall time — to find almost nothing: finished processes break
+        their one self-cycle (see ``Process._resume``), so a cell leaves
+        a fixed amount of cyclic garbage however many CPIs it simulates.
+        """
+        if not gc.isenabled():
+            return self._run(until, check_deadlock)
+        gc.disable()
+        try:
+            return self._run(until, check_deadlock)
+        finally:
+            gc.enable()
+
+    def _run(self, until: Optional[float], check_deadlock: bool) -> float:
+        """The event loop behind :meth:`run`.
+
+        The loop body duplicates :meth:`step`'s pop-and-dispatch logic
+        (and :meth:`_advance`) on purpose, and additionally inlines the
+        entire ``Process._resume`` cycle into the ``_KIND_RESUME`` arm:
+        at hundreds of thousands of resumptions per pipeline cell, the
         eliminated Python frames are a measurable share of total
         runtime.  Any semantic change here must be mirrored in
         :meth:`step` and :meth:`Process._resume` (and vice versa).
         """
         lane = self._lane
         due = self._due
+        heap = self._heap
         failures = self._unobserved_failures
         pending = _PENDING
         kres = _KIND_RESUME
@@ -495,11 +360,11 @@ class Kernel:
         ktimeout = _KIND_TIMEOUT
         kcall = _KIND_CALL
         # The horizon only needs checking when the clock moves: here for
-        # a clock already past ``until``, and in _advance for calendar
-        # extractions.  Lane/due pops never advance the clock, so the
-        # pop paths below carry no per-entry horizon test.
+        # a clock already past ``until``, and at each heap pop below.
+        # Lane/due pops never advance the clock, so the pop paths carry
+        # no per-entry horizon test.
         if until is not None and self._now > until:
-            if not lane and not due and not self._cal_count:
+            if not lane and not due and not heap:
                 return self._now
             self._now = until
             return until
@@ -512,11 +377,24 @@ class Kernel:
                     _seq, kind, a, b = due.popleft()
             elif lane:
                 _seq, kind, a, b = lane.popleft()
-            elif self._cal_count:
-                if not self._advance(until):
+            elif heap:
+                # Clock advance (inline of _advance): dispatch the heap
+                # minimum directly and queue its equal-time peers as the
+                # due batch — exactly what popping it from the due batch
+                # would do, since the lane is empty here.
+                t = heap[0][0]
+                if until is not None and t > until:
                     self._now = until
                     return until
-                continue
+                if len(heap) > self._heap_peak:
+                    self._heap_peak = len(heap)
+                _t, _seq, kind, a, b = heappop(heap)
+                while heap and heap[0][0] == t:
+                    due.append(heappop(heap)[1:])
+                self._now = t
+                self._advances += 1
+                if t >= self._monitor_next:
+                    self._monitor(t)
             else:
                 break
 
@@ -656,8 +534,8 @@ class Kernel:
         """Time of the next scheduled action, or None if queue is empty."""
         if self._lane or self._due:
             return self._now
-        if self._cal_count:
-            return self._cal_find_min()
+        if self._heap:
+            return self._heap[0][0]
         return None
 
 

@@ -379,11 +379,13 @@ class TestRender:
     def test_queue_stats(self):
         qs = {
             "total_entries": 10, "lane_entries": 4, "calendar_entries": 6,
-            "nbuckets": 8, "width": 0.5, "count": 2, "lane_ratio": 0.4,
-            "advances": 3, "fallback_scans": 0, "resizes": 1,
-            "occupancy_hist": [0, 2, 1, 0, 0, 0, 0, 0],
+            "lane_ratio": 0.4, "advances": 3, "heap_size": 2, "heap_peak": 5,
+            "fallback_scans": 0, "resizes": 0,
         }
-        assert "calendar queue statistics" in render_queue_stats(qs)
+        text = render_queue_stats(qs)
+        assert "event queue statistics" in text
+        assert "4 lane (zero-delay, 40.0%), 6 timed (heap)" in text
+        assert "2 live entries, peak 5" in text
 
     def test_write_exporters_atomic(self, analysis, tmp_path):
         jpath = write_analysis_json(analysis, str(tmp_path / "a.json"),

@@ -198,7 +198,7 @@ def test_step_peek_parity_with_run():
         k.step()
         steps += 1
         # step() never advances the clock past the peeked time: a lane/due
-        # entry fires at the current time, a calendar extraction at t.
+        # entry fires at the current time, a heap pop at t.
         assert k.now == t
     assert log == GOLDEN_TRACE
     # Every logged event corresponds to at least one step; the scenario

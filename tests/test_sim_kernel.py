@@ -1,5 +1,7 @@
 """Unit tests for repro.sim.kernel."""
 
+import gc
+
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
@@ -153,3 +155,111 @@ class TestFailurePropagation:
         kernel.process(bad(kernel))
         with pytest.raises(SimulationError, match="non-event"):
             kernel.run()
+
+
+@pytest.fixture
+def collector():
+    """Leave the cyclic collector as the test found it, pass or fail."""
+    was = gc.isenabled()
+    yield
+    if was:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestCollectorPause:
+    """Kernel.run pauses the cyclic GC and restores it on every exit."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_normal_return(self, kernel, collector, enabled):
+        seen = []
+
+        def probe(k):
+            seen.append(gc.isenabled())
+            yield k.timeout(1.0)
+            seen.append(gc.isenabled())
+
+        kernel.process(probe(kernel))
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        assert kernel.run() == 1.0
+        assert seen == [False, False]
+        assert gc.isenabled() is enabled
+
+    def test_deadlock_error(self, kernel, collector):
+        store = Store(kernel)
+
+        def blocked(k):
+            yield store.get()
+
+        kernel.process(blocked(kernel))
+        gc.enable()
+        with pytest.raises(DeadlockError):
+            kernel.run()
+        assert gc.isenabled()
+
+    def test_unobserved_process_failure(self, kernel, collector):
+        def bad(k):
+            yield k.timeout(1.0)
+            raise ValueError("kaboom")
+
+        kernel.process(bad(kernel))
+        gc.enable()
+        with pytest.raises(ValueError, match="kaboom"):
+            kernel.run()
+        assert gc.isenabled()
+
+    def test_caller_had_disabled_it(self, kernel, collector):
+        def bad(k):
+            yield k.timeout(1.0)
+            raise ValueError("kaboom")
+
+        kernel.process(bad(kernel))
+        gc.disable()
+        with pytest.raises(ValueError):
+            kernel.run()
+        assert not gc.isenabled()
+        kernel.run(until=5.0)
+        assert not gc.isenabled()
+
+    def test_run_until_return(self, kernel, collector):
+        kernel.timeout(10.0)
+        gc.enable()
+        assert kernel.run(until=3.0) == 3.0
+        assert gc.isenabled()
+
+    def test_cell_garbage_does_not_grow_with_cpis(self, collector):
+        """Pausing the collector is safe only because a cell leaves a
+        fixed amount of cyclic garbage: simulating 16x the CPIs must not
+        leave more (finished processes break their self-cycle)."""
+        from repro.bench.engine import ExperimentSpec, run_spec
+        from repro.core.context import ExecutionConfig
+        from repro.core.executor import FSConfig
+        from repro.core.pipeline import NodeAssignment
+        from repro.stap.params import STAPParams
+
+        params = STAPParams()
+
+        def garbage(n_cpis):
+            spec = ExperimentSpec(
+                assignment=NodeAssignment.case(1, params),
+                pipeline="embedded",
+                machine="paragon",
+                fs=FSConfig(kind="pfs", stripe_factor=16),
+                params=params,
+                cfg=ExecutionConfig(n_cpis=n_cpis, warmup=2),
+                seed=0,
+            )
+            gc.collect()
+            gc.disable()
+            result = run_spec(spec)
+            found = gc.collect()  # result still referenced: garbage only
+            assert result.throughput > 0
+            return found
+
+        small = garbage(8)
+        assert small > 0
+        assert garbage(128) <= small

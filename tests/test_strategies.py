@@ -61,6 +61,18 @@ PRE_REFACTOR_HASHES = {
         "ede32c517787e6f1b140c9fbee0f0318a71d66a2a298e15bc75286d59f7802b8",
 }
 
+#: Full-result hashes of the same small spec on the IBM SP switch
+#: (``machine="sp"``, PIOFS), pinned before the multistage network gained
+#: its inlined port grants; every other pin above runs on the Paragon mesh.
+SP_HASHES = {
+    "embedded":
+        "7b1a8e4c97d889b376818fb7b7411a694c99ba75070557bdee5fa9041ac2176b",
+    "separate":
+        "cafbf67d90fe06df660695e0b66bb6e53eda56de1194b88b6c9324ff3305855e",
+    "collective-two-phase":
+        "7f60640d86dee70a2c5a3a51ec573c9e10dac468d9edd6bf49e4e36febba310f",
+}
+
 
 def small_spec(small_params, **kw):
     kw.setdefault("assignment", NodeAssignment.balanced(small_params, 14))
@@ -180,6 +192,12 @@ class TestMigrationPins:
                           fs=FSConfig(fs_kind, 8))
         assert (result_hash(run_spec(spec))
                 == PRE_REFACTOR_HASHES[(pipeline, fs_kind)])
+
+    @pytest.mark.parametrize("pipeline", sorted(SP_HASHES))
+    def test_sp_switch_result_hash(self, pipeline, small_params):
+        spec = small_spec(small_params, pipeline=pipeline, machine="sp",
+                          fs=FSConfig("piofs", 8))
+        assert result_hash(run_spec(spec)) == SP_HASHES[pipeline]
 
     def test_registry_names_alias_legacy_results(self, small_params):
         """'embedded-io' differs from 'embedded' only by spec name."""
