@@ -110,23 +110,18 @@ def _wrap_result(result, origin: str) -> LoadedResult:
 
 
 def _from_result_dict(d: dict, origin: str) -> LoadedResult:
-    """Rehydrate a raw result dict (scenario or pipeline shape)."""
-    from repro.core.executor import PipelineResult
-    from repro.scenario.spec import ScenarioResult
+    """Rehydrate a raw result dict as its spec class's ``RESULT``."""
+    from repro.bench.engine import spec_class
+    from repro.errors import ConfigurationError
 
     try:
-        if d.get("kind") == "scenario" and "tenants" in d:
-            return _wrap_result(ScenarioResult.from_dict(d), origin)
-        if "measurement" in d:
-            return _wrap_result(PipelineResult.from_dict(d), origin)
-    except (KeyError, TypeError, ValueError) as exc:
+        result = spec_class(d).RESULT.from_dict(d)
+    except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
         raise AnalysisError(
-            f"unparseable result dict from {origin}: {exc}"
+            f"dict from {origin} is not a loadable result ({exc}) and not "
+            "a recognized artifact (metrics artifact, schema envelope)"
         ) from exc
-    raise AnalysisError(
-        f"dict from {origin} is not a recognized artifact (no "
-        "'measurement', 'tenants', 'counters', or schema envelope)"
-    )
+    return _wrap_result(result, origin)
 
 
 def _from_dict(d: dict, origin: str) -> LoadedResult:

@@ -28,6 +28,7 @@ from repro.bench.store import ResultStore
 from repro.core.context import ExecutionConfig
 from repro.core.executor import FSConfig, PipelineResult
 from repro.core.pipeline import NodeAssignment
+from repro.core.serialize import HashedSpec
 from repro.errors import ConfigurationError
 from repro.stap.params import STAPParams
 
@@ -139,22 +140,11 @@ def run(
         ``flaky_disk``), and ``screening`` (``"off"`` / ``"screen"`` /
         ``"predict-all"``, see :mod:`repro.bench.surrogate`).
     """
-    from repro.scenario import ScenarioSpec
-
-    if isinstance(spec_or_kwargs, ScenarioSpec):
+    if isinstance(spec_or_kwargs, HashedSpec):
         if kwargs:
             raise ConfigurationError(
-                "pass either a ready ScenarioSpec or keyword arguments, "
-                f"not both (got spec plus {sorted(kwargs)})"
-            )
-        spec = spec_or_kwargs
-        if seed is not None and seed != spec.seed:
-            spec = replace(spec, seed=seed)
-    elif isinstance(spec_or_kwargs, ExperimentSpec):
-        if kwargs:
-            raise ConfigurationError(
-                "pass either a ready ExperimentSpec or keyword arguments, "
-                f"not both (got spec plus {sorted(kwargs)})"
+                f"pass either a ready {type(spec_or_kwargs).__name__} or "
+                f"keyword arguments, not both (got spec plus {sorted(kwargs)})"
             )
         spec = spec_or_kwargs
         if seed is not None and seed != spec.seed:
@@ -169,10 +159,9 @@ def run(
             "repro.run takes an ExperimentSpec, a dict, or keyword "
             f"arguments; got {type(spec_or_kwargs).__name__}"
         )
-    rehydrate = getattr(type(spec), "result_from_dict", PipelineResult.from_dict)
     if scheduler is not None:
         payload = scheduler.submit([spec], client="api").wait()[0]
-        return rehydrate(payload)
+        return type(spec).RESULT.from_dict(payload)
     if isinstance(store, str):
         store = ResultStore(store)
     with SweepRunner(jobs=jobs, store=store) as runner:

@@ -25,6 +25,7 @@ from repro.bench.engine import (
     SweepRunner,
     WriterLoad,
     run_spec,
+    spec_from_dict,
 )
 from repro.bench.experiments import (
     CellResult,
@@ -61,6 +62,7 @@ __all__ = [
     "SweepRunner",
     "ResultStore",
     "run_spec",
+    "spec_from_dict",
     "DiskFault",
     "NodeFault",
     "WriterLoad",

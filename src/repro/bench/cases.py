@@ -11,8 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from repro.bench.engine import MACHINES, machine_key
 from repro.core.executor import FSConfig
 from repro.core.pipeline import NodeAssignment
+from repro.core.serialize import coded
 from repro.machine.presets import MachinePreset, ibm_sp, paragon
 from repro.stap.params import STAPParams
 
@@ -29,7 +31,10 @@ class BenchCase:
     case_number: int           # 1..3
     total_nodes: int
     assignment: NodeAssignment
-    preset: MachinePreset
+    #: Stored by its :data:`~repro.bench.engine.MACHINES` key.
+    preset: MachinePreset = coded(
+        machine_key, lambda key: MACHINES[key](), key="machine"
+    )
     fs: FSConfig
 
     @property

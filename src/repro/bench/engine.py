@@ -61,6 +61,8 @@ __all__ = [
     "ServerCrash",
     "FlakyDisk",
     "ExperimentSpec",
+    "spec_class",
+    "spec_from_dict",
     "build_executor",
     "run_spec",
     "SweepRunner",
@@ -250,6 +252,7 @@ class ExperimentSpec(HashedSpec):
     """
 
     SCHEMA = SPEC_SCHEMA
+    RESULT = PipelineResult
 
     assignment: NodeAssignment
     pipeline: str = "embedded"
@@ -351,6 +354,28 @@ class ExperimentSpec(HashedSpec):
     def build_pipeline(self) -> PipelineSpec:
         """Instantiate the named pipeline on this spec's assignment."""
         return PIPELINES.resolve(self.pipeline)(self.assignment)
+
+    def run(self) -> PipelineResult:
+        """Simulate the cell (:func:`run_spec`)."""
+        return run_spec(self)
+
+
+def spec_class(d: Mapping) -> type:
+    """The cell spec class a spec or result dict belongs to, by its
+    ``"kind"`` marker: :class:`~repro.scenario.ScenarioSpec` for
+    ``"scenario"``, :class:`ExperimentSpec` when there is none."""
+    from repro.scenario import ScenarioSpec
+
+    kind = d.get("kind") if isinstance(d, Mapping) else None
+    for cls in (ExperimentSpec, ScenarioSpec):
+        if getattr(cls, "KIND", None) == kind:
+            return cls
+    raise ConfigurationError(f"unknown spec kind {kind!r}")
+
+
+def spec_from_dict(d: Mapping) -> HashedSpec:
+    """Rebuild a cell spec, of the class :func:`spec_class` picks."""
+    return spec_class(d).from_dict(d)
 
 
 def _check_server_index(ex: PipelineExecutor, server: int, what: str) -> None:
@@ -535,12 +560,8 @@ class SweepRunner:
         self.cache_misses += counters["cache_misses"]
         self.executed += counters["executed"]
         self.predicted += counters.get("predicted", 0)
-        # Rehydrate each payload with its spec type's own hook when it
-        # has one (ScenarioSpec.result_from_dict); experiment cells keep
-        # the classic PipelineResult path.
         results = [
-            getattr(type(spec), "result_from_dict", PipelineResult.from_dict)(p)
-            for spec, p in zip(specs, payloads)
+            type(spec).RESULT.from_dict(p) for spec, p in zip(specs, payloads)
         ]
         # Duplicate specs alias one result object, as before.
         seen: Dict[int, PipelineResult] = {}

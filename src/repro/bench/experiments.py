@@ -37,6 +37,7 @@ from repro.core.context import ExecutionConfig
 from repro.core.executor import FSConfig, PipelineResult
 from repro.core.model import CombinationAnalysis
 from repro.core.pipeline import NodeAssignment
+from repro.core.serialize import Codec
 from repro.errors import ConfigurationError
 from repro.machine.presets import MachinePreset, ibm_sp
 from repro.stap.params import STAPParams
@@ -166,7 +167,7 @@ def _base(
 
 
 @dataclass
-class CellResult:
+class CellResult(Codec):
     """One (case, file system) cell's outcome."""
 
     case: BenchCase
@@ -180,38 +181,11 @@ class CellResult:
     def latency(self) -> float:
         return self.result.latency
 
-    def to_dict(self) -> dict:
-        """Lossless JSON-able form (machine preset stored by key)."""
-        return {
-            "case": {
-                "case_number": self.case.case_number,
-                "total_nodes": self.case.total_nodes,
-                "assignment": self.case.assignment.to_dict(),
-                "machine": machine_key(self.case.preset),
-                "fs": self.case.fs.to_dict(),
-            },
-            "result": self.result.to_dict(),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "CellResult":
-        """Inverse of :meth:`to_dict`."""
-        from repro.bench.engine import MACHINES
-
-        c = d["case"]
-        case = BenchCase(
-            case_number=c["case_number"],
-            total_nodes=c["total_nodes"],
-            assignment=NodeAssignment.from_dict(c["assignment"]),
-            preset=MACHINES[c["machine"]](),
-            fs=FSConfig.from_dict(c["fs"]),
-        )
-        return CellResult(case, PipelineResult.from_dict(d["result"]))
-
 
 @dataclass
-class ExperimentResult:
-    """A full experiment: labelled cells plus a renderer."""
+class ExperimentResult(Codec):
+    """A full experiment: labelled cells plus a renderer (``extra`` must
+    be JSON-able)."""
 
     name: str
     cells: List[CellResult] = field(default_factory=list)
@@ -236,24 +210,6 @@ class ExperimentResult:
             if lab not in seen:
                 seen.append(lab)
         return seen
-
-    # -- serialization -----------------------------------------------------
-    def to_dict(self) -> dict:
-        """Lossless JSON-able form (``extra`` must be JSON-able)."""
-        return {
-            "name": self.name,
-            "cells": [c.to_dict() for c in self.cells],
-            "extra": dict(self.extra),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ExperimentResult":
-        """Inverse of :meth:`to_dict`."""
-        return ExperimentResult(
-            name=d["name"],
-            cells=[CellResult.from_dict(c) for c in d["cells"]],
-            extra=dict(d.get("extra", {})),
-        )
 
     # -- rendering ------------------------------------------------------
     def render(self) -> str:

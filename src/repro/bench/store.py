@@ -37,6 +37,7 @@ from pathlib import Path
 from typing import List, Optional, Union
 
 from repro.core.executor import PipelineResult
+from repro.errors import ConfigurationError
 
 __all__ = ["ResultStore", "DEFAULT_CACHE_DIR", "substrate_fingerprint"]
 
@@ -183,13 +184,15 @@ class ResultStore:
         return result if isinstance(result, dict) else None
 
     def get(self, spec) -> Optional[PipelineResult]:
-        """The stored result of ``spec``, or None on a miss."""
+        """The stored result of ``spec`` (a ``type(spec).RESULT``), or
+        None on a miss.  An entry that does not decode, e.g. with an
+        unknown or missing result key, is a miss."""
         result = self.get_dict(spec)
         if result is None:
             return None
         try:
-            return PipelineResult.from_dict(result)
-        except (KeyError, TypeError, ValueError):
+            return type(spec).RESULT.from_dict(result)
+        except (ConfigurationError, KeyError, TypeError, ValueError):
             return None
 
     def put_dict(self, spec, result: dict) -> Path:

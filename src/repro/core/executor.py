@@ -29,7 +29,7 @@ from repro.errors import ConfigurationError
 from repro.core.bodies import body_for
 from repro.core.context import ExecutionConfig, TaskContext
 from repro.core.metrics import DroppedCpi, PipelineMeasurement, measure
-from repro.core.serialize import Codec, sparse
+from repro.core.serialize import Codec, coded, from_dict, sparse
 from repro.core.pipeline import PipelineSpec
 from repro.core.plan import PipelinePlan
 from repro.core.validate import validate_plan
@@ -302,7 +302,7 @@ class Substrate:
 
 
 @dataclass
-class PipelineResult:
+class PipelineResult(Codec):
     """Everything a pipeline run produced."""
 
     spec: PipelineSpec
@@ -323,22 +323,35 @@ class PipelineResult:
         return self.measurement.latency
 
     #: Filled in by the executor after the run.
-    disk_stats: "Optional[dict]" = None
-    #: (src_rank, dst_rank) -> [messages, bytes]; rank -> task name.
-    rank_traffic: "Optional[dict]" = None
-    rank_task: "Optional[dict]" = None
+    disk_stats: Optional[dict] = None
+    #: (src_rank, dst_rank) -> (messages, bytes), stored under
+    #: ``"src->dst"`` keys.
+    rank_traffic: Optional[dict] = coded(
+        lambda m: {f"{src}->{dst}": list(c) for (src, dst), c in m.items()},
+        lambda m: {tuple(map(int, k.split("->"))): tuple(c)
+                   for k, c in m.items()},
+        default=None,
+    )
+    #: rank -> task name, stored under stringified ranks.
+    rank_task: Optional[dict] = coded(
+        lambda m: {str(rank): task for rank, task in m.items()},
+        lambda m: {int(rank): task for rank, task in m.items()},
+        default=None,
+    )
+    # The fields below are sparse: results that leave them unset keep
+    # the hashes they were published under.
     #: CPIs skipped at the read deadline; None unless a deadline was set.
-    dropped_cpis: "Optional[List[DroppedCpi]]" = None
+    dropped_cpis: Optional[List[DroppedCpi]] = sparse(None)
     #: JSON time-series metrics artifact (see :mod:`repro.obs`); None
     #: unless ``cfg.metrics_interval`` was set.
-    metrics: "Optional[dict]" = None
+    metrics: Optional[dict] = sparse(None)
     #: ``"simulated"`` for real runs; ``"predicted"`` when the result was
     #: synthesised from the analytic model by surrogate screening
     #: (:mod:`repro.bench.surrogate`).
-    source: str = "simulated"
+    source: str = sparse("simulated")
     #: Relative error bound on predicted throughput/latency; None for
     #: simulated results.
-    prediction_bound: "Optional[float]" = None
+    prediction_bound: Optional[float] = sparse(None)
 
     def disk_utilization(self) -> float:
         """Mean busy fraction of the stripe directories' disks."""
@@ -347,85 +360,13 @@ class PipelineResult:
         busy = self.disk_stats["busy_time_per_server"]
         return sum(busy) / (len(busy) * self.elapsed_sim_time)
 
-    # -- serialization -----------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Lossless JSON-able form of the whole run.
-
-        Tuple-keyed maps (``rank_traffic``) are encoded with
-        ``"src->dst"`` string keys; integer-keyed maps (``rank_task``)
-        with stringified keys, both reversed by :meth:`from_dict`.
-        ``dropped_cpis`` appears only when a read deadline was
-        configured, and ``metrics`` only when observability was on,
-        keeping pre-existing result hashes unchanged.
-        """
-        d = {
-            "spec": self.spec.to_dict(),
-            "cfg": self.cfg.to_dict(),
-            "fs_label": self.fs_label,
-            "machine_name": self.machine_name,
-            "trace": self.trace.to_dict(),
-            "measurement": self.measurement.to_dict(),
-            "detections": [d.to_dict() for d in self.detections],
-            "elapsed_sim_time": self.elapsed_sim_time,
-            "disk_stats": self.disk_stats,
-            "rank_traffic": (
-                None
-                if self.rank_traffic is None
-                else {
-                    f"{src}->{dst}": list(counts)
-                    for (src, dst), counts in self.rank_traffic.items()
-                }
-            ),
-            "rank_task": (
-                None
-                if self.rank_task is None
-                else {str(rank): task for rank, task in self.rank_task.items()}
-            ),
-        }
-        if self.dropped_cpis is not None:
-            d["dropped_cpis"] = [x.to_dict() for x in self.dropped_cpis]
-        if self.metrics is not None:
-            d["metrics"] = self.metrics
-        # Emitted only for predicted results, keeping simulated-result
-        # dicts (and hence all pre-existing result hashes) unchanged.
-        if self.source != "simulated":
-            d["source"] = self.source
-        if self.prediction_bound is not None:
-            d["prediction_bound"] = self.prediction_bound
-        return d
-
     @staticmethod
     def from_dict(d: Dict[str, Any]) -> "PipelineResult":
-        """Inverse of :meth:`to_dict`."""
-        result = PipelineResult(
-            spec=PipelineSpec.from_dict(d["spec"]),
-            cfg=ExecutionConfig.from_dict(d["cfg"]),
-            fs_label=d["fs_label"],
-            machine_name=d["machine_name"],
-            trace=TraceCollector.from_dict(d["trace"]),
-            measurement=PipelineMeasurement.from_dict(d["measurement"]),
-            detections=[Detection.from_dict(x) for x in d["detections"]],
-            elapsed_sim_time=d["elapsed_sim_time"],
-        )
-        result.disk_stats = d["disk_stats"]
-        rank_traffic = d["rank_traffic"]
-        if rank_traffic is not None:
-            result.rank_traffic = {
-                tuple(int(r) for r in key.split("->")): tuple(counts)
-                for key, counts in rank_traffic.items()
-            }
-        rank_task = d["rank_task"]
-        if rank_task is not None:
-            result.rank_task = {
-                int(rank): task for rank, task in rank_task.items()
-            }
-        dropped = d.get("dropped_cpis")
-        if dropped is not None:
-            result.dropped_cpis = [DroppedCpi.from_dict(x) for x in dropped]
-        result.metrics = d.get("metrics")
-        result.source = d.get("source", "simulated")
-        result.prediction_bound = d.get("prediction_bound")
-        return result
+        """Inverse of :meth:`to_dict`.  A staticmethod looked up on the
+        class at every call, nested tenant and cell results included, so
+        a wrapper installed on the class (``perfbench --trace 1`` times
+        rehydration this way) sees every one."""
+        return from_dict(PipelineResult, d)
 
     def task_traffic(self) -> "dict":
         """Aggregate network traffic between tasks.

@@ -21,7 +21,7 @@ from typing import Dict, List
 
 from repro.errors import PipelineError
 from repro.core.pipeline import PipelineSpec
-from repro.core.serialize import Codec
+from repro.core.serialize import Codec, coded
 from repro.trace.collector import TraceCollector
 from repro.trace.record import Phase
 
@@ -60,10 +60,14 @@ class TaskPhaseStats(Codec):
 
 
 @dataclass
-class PipelineMeasurement:
+class PipelineMeasurement(Codec):
     """All steady-state measurements of one pipeline run."""
 
-    task_stats: Dict[str, TaskPhaseStats]
+    #: Stored as a list of per-task rows, in task order.
+    task_stats: Dict[str, TaskPhaseStats] = coded(
+        lambda stats: [s.to_dict() for s in stats.values()],
+        lambda rows: {s.task: s for s in map(TaskPhaseStats.from_dict, rows)},
+    )
     throughput: float           # CPIs/s at the sink
     latency: float              # s, first-task start -> sink done (mean)
     model_throughput: float     # 1 / max measured T_i  (Eq. 1/3)
@@ -90,33 +94,6 @@ class PipelineMeasurement:
     def times(self) -> Dict[str, float]:
         """Measured T_i by task name."""
         return {name: s.total for name, s in self.task_stats.items()}
-
-    # -- serialization -----------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        """Lossless JSON-able form (task order preserved)."""
-        return {
-            "task_stats": [s.to_dict() for s in self.task_stats.values()],
-            "throughput": self.throughput,
-            "latency": self.latency,
-            "model_throughput": self.model_throughput,
-            "model_latency": self.model_latency,
-            "steady_cpis": list(self.steady_cpis),
-            "latencies": list(self.latencies),
-        }
-
-    @staticmethod
-    def from_dict(d: Dict[str, object]) -> "PipelineMeasurement":
-        """Inverse of :meth:`to_dict`."""
-        stats = [TaskPhaseStats.from_dict(s) for s in d["task_stats"]]
-        return PipelineMeasurement(
-            task_stats={s.task: s for s in stats},
-            throughput=d["throughput"],
-            latency=d["latency"],
-            model_throughput=d["model_throughput"],
-            model_latency=d["model_latency"],
-            steady_cpis=list(d["steady_cpis"]),
-            latencies=list(d["latencies"]),
-        )
 
     def utilization(self) -> Dict[str, float]:
         """Fraction of the pipeline beat each task spends in service.

@@ -17,7 +17,7 @@ Canonical task names used across the package::
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, PipelineError
 from repro.core.graph import DependencyKind, Edge, TaskGraph
@@ -181,12 +181,13 @@ class NodeAssignment(Codec):
 
 
 @dataclass
-class PipelineSpec:
+class PipelineSpec(Codec):
     """A concrete pipeline: ordered tasks + typed dependency graph.
 
     ``instances()`` lays ranks out contiguously in task order — adjacent
     pipeline stages land in adjacent mesh regions, matching how the
-    paper's runs allocated node blocks.
+    paper's runs allocated node blocks.  Serialized with task and edge
+    kinds by value.
     """
 
     tasks: List[TaskSpec]
@@ -223,33 +224,6 @@ class PipelineSpec:
 
     def task_names(self) -> List[str]:
         return [t.name for t in self.tasks]
-
-    # -- serialization -----------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        """Lossless JSON-able form (task kinds and edge kinds by value)."""
-        return {
-            "name": self.name,
-            "tasks": [
-                {"name": t.name, "kind": t.kind.value, "n_nodes": t.n_nodes}
-                for t in self.tasks
-            ],
-            "edges": [
-                {"src": e.src, "dst": e.dst, "kind": e.kind.value}
-                for e in self.edges
-            ],
-        }
-
-    @staticmethod
-    def from_dict(d: Mapping[str, object]) -> "PipelineSpec":
-        """Inverse of :meth:`to_dict`."""
-        tasks = [
-            TaskSpec(t["name"], TaskKind(t["kind"]), t["n_nodes"])
-            for t in d["tasks"]
-        ]
-        edges = [
-            Edge(e["src"], e["dst"], DependencyKind(e["kind"])) for e in d["edges"]
-        ]
-        return PipelineSpec(tasks, edges, name=d["name"])
 
 
 def _processing_tasks(a: NodeAssignment, doppler_kind: TaskKind) -> List[TaskSpec]:

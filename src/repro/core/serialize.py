@@ -1,40 +1,43 @@
-"""One codec for the spec dataclasses.
+"""One codec for the spec and result dataclasses.
 
-Every grid cell is content-addressed by the SHA-256 of its spec's
-canonical JSON, so every spec class serializes by one rule:
+A cell is content-addressed by the SHA-256 of its spec's canonical JSON,
+and a result is pinned by the SHA-256 of its sorted JSON, so both
+serialize by one rule:
 
 * every field taking part in equality (``compare=True``) is emitted
-  under its own snake_case name, in declaration order;
-* a field declared with :func:`sparse` is emitted only when it differs
-  from its default.  Fields added after hashes were published are sparse,
-  so a spec that leaves them unset keeps its published hash;
-* nested dataclasses, ``Optional[...]`` and ``Tuple[X, ...]`` recurse,
-  and an ``np.dtype`` is stored by name;
+  under its own name, in declaration order;
+* a :func:`sparse` field is emitted only when it differs from its
+  default, so fields added after hashes were published keep them;
+* ``Optional``, ``Tuple[X, ...]``, ``List[X]`` and ``Dict[str, X]``
+  recurse; an ``Enum`` is stored by value, an ``np.dtype`` by name, and
+  a type with its own ``from_dict`` (every :class:`Codec`,
+  ``TraceCollector``) through that class attribute, looked up per call;
+* a :func:`coded` field is stored as its own ``encode(value)``;
 * a class constant ``KIND`` is emitted first as a ``"kind"`` marker.
 
-:func:`from_dict` inverts :func:`to_dict`.  An unknown key or a missing
-required field raises :class:`~repro.errors.ConfigurationError` naming
-the class and the key; a missing optional field takes its default.
-
-Spec classes take both methods from :class:`Codec`, and their content
-address (``canonical_json``/``spec_hash``/``short_hash``, keyed on the
-class's ``SCHEMA``) from :class:`HashedSpec`.  The field plan is read
-from ``dataclasses.fields()`` and the type hints once per class.
+:func:`from_dict` inverts :func:`to_dict`.  An unknown key, a missing
+required field or a malformed value raises
+:class:`~repro.errors.ConfigurationError` naming the class and the key;
+a missing optional field takes its default.  :class:`Codec` gives a
+class both methods, and :class:`HashedSpec` gives a cell spec its
+content address, keyed on its ``SCHEMA``.  The field plan is read from
+``dataclasses.fields()`` and the type hints once per class.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import enum
 import hashlib
 import json
 import typing
-from typing import Any, Dict, Mapping
+from typing import Any, Callable, Dict, Mapping, Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["sparse", "to_dict", "from_dict", "canonical_json", "spec_hash",
+__all__ = ["sparse", "coded", "to_dict", "from_dict", "canonical_json", "spec_hash",
            "Codec", "HashedSpec"]
 
 _SPARSE = {"sparse": True}
@@ -45,23 +48,43 @@ def sparse(default: Any) -> Any:
     return dataclasses.field(default=default, metadata=_SPARSE)
 
 
+def coded(encode: Callable[[Any], Any], decode: Callable[[Any], Any], *,
+          key: Optional[str] = None, **field_kwargs: Any) -> Any:
+    """A field stored as ``encode(value)``, read back by ``decode``, under
+    ``key`` (default: the field's name).  ``None`` passes through both
+    untouched; ``field_kwargs`` go to :func:`dataclasses.field`."""
+    return dataclasses.field(metadata={"codec": (encode, decode), "key": key},
+                             **field_kwargs)
+
+
+def _nullable(convert):
+    return convert and (lambda v: None if v is None else convert(v))
+
+
 def _converters(hint: Any):
     """(encode, decode) for a value annotated ``hint``; ``None`` stands
     for the identity, so plain JSON values pass straight through."""
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is typing.Union:  # Optional[X]
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union:  # Optional[X]
         (inner,) = [a for a in args if a is not type(None)]
         enc, dec = _converters(inner)
-        return (enc and (lambda v: None if v is None else enc(v)),
-                dec and (lambda v: None if v is None else dec(v)))
-    if typing.get_origin(hint) is tuple:  # Tuple[X, ...]
+        return _nullable(enc), _nullable(dec)
+    if origin in (tuple, list):  # Tuple[X, ...], List[X]
         enc, dec = _converters(args[0])
         return (lambda v: [x if enc is None else enc(x) for x in v],
-                lambda v: tuple(x if dec is None else dec(x) for x in v))
-    if dataclasses.is_dataclass(hint):
-        return to_dict, lambda v: from_dict(hint, v)
+                lambda v: origin(x if dec is None else dec(x) for x in v))
+    if origin is dict:  # Dict[str, X]
+        enc, dec = _converters(args[1])
+        return (lambda v: {k: x if enc is None else enc(x) for k, x in v.items()},
+                lambda v: {k: x if dec is None else dec(x) for k, x in v.items()})
     if hint is np.dtype:
         return (lambda v: np.dtype(v).name), np.dtype
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        return (lambda v: v.value), hint
+    if hasattr(hint, "from_dict"):
+        return (lambda v: v.to_dict()), (lambda v: hint.from_dict(v))
+    if dataclasses.is_dataclass(hint):
+        return to_dict, lambda v: from_dict(hint, v)
     return None, None
 
 
@@ -69,33 +92,36 @@ _PLANS: Dict[type, tuple] = {}
 
 
 def _plan(cls: type) -> tuple:
-    """``(kind, fields, names)``: the class's ``KIND`` marker, per
-    emitted field ``(name, encode, decode, sparse, default, required)``,
-    and the set of field names."""
+    """``(kind, fields, keys)``: the class's ``KIND`` marker, per emitted
+    field ``(name, key, encode, decode, sparse, default, required)``,
+    and the set of keys."""
     plan = _PLANS.get(cls)
     if plan is None:
         hints = typing.get_type_hints(cls)
         fields = []
         for f in dataclasses.fields(cls):
             if f.compare:
+                hook = f.metadata.get("codec")
+                enc, dec = (map(_nullable, hook) if hook
+                            else _converters(hints[f.name]))
                 required = (f.default is dataclasses.MISSING
                             and f.default_factory is dataclasses.MISSING)
-                fields.append((f.name, *_converters(hints[f.name]),
-                               f.metadata.get("sparse", False), f.default,
-                               required))
+                fields.append((f.name, f.metadata.get("key") or f.name, enc,
+                               dec, f.metadata.get("sparse", False),
+                               f.default, required))
         plan = _PLANS[cls] = (getattr(cls, "KIND", None), tuple(fields),
-                              frozenset(f[0] for f in fields))
+                              frozenset(f[1] for f in fields))
     return plan
 
 
 def to_dict(obj: Any) -> Dict[str, Any]:
-    """Lossless JSON-able form of the spec dataclass ``obj``."""
+    """Lossless JSON-able form of the dataclass ``obj``."""
     kind, fields, _ = _plan(type(obj))
     d: Dict[str, Any] = {"kind": kind} if kind else {}
-    for name, enc, _, is_sparse, default, _ in fields:
+    for name, key, enc, _, is_sparse, default, _ in fields:
         value = getattr(obj, name)
         if not (is_sparse and value == default):
-            d[name] = value if enc is None else enc(value)
+            d[key] = value if enc is None else enc(value)
     return d
 
 
@@ -113,9 +139,12 @@ def from_dict(cls: type, d: Mapping[str, Any]) -> Any:
     if kind and d.get("kind", kind) != kind:
         raise ConfigurationError(f"{name}: 'kind' must be {kind!r}, got {d['kind']!r}")
     kwargs = {}
-    for key, _, dec, _, _, required in fields:
+    for attr, key, _, dec, _, _, required in fields:
         if key in d:
-            kwargs[key] = d[key] if dec is None else dec(d[key])
+            try:
+                kwargs[attr] = d[key] if dec is None else dec(d[key])
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ConfigurationError(f"{name}.{key}: {exc!r}") from exc
         elif required:
             raise ConfigurationError(f"{name}: missing required key {key!r}")
     try:
@@ -137,18 +166,21 @@ def spec_hash(spec: Any) -> str:
 
 
 class Codec:
-    """Mixin giving a spec dataclass :func:`to_dict` and :func:`from_dict`."""
+    """Mixin giving a dataclass :func:`to_dict` and :func:`from_dict`."""
 
     to_dict = to_dict
     from_dict = classmethod(from_dict)
 
 
 class HashedSpec(Codec):
-    """A content-addressed spec.  Subclasses set ``SCHEMA``, and bump it
-    when a change to their serialized form would let an old cache entry
-    be misread: it is part of the hash."""
+    """A content-addressed cell spec.  Subclasses set ``SCHEMA``, and
+    bump it when a change to their serialized form would let an old
+    cache entry be misread: it is part of the hash.  ``RESULT`` names
+    the class a run of the spec returns; the store, the sweep runner,
+    the service and the analyzer all rehydrate a result through it."""
 
     SCHEMA: int
+    RESULT: type
     canonical_json = canonical_json
     spec_hash = spec_hash
 

@@ -24,7 +24,6 @@ See ``docs/scenarios.md``.
 from repro.core.arrivals import ArrivalSpec
 from repro.scenario.executor import ScenarioExecutor, run_scenario
 from repro.scenario.spec import (
-    RUN_SCENARIO_RUNNER,
     SCENARIO_SCHEMA,
     ScenarioResult,
     ScenarioSpec,
@@ -39,5 +38,4 @@ __all__ = [
     "ScenarioExecutor",
     "run_scenario",
     "SCENARIO_SCHEMA",
-    "RUN_SCENARIO_RUNNER",
 ]

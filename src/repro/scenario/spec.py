@@ -12,10 +12,11 @@ writer load.
 Scenario specs flow through the same plumbing as experiment specs: the
 :class:`~repro.bench.store.ResultStore` (content-addressed on
 :meth:`ScenarioSpec.spec_hash`), the
-:class:`~repro.bench.engine.SweepRunner`, the service tier (the spec
-names its own payload runner via :attr:`ScenarioSpec.RUNNER`), the TCP
-front end (the ``"kind": "scenario"`` marker in :meth:`to_dict` routes
-rehydration), and :func:`repro.run`.
+:class:`~repro.bench.engine.SweepRunner`, the service tier and its TCP
+front end (:func:`~repro.bench.engine.spec_from_dict` reads the
+``"kind": "scenario"`` marker), and :func:`repro.run`.  The spec names
+its result class (:attr:`ScenarioSpec.RESULT`) and runs itself
+(:meth:`ScenarioSpec.run`).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.bench.engine import MACHINES, PIPELINES, WriterLoad
 from repro.core.context import ExecutionConfig
 from repro.core.executor import FSConfig, PipelineResult
 from repro.core.pipeline import NodeAssignment, PipelineSpec
-from repro.core.serialize import Codec, HashedSpec, sparse
+from repro.core.serialize import Codec, HashedSpec, from_dict, sparse, to_dict
 from repro.errors import ConfigurationError
 from repro.stap.params import STAPParams
 
@@ -36,15 +37,10 @@ __all__ = [
     "ScenarioSpec",
     "ScenarioResult",
     "SCENARIO_SCHEMA",
-    "RUN_SCENARIO_RUNNER",
 ]
 
 #: Bump when the canonical scenario serialization changes shape.
 SCENARIO_SCHEMA = 1
-
-#: Import string of the service-tier payload runner for scenario specs
-#: (see :func:`repro.service.tasks.run_scenario_payload`).
-RUN_SCENARIO_RUNNER = "repro.service.tasks:run_scenario_payload"
 
 
 @dataclass(frozen=True)
@@ -76,6 +72,73 @@ class TenantSpec(Codec):
         return PIPELINES.resolve(self.pipeline)(self.assignment)
 
 
+@dataclass
+class ScenarioResult(Codec):
+    """Everything a scenario run produced: one result per tenant plus
+    the shared-substrate statistics no single tenant owns.  Its dict
+    carries its spec's ``"kind": "scenario"`` marker."""
+
+    KIND = "scenario"
+
+    spec: ScenarioSpec
+    #: Tenant name -> that pipeline's result (no per-tenant disk_stats
+    #: or metrics — the substrate is shared; see below).
+    tenants: Dict[str, PipelineResult]
+    elapsed_sim_time: float
+    #: Shared stripe-server statistics (same shape as a standalone
+    #: result's ``disk_stats``): the whole machine's disk traffic.
+    disk_stats: Optional[dict] = None
+    #: Tenant name -> bytes that tenant requested against its own files
+    #: — the per-tenant attribution of the shared disk traffic.
+    tenant_bytes: Optional[Dict[str, int]] = sparse(None)
+    #: Scenario-level metrics artifact (tenant-labeled instruments in
+    #: one registry); None unless ``spec.metrics_interval`` was set.
+    metrics: Optional[dict] = sparse(None)
+    source: str = sparse("simulated")
+
+    # -- aggregate queries -------------------------------------------------
+    def throughputs(self) -> Dict[str, float]:
+        """Tenant name -> steady-state throughput (CPIs/s)."""
+        return {name: r.throughput for name, r in self.tenants.items()}
+
+    def latencies(self) -> Dict[str, float]:
+        """Tenant name -> mean steady-state latency (s)."""
+        return {name: r.latency for name, r in self.tenants.items()}
+
+    def drops(self) -> Dict[str, int]:
+        """Tenant name -> CPIs dropped at its read deadline (0 if none
+        was configured)."""
+        return {
+            name: len(r.dropped_cpis or ())
+            for name, r in self.tenants.items()
+        }
+
+    # -- serialization -----------------------------------------------------
+    def to_dict(self) -> Dict[str, Any]:
+        """:func:`~repro.core.serialize.to_dict` plus ``tenant_order``, a
+        derived copy of the tenant order that every published scenario
+        result hash includes."""
+        d = to_dict(self)
+        d["tenant_order"] = list(self.tenants)
+        return d
+
+    @classmethod
+    def from_dict(cls, d: Dict[str, Any]) -> "ScenarioResult":
+        """Inverse of :meth:`to_dict`.  The tenants are put back in
+        ``tenant_order``: a dict dumped with ``sort_keys`` has lost it."""
+        d = dict(d)
+        order = d.pop("tenant_order", None)
+        tenants = d.get("tenants")
+        if order is not None and isinstance(tenants, dict):
+            if sorted(order) != sorted(tenants):
+                raise ConfigurationError(
+                    f"ScenarioResult: tenant_order {order} does not name "
+                    f"the tenants {sorted(tenants)}"
+                )
+            d["tenants"] = {name: tenants[name] for name in order}
+        return from_dict(cls, d)
+
+
 @dataclass(frozen=True)
 class ScenarioSpec(HashedSpec):
     """N tenant pipelines on one shared machine + parallel file system.
@@ -91,6 +154,7 @@ class ScenarioSpec(HashedSpec):
 
     KIND = "scenario"
     SCHEMA = SCENARIO_SCHEMA
+    RESULT = ScenarioResult
 
     tenants: Tuple[TenantSpec, ...]
     machine: str = "paragon"
@@ -100,10 +164,6 @@ class ScenarioSpec(HashedSpec):
     #: Scenario-level gauge-sampling interval (:mod:`repro.obs`); the
     #: one shared registry carries tenant-labeled instruments.
     metrics_interval: Optional[float] = sparse(None)
-
-    #: Service-tier payload runner (consulted by the scheduler via
-    #: ``getattr(spec, "RUNNER", ...)``).
-    RUNNER = RUN_SCENARIO_RUNNER
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tenants", tuple(self.tenants))
@@ -138,86 +198,8 @@ class ScenarioSpec(HashedSpec):
             f"{self.fs.label()} | {self.total_nodes()} nodes"
         )
 
-    # -- service-tier hooks ------------------------------------------------
-    @staticmethod
-    def result_from_dict(d: Dict[str, Any]) -> "ScenarioResult":
-        """Rehydrate this spec kind's result payload (SweepRunner hook)."""
-        return ScenarioResult.from_dict(d)
+    def run(self) -> "ScenarioResult":
+        """Simulate the scenario (:func:`~repro.scenario.run_scenario`)."""
+        from repro.scenario.executor import run_scenario
 
-
-@dataclass
-class ScenarioResult:
-    """Everything a scenario run produced: one result per tenant plus
-    the shared-substrate statistics no single tenant owns."""
-
-    spec: ScenarioSpec
-    #: Tenant name -> that pipeline's result (no per-tenant disk_stats
-    #: or metrics — the substrate is shared; see below).
-    tenants: Dict[str, PipelineResult]
-    elapsed_sim_time: float
-    #: Shared stripe-server statistics (same shape as a standalone
-    #: result's ``disk_stats``): the whole machine's disk traffic.
-    disk_stats: Optional[dict] = None
-    #: Tenant name -> bytes that tenant requested against its own files
-    #: — the per-tenant attribution of the shared disk traffic.
-    tenant_bytes: Optional[Dict[str, int]] = None
-    #: Scenario-level metrics artifact (tenant-labeled instruments in
-    #: one registry); None unless ``spec.metrics_interval`` was set.
-    metrics: Optional[dict] = None
-    source: str = "simulated"
-
-    # -- aggregate queries -------------------------------------------------
-    def throughputs(self) -> Dict[str, float]:
-        """Tenant name -> steady-state throughput (CPIs/s)."""
-        return {name: r.throughput for name, r in self.tenants.items()}
-
-    def latencies(self) -> Dict[str, float]:
-        """Tenant name -> mean steady-state latency (s)."""
-        return {name: r.latency for name, r in self.tenants.items()}
-
-    def drops(self) -> Dict[str, int]:
-        """Tenant name -> CPIs dropped at its read deadline (0 if none
-        was configured)."""
-        return {
-            name: len(r.dropped_cpis or ())
-            for name, r in self.tenants.items()
-        }
-
-    # -- serialization -----------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Lossless JSON-able form (tenant order preserved)."""
-        d: Dict[str, Any] = {
-            "kind": "scenario",
-            "spec": self.spec.to_dict(),
-            "tenants": {
-                name: r.to_dict() for name, r in self.tenants.items()
-            },
-            "tenant_order": list(self.tenants),
-            "elapsed_sim_time": self.elapsed_sim_time,
-            "disk_stats": self.disk_stats,
-        }
-        if self.tenant_bytes is not None:
-            d["tenant_bytes"] = dict(self.tenant_bytes)
-        if self.metrics is not None:
-            d["metrics"] = self.metrics
-        if self.source != "simulated":
-            d["source"] = self.source
-        return d
-
-    @staticmethod
-    def from_dict(d: Dict[str, Any]) -> "ScenarioResult":
-        """Inverse of :meth:`to_dict`."""
-        order = d.get("tenant_order") or list(d["tenants"])
-        result = ScenarioResult(
-            spec=ScenarioSpec.from_dict(d["spec"]),
-            tenants={
-                name: PipelineResult.from_dict(d["tenants"][name])
-                for name in order
-            },
-            elapsed_sim_time=d["elapsed_sim_time"],
-            disk_stats=d.get("disk_stats"),
-        )
-        result.tenant_bytes = d.get("tenant_bytes")
-        result.metrics = d.get("metrics")
-        result.source = d.get("source", "simulated")
-        return result
+        return run_scenario(self)

@@ -219,15 +219,13 @@ class ExperimentScheduler:
         """Submit one batch of spec cells as a single-stage job;
         returns its streaming :class:`JobHandle`.
 
-        Any hashable/serializable spec value works: the runner is the
-        spec type's ``RUNNER`` class attribute when it has one
-        (:class:`~repro.scenario.ScenarioSpec` does), defaulting to the
-        :class:`ExperimentSpec` cell runner."""
+        Experiment cells and scenarios mix freely: every cell runs on
+        :func:`~repro.service.tasks.run_spec_payload`."""
         cells = [
             TaskSpec(
                 key=spec.spec_hash(),
                 payload=spec.to_dict(),
-                runner=getattr(spec, "RUNNER", RUN_SPEC_RUNNER),
+                runner=RUN_SPEC_RUNNER,
                 spec=spec,
                 label=spec.label(),
             )

@@ -181,15 +181,10 @@ class ExperimentServer:
             _send(wfile, {"ok": False, "error": f"unknown op: {op!r}"})
 
     def _handle_submit(self, req: Dict[str, Any], wfile) -> None:
-        from repro.bench.engine import ExperimentSpec
-        from repro.scenario import ScenarioSpec
+        from repro.bench.engine import spec_from_dict
 
         try:
-            specs = [
-                ScenarioSpec.from_dict(d) if d.get("kind") == "scenario"
-                else ExperimentSpec.from_dict(d)
-                for d in req["specs"]
-            ]
+            specs = [spec_from_dict(d) for d in req["specs"]]
             if not specs:
                 raise ValueError("empty spec list")
         except (ReproError, KeyError, TypeError, ValueError) as exc:

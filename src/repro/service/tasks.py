@@ -9,42 +9,23 @@ in :mod:`repro.service.testing`.
 
 from __future__ import annotations
 
-__all__ = [
-    "RUN_SPEC_RUNNER",
-    "RUN_SCENARIO_RUNNER",
-    "run_spec_payload",
-    "run_scenario_payload",
-]
+__all__ = ["RUN_SPEC_RUNNER", "run_spec_payload"]
 
-#: Import string of the production experiment-cell runner.
+#: Import string of the production cell runner.
 RUN_SPEC_RUNNER = "repro.service.tasks:run_spec_payload"
-
-#: Import string of the multi-tenant scenario runner (a
-#: :class:`~repro.scenario.ScenarioSpec` names it via its ``RUNNER``
-#: class attribute, which the scheduler consults per spec).
-RUN_SCENARIO_RUNNER = "repro.service.tasks:run_scenario_payload"
 
 
 def run_spec_payload(payload: dict) -> dict:
-    """Simulate one experiment cell: spec dict in, result dict out.
+    """Simulate one cell: spec dict in, result dict out.
 
-    Both sides of the call are JSON-able, so the same runner serves the
-    inline pool, process workers, and the wire protocol.  The DES is
-    deterministic and the serialization lossless, which is what makes
-    results bit-identical regardless of where the cell ran.
+    The dict's ``"kind"`` marker picks the spec class
+    (:func:`~repro.bench.engine.spec_from_dict`), and the spec runs
+    itself, so experiment cells and multi-tenant scenarios share this
+    runner.  Both sides of the call are JSON-able, so the same runner
+    serves the inline pool, process workers, and the wire protocol.  The
+    DES is deterministic and the serialization lossless, which is what
+    makes results bit-identical regardless of where the cell ran.
     """
-    from repro.bench.engine import ExperimentSpec, run_spec
+    from repro.bench.engine import spec_from_dict
 
-    return run_spec(ExperimentSpec.from_dict(payload)).to_dict()
-
-
-def run_scenario_payload(payload: dict) -> dict:
-    """Simulate one multi-tenant scenario: spec dict in, result dict out.
-
-    The scenario twin of :func:`run_spec_payload` — same JSON-in /
-    JSON-out contract, same determinism guarantee, so scenario cells
-    ride the scheduler, worker pool, cache, and TCP front end unchanged.
-    """
-    from repro.scenario import ScenarioSpec, run_scenario
-
-    return run_scenario(ScenarioSpec.from_dict(payload)).to_dict()
+    return spec_from_dict(payload).run().to_dict()

@@ -179,6 +179,34 @@ class TestLoad:
         with pytest.raises(AnalysisError, match="not a recognized artifact"):
             load({"foo": 1})
 
+    @pytest.mark.parametrize("edit", ["unknown_key", "missing_key"])
+    def test_malformed_result_names_its_origin(self, metered, tmp_path,
+                                               edit):
+        _, result = metered
+        d = result.to_dict()
+        if edit == "unknown_key":
+            d["dropped_cpi"] = []  # misspelled dropped_cpis
+            key = "dropped_cpi"
+        else:
+            del d["measurement"]
+            key = "measurement"
+        path = tmp_path / "result.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(AnalysisError) as err:
+            load(path)
+        assert str(path) in str(err.value) and key in str(err.value)
+
+    def test_malformed_store_entry_names_its_hash(self, metered, tmp_path):
+        spec, result = metered
+        store = ResultStore(tmp_path / "cache")
+        store.put(spec, result)
+        h = spec.spec_hash()
+        payload = json.loads(store.path_for(h).read_text())
+        payload["result"]["measurement"]["bogus"] = 1
+        store.path_for(h).write_text(json.dumps(payload))
+        with pytest.raises(AnalysisError, match=f"store:{h[:12]}.*bogus"):
+            load(h, store=store)
+
     def test_top_level_reexports(self):
         assert repro.load is load
         assert repro.analyze_sweep is analyze_sweep

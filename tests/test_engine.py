@@ -470,6 +470,42 @@ class TestResultStore:
         assert spec in store and len(store) == 1
         assert store.get(spec).to_dict() == result.to_dict()
 
+    def test_scenario_round_trip(self, small_params, tmp_path):
+        # get() rehydrates through the spec's own RESULT class: a stored
+        # scenario comes back as a ScenarioResult, not as None.
+        from repro.scenario import (
+            ScenarioResult, ScenarioSpec, TenantSpec, run_scenario,
+        )
+
+        a = NodeAssignment.balanced(small_params, 14)
+        spec = ScenarioSpec(
+            tenants=(TenantSpec(a, cfg=FAST),
+                     TenantSpec(a, pipeline="separate-io", cfg=FAST)),
+            fs=FSConfig("pfs", 4), params=small_params,
+        )
+        store = ResultStore(tmp_path / "cache")
+        result = run_scenario(spec)
+        store.put(spec, result)
+        assert spec in store
+        back = store.get(spec)
+        assert isinstance(back, ScenarioResult)
+        assert back.to_dict() == result.to_dict()
+
+    @pytest.mark.parametrize("edit", ["unknown_key", "missing_key"])
+    def test_undecodable_result_is_a_miss(self, small_params, tmp_path, edit):
+        spec = small_spec(small_params)
+        store = ResultStore(tmp_path / "cache")
+        store.put(spec, run_spec(spec))
+        path = store.path_for(spec.spec_hash())
+        payload = json.loads(path.read_text())
+        if edit == "unknown_key":
+            payload["result"]["dropped_cpi"] = []  # misspelled dropped_cpis
+        else:
+            del payload["result"]["measurement"]
+        path.write_text(json.dumps(payload))
+        assert store.get_dict(spec) is not None
+        assert store.get(spec) is None
+
     def test_corrupt_entry_is_a_miss(self, small_params, tmp_path):
         spec = small_spec(small_params)
         store = ResultStore(tmp_path / "cache")

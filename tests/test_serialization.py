@@ -32,6 +32,7 @@ from repro.core.pipeline import (
     build_embedded_pipeline,
     build_separate_io_pipeline,
 )
+from repro.errors import ConfigurationError
 from repro.machine.presets import paragon
 from repro.scenario import ScenarioSpec, TenantSpec
 from repro.stap.cfar import Detection
@@ -178,6 +179,143 @@ class TestStructuredExport:
 
         with pytest.raises(TypeError, match="to_dict"):
             to_result_json(object())
+
+
+#: The conftest ``small_params``, for module-scoped fixtures.
+SMALL = STAPParams(
+    n_channels=8, n_pulses=32, n_ranges=256, n_beams=6, n_hard_bins=8,
+    n_training=64, pulse_len=16, cfar_window=12, cfar_guard=3, pfa=1e-6,
+)
+
+
+@pytest.fixture(scope="module")
+def small_result():
+    spec = build_embedded_pipeline(NodeAssignment.balanced(SMALL, 14))
+    return PipelineExecutor(
+        spec, SMALL, paragon(), FSConfig("pfs", 8), FAST
+    ).run()
+
+
+@pytest.fixture(scope="module")
+def two_tenant_dict():
+    """JSON dict of a 2-tenant ScenarioResult."""
+    a = NodeAssignment.balanced(SMALL, 14)
+    spec = ScenarioSpec(
+        tenants=(TenantSpec(a, cfg=FAST),
+                 TenantSpec(a, pipeline="separate-io", cfg=FAST)),
+        fs=FSConfig("pfs", 4), params=SMALL,
+    )
+    return json.loads(json.dumps(spec.run().to_dict()))
+
+
+class TestScenarioTenantOrder:
+    """``repro scenario run --json`` dumps with ``sort_keys``, which also
+    sorts the nested ``tenants`` dict; ``tenant_order`` restores it."""
+
+    @pytest.fixture(scope="class")
+    def unsorted_result(self):
+        a = NodeAssignment.balanced(SMALL, 14)
+        spec = ScenarioSpec(
+            tenants=(TenantSpec(a, cfg=FAST, name="radar"),
+                     TenantSpec(a, pipeline="separate-io", cfg=FAST,
+                                name="archive")),
+            fs=FSConfig("pfs", 4), params=SMALL,
+        )
+        return spec.run()
+
+    def test_sorted_dump_round_trips(self, unsorted_result, tmp_path):
+        import repro
+        from repro.scenario import ScenarioResult
+
+        d = unsorted_result.to_dict()
+        assert d["tenant_order"] == ["radar", "archive"]
+        dumped = json.loads(json.dumps(d, sort_keys=True))
+        assert list(dumped["tenants"]) == ["archive", "radar"]
+        assert ScenarioResult.from_dict(dumped).to_dict() == d
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(d, sort_keys=True))
+        loaded = repro.load(str(path))
+        assert loaded.kind == "scenario"
+        assert loaded.result.to_dict() == d
+
+
+class TestResultCodecRejects:
+    """A malformed result dict is a typed failure, never a silent skip."""
+
+    @pytest.mark.parametrize("path, key", [
+        ((), "dropped_cpi"),               # misspelled dropped_cpis
+        (("measurement",), "throughputs"),
+        (("spec",), "stages"),
+    ])
+    def test_unknown_key(self, small_result, path, key):
+        d = json.loads(json.dumps(small_result.to_dict()))
+        target = d
+        for p in path:
+            target = target[p]
+        target[key] = 1
+        with pytest.raises(ConfigurationError, match=repr(key)):
+            PipelineResult.from_dict(d)
+
+    @pytest.mark.parametrize("key", ["measurement", "trace", "spec"])
+    def test_missing_required_key(self, small_result, key):
+        d = small_result.to_dict()
+        del d[key]
+        with pytest.raises(ConfigurationError, match=repr(key)):
+            PipelineResult.from_dict(d)
+
+    def test_malformed_value(self, small_result):
+        d = small_result.to_dict()
+        d["rank_traffic"] = [1, 2]
+        with pytest.raises(ConfigurationError, match="rank_traffic"):
+            PipelineResult.from_dict(d)
+
+    def test_tenant_order_must_name_the_tenants(self, two_tenant_dict):
+        from repro.scenario import ScenarioResult
+
+        d = dict(two_tenant_dict, tenant_order=["t0", "nobody"])
+        with pytest.raises(ConfigurationError, match="tenant_order"):
+            ScenarioResult.from_dict(d)
+
+
+class TestBenchmarkSeams:
+    """``perfbench --trace 1`` times rehydration by replacing
+    ``PipelineResult.from_dict`` on the class with a staticmethod that
+    wraps the original ``__func__``."""
+
+    def test_from_dict_is_a_staticmethod_that_rehydrates(self, small_result):
+        seam = PipelineResult.__dict__["from_dict"]
+        assert isinstance(seam, staticmethod)
+        d = json.loads(json.dumps(small_result.to_dict()))
+        assert seam.__func__(d).to_dict() == d
+
+    def test_scenario_decode_calls_the_patched_seam_per_tenant(
+        self, two_tenant_dict, monkeypatch
+    ):
+        from repro.scenario import ScenarioResult
+
+        original = PipelineResult.__dict__["from_dict"].__func__
+        calls = []
+
+        def counted(d):
+            calls.append(d)
+            return original(d)
+
+        monkeypatch.setattr(PipelineResult, "from_dict", staticmethod(counted))
+        back = ScenarioResult.from_dict(two_tenant_dict)
+        assert len(calls) == 2
+        assert back.to_dict() == two_tenant_dict
+
+    def test_every_patched_seam_exists(self):
+        from repro.bench import engine
+        from repro.bench.store import ResultStore
+        from repro.core.executor import Substrate
+        from repro.sim.kernel import Kernel
+
+        assert callable(Kernel.__dict__["run"])
+        assert callable(engine.build_executor)
+        assert isinstance(Substrate.__dict__["build"], classmethod)
+        assert callable(ResultStore.__dict__["get_dict"])
+        assert callable(ResultStore.__dict__["put_dict"])
 
 
 # ---------------------------------------------------------------------------
