@@ -81,11 +81,26 @@ from repro.scenario import (
     run_scenario,
 )
 from repro.service import ExperimentScheduler, JobHandle
-from repro.stap.chain import run_cpi_stream, stap_chain
+from repro import stap
 from repro.stap.params import STAPParams
-from repro.stap.scenario import Jammer, Scenario, Target, make_cube
 
 __version__ = "1.0.0"
+
+#: Numerics names re-exported from :mod:`repro.stap`, which loads them
+#: (and numpy) on first use.
+_STAP_NUMERICS = ("Scenario", "Target", "Jammer", "make_cube", "stap_chain",
+                  "run_cpi_stream")
+
+
+def __getattr__(name: str):
+    if name not in _STAP_NUMERICS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(stap, name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_STAP_NUMERICS))
 
 __all__ = [
     "__version__",

@@ -66,7 +66,6 @@ from repro.core.pipeline import NodeAssignment, build_embedded_pipeline
 from repro.machine.presets import paragon
 from repro.stap.costs import STAPCosts
 from repro.stap.params import STAPParams
-from repro.stap.scenario import Scenario
 from repro.trace.report import bar_chart, format_table
 
 __all__ = ["main", "build_parser"]
@@ -625,6 +624,8 @@ def _cmd_profile(args) -> int:
 def _cmd_detect(args) -> int:
     import numpy as np
 
+    from repro.stap.scenario import Scenario
+
     params = STAPParams(
         n_channels=8, n_pulses=32, n_ranges=256, n_beams=6, n_hard_bins=8,
         n_training=64, pulse_len=16, cfar_window=12, cfar_guard=3, pfa=1e-6,
@@ -688,7 +689,7 @@ def _cmd_spectrum(args) -> int:
     """Render the clutter-ridge/jammer picture as an ASCII heatmap."""
     import numpy as np
 
-    from repro.stap.scenario import Jammer, Target, make_cube
+    from repro.stap.scenario import Jammer, Scenario, Target, make_cube
     from repro.stap.spectrum import fourier_spectrum, mvdr_spectrum
     from repro.trace.report import heatmap
 

@@ -13,13 +13,13 @@ differences are whether payloads carry numpy arrays or
 :class:`~repro.mpi.datatypes.Phantom` placeholders, and whether the
 numerics actually run.  Simulated time is charged identically (from the
 cost models) in both, so performance results agree by construction.
+The numerics, and numpy with them, are imported only by compute-mode
+branches.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.context import TaskContext, data_tag
 from repro.core.stages import TaskStages, run_stages
@@ -27,20 +27,12 @@ from repro.core.task import TaskKind
 from repro.errors import PipelineError
 from repro.mpi.request import Request
 from repro.pfs.base import OpenMode
-from repro.stap.cfar import ca_cfar
-from repro.stap.doppler import doppler_filter_arrays
-from repro.stap.pulse import pulse_compress
-from repro.stap.weights import (
-    CovarianceTracker,
-    initial_weights,
-    mvdr_from_covariance,
-    sample_covariance,
-    steering_matrix_easy,
-    steering_matrix_hard,
-)
 from repro.strategies.builtin import make_adaptive_reader
 from repro.strategies.readers import DROPPED  # noqa: F401  (re-exported)
 from repro.trace.record import Phase
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["body_for", "DROPPED"]
 
@@ -80,6 +72,13 @@ def _make_reader(ctx: TaskContext, rlo: int, rhi: int):
     if ctx.strategy is not None:
         return ctx.strategy.make_reader(ctx, rlo, rhi)
     return make_adaptive_reader(ctx, rlo, rhi)
+
+
+def _empty(shape, dtype):
+    """An uninitialised compute-mode receive buffer."""
+    import numpy as np
+
+    return np.empty(shape, dtype=dtype)
 
 
 def _send_routed(ctx: TaskContext, k: int, requests: List[Request]):
@@ -202,7 +201,7 @@ class DopplerStages(TaskStages):
             self.reader.prefetch(k + 1)
             return self.reader.slab_array(raw) if ctx.cfg.compute else None
         slab = (
-            np.empty((p.n_channels, p.n_pulses, self.rhi - self.rlo), dtype=p.dtype)
+            _empty((p.n_channels, p.n_pulses, self.rhi - self.rlo), dtype=p.dtype)
             if ctx.cfg.compute
             else None
         )
@@ -222,6 +221,8 @@ class DopplerStages(TaskStages):
         ctx = self.ctx
         easy = hard = None
         if ctx.cfg.compute:
+            from repro.stap.doppler import doppler_filter_arrays
+
             easy, hard = doppler_filter_arrays(slab, ctx.params)
         yield from ctx.compute_for(self.t_compute)
         return easy, hard
@@ -237,22 +238,20 @@ class DopplerStages(TaskStages):
         for c, (blo, bhi), nb in self.route_hbf:
             sub = hard[blo:bhi] if hard is not None else None
             reqs.append(ctx.rc.isend(ctx.payload(sub, nb), self.hbf_ranks[c], data_tag(k)))
-        gates = ctx.plan.train_gates
         for c, (blo, bhi), cols, nb in self.route_ew:
-            sub = (
-                np.ascontiguousarray(easy[blo:bhi][:, :, gates[cols] - self.rlo])
-                if easy is not None
-                else None
-            )
+            sub = self._gate_columns(easy[blo:bhi], cols) if easy is not None else None
             reqs.append(ctx.rc.isend(ctx.payload(sub, nb), self.ew_ranks[c], data_tag(k)))
         for c, (blo, bhi), cols, nb in self.route_hw:
-            sub = (
-                np.ascontiguousarray(hard[blo:bhi][:, :, gates[cols] - self.rlo])
-                if hard is not None
-                else None
-            )
+            sub = self._gate_columns(hard[blo:bhi], cols) if hard is not None else None
             reqs.append(ctx.rc.isend(ctx.payload(sub, nb), self.hw_ranks[c], data_tag(k)))
         yield from _send_routed(ctx, k, reqs)
+
+    def _gate_columns(self, rows: np.ndarray, cols: List[int]) -> np.ndarray:
+        """Training-gate columns ``cols`` of this slab's output ``rows``."""
+        import numpy as np
+
+        gates = self.ctx.plan.train_gates
+        return np.ascontiguousarray(rows[:, :, [gates[c] - self.rlo for c in cols]])
 
 
 # ---------------------------------------------------------------------------
@@ -290,17 +289,26 @@ class WeightStages(TaskStages):
         self.route_bf = plan.weights_to_bf(ctx.local, self.easy)
         ctx.register_consumers("w", [self.bf_ranks[c] for c, _, _ in self.route_bf])
         self.n_train = len(plan.train_gates)
-        self._v_easy = steering_matrix_easy(p)
-        self._tracker = (
-            CovarianceTracker(p.covariance_memory)
-            if p.covariance_memory > 0.0
-            else None
-        )
+        if ctx.cfg.compute:
+            from repro.stap.weights import CovarianceTracker, steering_matrix_easy
+
+            self._v_easy = steering_matrix_easy(p)
+            self._tracker = (
+                CovarianceTracker(p.covariance_memory)
+                if p.covariance_memory > 0.0
+                else None
+            )
         return True
 
     def _solve(self, X: np.ndarray) -> np.ndarray:
+        from repro.stap.weights import (
+            mvdr_from_covariance,
+            sample_covariance,
+            steering_matrix_hard,
+        )
+
         p = self.ctx.params
-        out = np.empty((self.nrows, self.dof, p.n_beams), dtype=np.complex64)
+        out = _empty((self.nrows, self.dof, p.n_beams), dtype="complex64")
         for r in range(self.nrows):
             v = (
                 self._v_easy
@@ -326,11 +334,11 @@ class WeightStages(TaskStages):
     def send_prologue(self):
         """Bootstrap: quiescent weights for CPI 0 (no training data yet)."""
         ctx = self.ctx
-        w0 = (
-            initial_weights(ctx.params, hard=not self.easy, bins=self.my_bins)
-            if ctx.cfg.compute
-            else None
-        )
+        w0 = None
+        if ctx.cfg.compute:
+            from repro.stap.weights import initial_weights
+
+            w0 = initial_weights(ctx.params, hard=not self.easy, bins=self.my_bins)
         t0 = ctx.now
         reqs = self._ship(w0, use_cpi=0)
         if reqs:
@@ -340,7 +348,7 @@ class WeightStages(TaskStages):
     def recv(self, k: int):
         ctx, plan = self.ctx, self.ctx.plan
         X = (
-            np.empty((self.nrows, self.dof, self.n_train), dtype=ctx.params.dtype)
+            _empty((self.nrows, self.dof, self.n_train), dtype=ctx.params.dtype)
             if ctx.cfg.compute
             else None
         )
@@ -413,7 +421,7 @@ class BeamformStages(TaskStages):
     def recv(self, k: int):
         ctx, plan, p = self.ctx, self.ctx.plan, self.ctx.params
         W = (
-            np.empty((self.nrows, self.dof, p.n_beams), dtype=np.complex64)
+            _empty((self.nrows, self.dof, p.n_beams), dtype="complex64")
             if ctx.cfg.compute
             else None
         )
@@ -424,7 +432,7 @@ class BeamformStages(TaskStages):
                 W[lo - self.blo : hi - self.blo] = arr
             ctx.send_ack(self.w_ranks[wp], k)
         X = (
-            np.empty((self.nrows, self.dof, p.n_ranges), dtype=p.dtype)
+            _empty((self.nrows, self.dof, p.n_ranges), dtype=p.dtype)
             if ctx.cfg.compute
             else None
         )
@@ -441,6 +449,8 @@ class BeamformStages(TaskStages):
         W, X = inputs
         Y = None
         if ctx.cfg.compute:
+            import numpy as np
+
             Y = np.einsum("bjk,bjr->bkr", W.conj(), X).astype(np.complex64)
         yield from ctx.compute_for(self.t_compute)
         return Y
@@ -509,24 +519,24 @@ class _BinRowsMixin(TaskStages):
         for task, j in plan.pc_expected_bf_producers(ctx.local):
             easy = task == "easy_bf"
             rows_bf = plan.rows_easy_bf if easy else plan.rows_hard_bf
-            labels = np.asarray(plan.easy_labels if easy else plan.hard_labels)
+            labels = plan.easy_labels if easy else plan.hard_labels
             plo, phi = rows_bf.bounds(j)
-            sel = labels[plo:phi]
-            sel = sel[(sel >= self.glo) & (sel < self.ghi)]
-            self.producers.append((ctx.ranks(task)[j], sel))
+            # Buffer rows (global bin - glo) this producer's rows fill.
+            rows = [b - self.glo for b in labels[plo:phi] if self.glo <= b < self.ghi]
+            self.producers.append((ctx.ranks(task)[j], rows))
         return True
 
     def _recv_bin_rows(self, k: int):
         ctx, p = self.ctx, self.ctx.params
         buf = (
-            np.empty((self.ghi - self.glo, p.n_beams, p.n_ranges), dtype=p.dtype)
+            _empty((self.ghi - self.glo, p.n_beams, p.n_ranges), dtype=p.dtype)
             if ctx.cfg.compute
             else None
         )
-        for src_rank, global_rows in self.producers:
+        for src_rank, rows in self.producers:
             arr = yield from ctx.rc.recv(src_rank, data_tag(k))
             if buf is not None:
-                buf[global_rows - self.glo] = arr
+                buf[rows] = arr
             ctx.send_ack(src_rank, k)
         return buf
 
@@ -534,6 +544,8 @@ class _BinRowsMixin(TaskStages):
         """Detect and deposit results (compute mode only)."""
         if data is None:
             return
+        from repro.stap.cfar import ca_cfar
+
         p = self.ctx.params
         dets = ca_cfar(
             data,
@@ -570,7 +582,11 @@ class PulseStages(_BinRowsMixin):
 
     def compute(self, k: int, buf):
         ctx = self.ctx
-        Y = pulse_compress(buf, ctx.params.pulse_len) if ctx.cfg.compute else None
+        Y = None
+        if ctx.cfg.compute:
+            from repro.stap.pulse import pulse_compress
+
+            Y = pulse_compress(buf, ctx.params.pulse_len)
         yield from ctx.compute_for(self.t_compute)
         return Y
 
@@ -609,7 +625,7 @@ class CfarStages(_ReportWriterMixin):
     def recv(self, k: int):
         ctx, plan, p = self.ctx, self.ctx.plan, self.ctx.params
         buf = (
-            np.empty((self.ghi - self.glo, p.n_beams, p.n_ranges), dtype=p.dtype)
+            _empty((self.ghi - self.glo, p.n_beams, p.n_ranges), dtype=p.dtype)
             if ctx.cfg.compute
             else None
         )
@@ -624,6 +640,8 @@ class CfarStages(_ReportWriterMixin):
     def compute(self, k: int, buf):
         ctx = self.ctx
         if ctx.cfg.compute:
+            from repro.stap.cfar import ca_cfar
+
             p = ctx.params
             dets = ca_cfar(
                 buf,
@@ -676,6 +694,8 @@ class PulseCfarStages(_BinRowsMixin, _ReportWriterMixin):
     def compute(self, k: int, buf):
         ctx = self.ctx
         if ctx.cfg.compute:
+            from repro.stap.pulse import pulse_compress
+
             compressed = pulse_compress(buf, ctx.params.pulse_len)
             self._run_cfar(compressed, k)
         yield from ctx.compute_for(self.t_compute)

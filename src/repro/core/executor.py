@@ -23,7 +23,7 @@ hosts several tenant pipelines on the same disks and links.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.core.bodies import body_for
@@ -47,11 +47,13 @@ from repro.obs.instruments import DEFAULT_BUCKETS
 from repro.pfs import FS_CLASSES
 from repro.pfs.blockdev import DiskSpec
 from repro.sim.kernel import Kernel
-from repro.stap.cfar import Detection
+from repro.stap.cluster import Detection
 from repro.stap.params import STAPParams
-from repro.stap.scenario import Scenario
 from repro.strategies import strategy_for_spec
 from repro.trace.collector import TraceCollector
+
+if TYPE_CHECKING:
+    from repro.stap.scenario import Scenario
 
 __all__ = [
     "FSConfig",
@@ -421,6 +423,8 @@ class PipelineExecutor:
                 raise ConfigurationError(
                     "compute mode needs a scenario (or a seed) for cube content"
                 )
+            from repro.stap.scenario import Scenario
+
             scenario = Scenario.standard(params, seed=seed)
         self.seed = seed
         self.scenario = scenario

@@ -17,17 +17,15 @@ the same communication pattern.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.errors import PipelineError
 from repro.core.partition import BlockPartition, label_block_rows
 from repro.core.pipeline import PipelineSpec
 from repro.core.task import TaskInstance
-from repro.stap.params import STAPParams
-from repro.stap.weights import training_gates
+from repro.stap.params import STAPParams, training_gate_indices
 
 __all__ = ["PipelinePlan"]
 
@@ -62,8 +60,10 @@ class PipelinePlan:
             self.bins_cfar = BlockPartition(p.n_doppler_bins, inst["cfar"].n_nodes)
         self.easy_labels: Tuple[int, ...] = p.easy_bins
         self.hard_labels: Tuple[int, ...] = p.hard_bins
-        self.train_gates: np.ndarray = training_gates(p.n_ranges, p.n_training)
-        self.itemsize = int(np.dtype(p.dtype).itemsize)
+        self.train_gates: Tuple[int, ...] = training_gate_indices(
+            p.n_ranges, p.n_training
+        )
+        self.itemsize = p.itemsize
 
     # -- names of key tasks (combination-aware) ------------------------------
     @property
@@ -86,10 +86,11 @@ class PipelinePlan:
         return self.instances[task].ranks
 
     # -- training-gate routing ------------------------------------------------
-    def train_gate_cols(self, rlo: int, rhi: int) -> np.ndarray:
+    def train_gate_cols(self, rlo: int, rhi: int) -> List[int]:
         """Which training-gate *columns* (indices into the gate list)
-        fall inside range slab ``[rlo, rhi)``."""
-        return np.nonzero((self.train_gates >= rlo) & (self.train_gates < rhi))[0]
+        fall inside range slab ``[rlo, rhi)``; the gates are sorted."""
+        gates = self.train_gates
+        return list(range(bisect_left(gates, rlo), bisect_left(gates, rhi)))
 
     # -- routing tables ----------------------------------------------------------
     # Each entry: (consumer_local_index, slice description, nbytes).
@@ -117,7 +118,7 @@ class PipelinePlan:
 
     def doppler_to_weights(
         self, dop_local: int, easy: bool
-    ) -> List[Tuple[int, Tuple[int, int], np.ndarray, int]]:
+    ) -> List[Tuple[int, Tuple[int, int], List[int], int]]:
         """What Doppler node ``dop_local`` sends each weight node.
 
         Only training-gate columns travel (weight training never needs

@@ -9,9 +9,9 @@ serialize by one rule:
 * a :func:`sparse` field is emitted only when it differs from its
   default, so fields added after hashes were published keep them;
 * ``Optional``, ``Tuple[X, ...]``, ``List[X]`` and ``Dict[str, X]``
-  recurse; an ``Enum`` is stored by value, an ``np.dtype`` by name, and
-  a type with its own ``from_dict`` (every :class:`Codec`,
-  ``TraceCollector``) through that class attribute, looked up per call;
+  recurse; an ``Enum`` is stored by value, and a type with its own
+  ``from_dict`` (every :class:`Codec`, ``TraceCollector``) through that
+  class attribute, looked up per call;
 * a :func:`coded` field is stored as its own ``encode(value)``;
 * a class constant ``KIND`` is emitted first as a ``"kind"`` marker.
 
@@ -32,8 +32,6 @@ import hashlib
 import json
 import typing
 from typing import Any, Callable, Dict, Mapping, Optional
-
-import numpy as np
 
 from repro.errors import ConfigurationError
 
@@ -77,8 +75,6 @@ def _converters(hint: Any):
         enc, dec = _converters(args[1])
         return (lambda v: {k: x if enc is None else enc(x) for k, x in v.items()},
                 lambda v: {k: x if dec is None else dec(x) for k, x in v.items()})
-    if hint is np.dtype:
-        return (lambda v: np.dtype(v).name), np.dtype
     if isinstance(hint, type) and issubclass(hint, enum.Enum):
         return (lambda v: v.value), hint
     if hasattr(hint, "from_dict"):

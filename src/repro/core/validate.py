@@ -65,7 +65,7 @@ def validate_plan(plan: PipelinePlan) -> None:
     for dop in range(plan.ranges_doppler.parts):
         routes = plan.doppler_to_weights(dop, easy=True)
         if routes:
-            cols_seen.extend(int(c) for c in routes[0][2])
+            cols_seen.extend(routes[0][2])
     _check(
         sorted(cols_seen) == list(range(len(plan.train_gates))),
         "training-gate columns are not routed exactly once",

@@ -22,13 +22,15 @@ Content:
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ConfigurationError
 from repro.pfs.base import ParallelFileSystem
-from repro.stap.datacube import DataCube
 from repro.stap.params import STAPParams
-from repro.stap.scenario import Scenario, make_cube
+
+if TYPE_CHECKING:
+    from repro.stap.datacube import DataCube
+    from repro.stap.scenario import Scenario
 
 __all__ = ["CubeSource", "CubeFileSet"]
 
@@ -49,6 +51,8 @@ class CubeSource:
         if cpi in self._cache:
             self._cache.move_to_end(cpi)
             return self._cache[cpi]
+        from repro.stap.scenario import make_cube
+
         cube = make_cube(self.params, self.scenario, cpi)
         self._cache[cpi] = cube
         while len(self._cache) > self._cache_size:
@@ -115,4 +119,4 @@ class CubeFileSet:
 
     def slab_extent(self, lo: int, hi: int):
         """(offset, nbytes) of range gates [lo, hi) in any CPI file."""
-        return DataCube.file_slab_extent(self.params, lo, hi)
+        return self.params.file_slab_extent(lo, hi)

@@ -8,10 +8,9 @@ conservative pickle-free estimate for small control objects.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
-
-import numpy as np
 
 __all__ = ["Phantom", "nbytes_of"]
 
@@ -66,12 +65,16 @@ def nbytes_of(payload: Any) -> int:
         return 0
     if isinstance(payload, Phantom):
         return payload.nbytes
-    if isinstance(payload, np.ndarray):
-        return int(payload.nbytes)
     if isinstance(payload, (bytes, bytearray, memoryview)):
         return len(payload)
-    if isinstance(payload, (bool, int, float, complex, np.generic)):
+    if isinstance(payload, (bool, int, float, complex)):
         return 8
+    np = sys.modules.get("numpy")  # an ndarray implies numpy is loaded
+    if np is not None:
+        if isinstance(payload, np.ndarray):
+            return int(payload.nbytes)
+        if isinstance(payload, np.generic):
+            return 8
     if isinstance(payload, str):
         return len(payload.encode("utf-8"))
     if isinstance(payload, Mapping):
@@ -79,6 +82,6 @@ def nbytes_of(payload: Any) -> int:
     if isinstance(payload, Sequence):
         return sum(nbytes_of(item) for item in payload)
     inner = getattr(payload, "nbytes", None)
-    if isinstance(inner, (int, np.integer)):
+    if isinstance(inner, int) or (np is not None and isinstance(inner, np.integer)):
         return int(inner)
     return _DEFAULT_CONTROL_BYTES

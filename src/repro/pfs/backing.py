@@ -10,12 +10,14 @@ timing-mode sweeps don't allocate gigabytes.
 
 from __future__ import annotations
 
-from typing import Dict, Union
-
-import numpy as np
+import sys
+from typing import TYPE_CHECKING, Dict, Union
 
 from repro.errors import NoSuchFileError
 from repro.mpi.datatypes import Phantom
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["BackingStore"]
 
@@ -80,7 +82,9 @@ class BackingStore:
                 if offset + nbytes > len(buf):
                     buf.extend(b"\0" * (offset + nbytes - len(buf)))
             return nbytes
-        raw = data.tobytes() if isinstance(data, np.ndarray) else bytes(data)
+        np = sys.modules.get("numpy")  # an ndarray implies numpy is loaded
+        raw = (data.tobytes() if np is not None and isinstance(data, np.ndarray)
+               else bytes(data))
         if path in self._phantom_sizes:
             self._phantom_sizes[path] = max(self._phantom_sizes[path], offset + len(raw))
             return len(raw)

@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import (
     ConfigurationError,
@@ -40,6 +38,9 @@ from repro.pfs.blockdev import DiskSpec
 from repro.pfs.server import IOServer
 from repro.pfs.stripe import StripeLayout, UnitRun
 from repro.sim.resources import Resource
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["OpenMode", "FileHandle", "RetryPolicy", "ParallelFileSystem"]
 

@@ -16,13 +16,14 @@ PIOFS cannot provide.
 
 from __future__ import annotations
 
-from typing import Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Union
 
 from repro.mpi.datatypes import Phantom
 from repro.mpi.request import Request
 from repro.pfs.base import FileHandle, ParallelFileSystem
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["PFS"]
 

@@ -20,46 +20,48 @@ parallel pipeline is checked against, and :mod:`~repro.stap.costs` holds
 the per-task flop/byte models that drive the timing simulation.
 """
 
-from repro.stap.params import STAPParams
-from repro.stap.datacube import DataCube
-from repro.stap.scenario import Scenario, Target, Jammer, make_cube
-from repro.stap.doppler import (
-    DopplerOutput,
-    bin_frequency,
-    doppler_filter_arrays,
-    doppler_process,
-    doppler_window,
-)
-from repro.stap.weights import (
-    WeightSet,
-    compute_weights_easy,
-    compute_weights_hard,
-    initial_weights,
-    solve_mvdr,
-    steering_matrix_easy,
-    steering_matrix_hard,
-    training_gates,
-)
+from importlib import import_module
+
 from repro.stap.beamform import beamform
-from repro.stap.pulse import (
-    lfm_replica,
-    pulse_compress,
-    pulse_compress_direct,
-    segment_length,
-)
-from repro.stap.cfar import (
-    CFAR_METHODS,
-    Detection,
-    ca_cfar,
-    cfar_threshold_factor,
-    go_so_threshold_factor,
-    os_threshold_factor,
-)
-from repro.stap.cluster import ClusteredReport, cluster_detections
-from repro.stap.chain import ChainResult, run_cpi_stream, stap_chain
-from repro.stap.costs import STAPCosts
-from repro.stap.spectrum import fourier_spectrum, mvdr_spectrum, space_time_snapshots
-from repro.stap.analysis import clairvoyant_covariance, optimal_weights, output_sinr, sinr_loss_curve
+from repro.stap.cluster import ClusteredReport, Detection, cluster_detections
+from repro.stap.costs import STAPCosts, segment_length
+from repro.stap.params import CFAR_METHODS, STAPParams
+
+#: Numerics names, each loaded from its module (and numpy with it) on
+#: first use, so timing mode never imports numpy.
+_LAZY = {
+    name: module
+    for module, names in (
+        ("datacube", ("DataCube",)),
+        ("scenario", ("Scenario", "Target", "Jammer", "make_cube")),
+        ("doppler", ("DopplerOutput", "bin_frequency", "doppler_filter_arrays",
+                     "doppler_process", "doppler_window")),
+        ("weights", ("WeightSet", "compute_weights_easy", "compute_weights_hard",
+                     "initial_weights", "solve_mvdr", "steering_matrix_easy",
+                     "steering_matrix_hard", "training_gates")),
+        ("pulse", ("lfm_replica", "pulse_compress", "pulse_compress_direct")),
+        ("cfar", ("ca_cfar", "cfar_threshold_factor", "go_so_threshold_factor",
+                  "os_threshold_factor")),
+        ("chain", ("ChainResult", "run_cpi_stream", "stap_chain")),
+        ("spectrum", ("fourier_spectrum", "mvdr_spectrum", "space_time_snapshots")),
+        ("analysis", ("clairvoyant_covariance", "optimal_weights", "output_sinr",
+                      "sinr_loss_curve")),
+    )
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "STAPParams",

@@ -8,10 +8,14 @@ hard task (2J space-time snapshots) — only the array widths differ.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
-from repro.stap.weights import WeightSet
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.stap.weights import WeightSet
 
 __all__ = ["beamform"]
 
@@ -43,5 +47,7 @@ def beamform(data: np.ndarray, weights: WeightSet) -> np.ndarray:
         raise ConfigurationError(
             f"DoF mismatch: data {data.shape[1]} vs weights {w.shape[1]}"
         )
+    import numpy as np
+
     # y[b, k, r] = sum_j conj(w[b, j, k]) x[b, j, r]
     return np.einsum("bjk,bjr->bkr", w.conj(), data).astype(np.complex64)

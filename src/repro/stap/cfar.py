@@ -15,44 +15,15 @@ recomputed ``alpha``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
 
-from repro.core.serialize import Codec
 from repro.errors import ConfigurationError
+from repro.stap.cluster import Detection
+from repro.stap.params import CFAR_METHODS
 
 __all__ = ["Detection", "CFAR_METHODS", "cfar_threshold_factor", "go_so_false_alarm", "go_so_threshold_factor", "os_false_alarm", "os_threshold_factor", "ca_cfar"]
-
-
-@dataclass(frozen=True, order=True)
-class Detection(Codec):
-    """One CFAR exceedance — the pipeline's final product.
-
-    Attributes
-    ----------
-    doppler_bin:
-        Doppler filter-bank bin of the detection.
-    beam:
-        Beam index.
-    range_gate:
-        Range gate.
-    snr_db:
-        Estimated SNR: cell power over local noise estimate, in dB.
-    cpi_index:
-        CPI the detection came from.
-    """
-
-    doppler_bin: int
-    beam: int
-    range_gate: int
-    snr_db: float
-    cpi_index: int = 0
-
-
-#: CFAR estimator variants supported by :func:`ca_cfar`.
-CFAR_METHODS = ("ca", "goca", "soca", "os")
 
 
 def cfar_threshold_factor(n_train: int, pfa: float) -> float:

@@ -1,4 +1,7 @@
-"""Detection clustering: CFAR exceedances -> object reports.
+"""CFAR detections and their clustering into object reports.
+
+:class:`Detection` is one CFAR exceedance, the pipeline's final product
+(numpy-free, so timing-mode results decode without the numerics).
 
 A single target produces a *cluster* of CFAR exceedances — its energy
 straddles neighbouring Doppler bins (filter-bank scalloping), beams
@@ -8,9 +11,9 @@ this module does the same with connected-component clustering over the
 (Doppler bin, beam, range gate) lattice, Doppler wrap-around included.
 
 ``cluster_detections`` is deliberately independent of the pipeline (it
-consumes plain :class:`~repro.stap.cfar.Detection` lists), so it can be
-applied to the output of the serial chain, the parallel executor, or
-recorded data alike.
+consumes plain :class:`Detection` lists), so it can be applied to the
+output of the serial chain, the parallel executor, or recorded data
+alike.
 """
 
 from __future__ import annotations
@@ -18,11 +21,35 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-
+from repro.core.serialize import Codec
 from repro.errors import ConfigurationError
-from repro.stap.cfar import Detection
 
-__all__ = ["ClusteredReport", "cluster_detections"]
+__all__ = ["Detection", "ClusteredReport", "cluster_detections"]
+
+
+@dataclass(frozen=True, order=True)
+class Detection(Codec):
+    """One CFAR exceedance — the pipeline's final product.
+
+    Attributes
+    ----------
+    doppler_bin:
+        Doppler filter-bank bin of the detection.
+    beam:
+        Beam index.
+    range_gate:
+        Range gate.
+    snr_db:
+        Estimated SNR: cell power over local noise estimate, in dB.
+    cpi_index:
+        CPI the detection came from.
+    """
+
+    doppler_bin: int
+    beam: int
+    range_gate: int
+    snr_db: float
+    cpi_index: int = 0
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.errors import ConfigurationError
 from repro.stap.params import STAPParams
 
-__all__ = ["STAPCosts"]
+__all__ = ["STAPCosts", "segment_length"]
 
 _CMAC = 8.0  # real flops per complex multiply-accumulate
 
@@ -29,6 +30,18 @@ def _fft_flops(length: int) -> float:
     if length <= 1:
         return 0.0
     return 5.0 * length * math.log2(length)
+
+
+def segment_length(pulse_len: int) -> int:
+    """Overlap-save FFT segment length: the power of two >= 4 * pulse_len.
+
+    A 4x ratio keeps >=75% of each segment's outputs valid while the
+    FFTs stay short — the standard efficiency sweet spot for streaming
+    matched filters.
+    """
+    if pulse_len < 1:
+        raise ConfigurationError(f"pulse_len must be >= 1, got {pulse_len}")
+    return int(2 ** math.ceil(math.log2(4 * pulse_len)))
 
 
 @dataclass(frozen=True)
@@ -79,8 +92,6 @@ class STAPCosts:
     def pulse_compression_flops(self) -> float:
         """Task 5: overlap-save matched filter on every (bin, beam)
         range profile (segment FFTs of :func:`segment_length` points)."""
-        from repro.stap.pulse import segment_length
-
         p = self.params
         L = segment_length(p.pulse_len)
         step = L - p.pulse_len + 1
@@ -110,7 +121,7 @@ class STAPCosts:
     # -- data volumes (bytes, full CPI) ------------------------------------
     @property
     def itemsize(self) -> int:
-        return self.params.dtype.itemsize
+        return self.params.itemsize
 
     def cube_bytes(self) -> int:
         """Input CPI cube (what the I/O reads)."""

@@ -106,14 +106,9 @@ class DataCube:
         """Serialise range-major for the simulated data files."""
         return np.ascontiguousarray(self.data.transpose(2, 0, 1)).tobytes()
 
-    @staticmethod
-    def file_slab_extent(params: STAPParams, lo: int, hi: int) -> Tuple[int, int]:
-        """(byte offset, byte length) of range gates ``[lo, hi)`` in a
-        range-major cube file."""
-        if not (0 <= lo <= hi <= params.n_ranges):
-            raise ConfigurationError(f"bad range slab [{lo}, {hi})")
-        row = params.n_channels * params.n_pulses * np.dtype(params.dtype).itemsize
-        return lo * row, (hi - lo) * row
+    #: ``file_slab_extent(params, lo, hi)``: (byte offset, byte length)
+    #: of range gates ``[lo, hi)`` in a range-major cube file.
+    file_slab_extent = staticmethod(STAPParams.file_slab_extent)
 
     @staticmethod
     def slab_from_file_bytes(
@@ -123,7 +118,7 @@ class DataCube:
         if isinstance(raw, Phantom):
             return raw
         n = hi - lo
-        expected = n * params.n_channels * params.n_pulses * np.dtype(params.dtype).itemsize
+        expected = n * params.n_channels * params.n_pulses * params.itemsize
         if len(raw) != expected:
             raise ConfigurationError(
                 f"slab byte count {len(raw)} != expected {expected}"

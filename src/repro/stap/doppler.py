@@ -22,13 +22,9 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.stap.datacube import DataCube
-from repro.stap.params import STAPParams
+from repro.stap.params import WINDOW_KINDS, STAPParams
 
 __all__ = ["DopplerOutput", "doppler_process", "doppler_filter_arrays", "doppler_window", "bin_frequency", "WINDOW_KINDS"]
-
-
-#: Doppler taper kinds supported by :func:`doppler_window`.
-WINDOW_KINDS = ("hann", "hamming", "blackman", "rect")
 
 
 def doppler_window(n: int, kind: str = "hann") -> np.ndarray:

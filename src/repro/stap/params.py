@@ -7,15 +7,46 @@ DESIGN.md §4 (256 stripe units of 64 KiB).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Tuple
-
-import numpy as np
+import math
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Tuple
 
 from repro.core.serialize import Codec
 from repro.errors import ConfigurationError
 
-__all__ = ["STAPParams"]
+if TYPE_CHECKING:
+    import numpy as np
+
+__all__ = ["STAPParams", "CFAR_METHODS", "WINDOW_KINDS", "training_gate_indices"]
+
+#: CFAR estimator variants supported by :func:`repro.stap.cfar.ca_cfar`.
+CFAR_METHODS = ("ca", "goca", "soca", "os")
+
+#: Doppler taper kinds supported by :func:`repro.stap.doppler.doppler_window`.
+WINDOW_KINDS = ("hann", "hamming", "blackman", "rect")
+
+#: Complex dtype names accepted without importing numpy.
+_COMPLEX_NAMES = ("complex64", "complex128")
+
+
+def training_gate_indices(n_ranges: int, n_training: int) -> Tuple[int, ...]:
+    """``n_training`` range gates spread evenly over ``[0, n_ranges)``.
+
+    Equal, element for element, to
+    ``np.linspace(0, n_ranges - 1, n_training).astype(np.intp)``: the
+    same float64 products truncated toward zero, with the last gate
+    pinned to ``n_ranges - 1``.
+    """
+    if not (1 <= n_training <= n_ranges):
+        raise ConfigurationError(
+            f"n_training must be in [1, {n_ranges}], got {n_training}"
+        )
+    if n_training == 1:
+        return (0,)
+    step = (n_ranges - 1) / (n_training - 1)
+    gates = [int(i * step) for i in range(n_training - 1)]
+    gates.append(n_ranges - 1)
+    return tuple(gates)
 
 
 @dataclass(frozen=True)
@@ -62,8 +93,9 @@ class STAPParams(Codec):
         Doppler filter-bank taper — see
         :func:`repro.stap.doppler.doppler_window`.
     dtype:
-        Cube element type; complex64 matches the 16 MiB file size.
-        Serialized by name.
+        Name of the cube element type; complex64 matches the 16 MiB
+        file size.  Anything numpy accepts as a complex dtype is
+        normalised to its name.
     """
 
     n_channels: int = 16
@@ -80,7 +112,7 @@ class STAPParams(Codec):
     pfa: float = 1e-6
     cfar_method: str = "ca"
     window_kind: str = "hann"
-    dtype: np.dtype = field(default=np.dtype(np.complex64))
+    dtype: str = "complex64"
 
     def __post_init__(self) -> None:
         if self.n_channels < 2:
@@ -112,20 +144,24 @@ class STAPParams(Codec):
             raise ConfigurationError("bad CFAR window/guard")
         if not (0.0 < self.pfa < 1.0):
             raise ConfigurationError("pfa must be in (0, 1)")
-        from repro.stap.cfar import CFAR_METHODS
-
         if self.cfar_method not in CFAR_METHODS:
             raise ConfigurationError(
                 f"cfar_method must be one of {CFAR_METHODS}, got {self.cfar_method!r}"
             )
-        from repro.stap.doppler import WINDOW_KINDS
-
         if self.window_kind not in WINDOW_KINDS:
             raise ConfigurationError(
                 f"window_kind must be one of {WINDOW_KINDS}, got {self.window_kind!r}"
             )
-        if np.dtype(self.dtype).kind != "c":
-            raise ConfigurationError("dtype must be complex")
+        if not (isinstance(self.dtype, str) and self.dtype in _COMPLEX_NAMES):
+            import numpy as np
+
+            try:
+                dt = np.dtype(self.dtype)
+            except TypeError as exc:
+                raise ConfigurationError(f"bad dtype {self.dtype!r}: {exc}") from None
+            if dt.kind != "c":
+                raise ConfigurationError("dtype must be complex")
+            object.__setattr__(self, "dtype", dt.name)
 
     # -- derived dimensions ------------------------------------------------
     @property
@@ -168,13 +204,29 @@ class STAPParams(Codec):
         return (self.n_channels, self.n_pulses, self.n_ranges)
 
     @property
+    def itemsize(self) -> int:
+        """Bytes of one cube element: a complex dtype's name is
+        ``complex<bits>``."""
+        return int(self.dtype[len("complex"):]) // 8
+
+    @property
     def cube_nbytes(self) -> int:
         """Bytes of one CPI cube."""
-        return int(np.prod(self.cube_shape)) * np.dtype(self.dtype).itemsize
+        return math.prod(self.cube_shape) * self.itemsize
+
+    def file_slab_extent(self, lo: int, hi: int) -> Tuple[int, int]:
+        """(byte offset, byte length) of range gates ``[lo, hi)`` in a
+        range-major cube file (see :class:`~repro.stap.datacube.DataCube`)."""
+        if not (0 <= lo <= hi <= self.n_ranges):
+            raise ConfigurationError(f"bad range slab [{lo}, {hi})")
+        row = self.n_channels * self.n_pulses * self.itemsize
+        return lo * row, (hi - lo) * row
 
     @property
     def beam_angles(self) -> np.ndarray:
         """Beam steering angles (radians), uniform in sin-space."""
+        import numpy as np
+
         sines = np.linspace(-0.6, 0.6, self.n_beams)
         return np.arcsin(sines)
 

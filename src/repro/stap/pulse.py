@@ -10,12 +10,12 @@ a peak *at* ``r0``).
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.stap.costs import segment_length
 
 __all__ = ["lfm_replica", "pulse_compress", "pulse_compress_direct", "segment_length"]
 
@@ -32,18 +32,6 @@ def lfm_replica(pulse_len: int) -> np.ndarray:
     k = np.arange(pulse_len)
     c = np.exp(1j * np.pi * k * k / pulse_len)
     return (c / np.sqrt(pulse_len)).astype(np.complex64)
-
-
-def segment_length(pulse_len: int) -> int:
-    """Overlap-save FFT segment length: the power of two >= 4 * pulse_len.
-
-    A 4x ratio keeps >=75% of each segment's outputs valid while the
-    FFTs stay short — the standard efficiency sweet spot for streaming
-    matched filters.
-    """
-    if pulse_len < 1:
-        raise ConfigurationError(f"pulse_len must be >= 1, got {pulse_len}")
-    return int(2 ** math.ceil(math.log2(4 * pulse_len)))
 
 
 def pulse_compress(data: np.ndarray, pulse_len: int) -> np.ndarray:

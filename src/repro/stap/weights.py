@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.stap.doppler import DopplerOutput, bin_frequency
-from repro.stap.params import STAPParams
+from repro.stap.params import STAPParams, training_gate_indices
 from repro.stap.scenario import spatial_steering
 
 __all__ = [
@@ -75,13 +75,10 @@ def training_gates(n_ranges: int, n_training: int) -> np.ndarray:
     """Evenly spread training gate indices across the range extent.
 
     Spreading (rather than taking a leading block) dilutes any single
-    target's contamination of the covariance estimate.
+    target's contamination of the covariance estimate.  The indices are
+    :func:`~repro.stap.params.training_gate_indices`, as an ``intp`` array.
     """
-    if not (1 <= n_training <= n_ranges):
-        raise ConfigurationError(
-            f"n_training must be in [1, {n_ranges}], got {n_training}"
-        )
-    return np.linspace(0, n_ranges - 1, n_training).astype(np.intp)
+    return np.array(training_gate_indices(n_ranges, n_training), dtype=np.intp)
 
 
 def steering_matrix_easy(params: STAPParams) -> np.ndarray:

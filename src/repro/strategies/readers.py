@@ -29,9 +29,7 @@ leaks as an unobserved background process.
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.core.metrics import DroppedCpi
 from repro.errors import ConfigurationError, IOFaultError
@@ -40,8 +38,10 @@ from repro.mpi.request import Request
 from repro.pfs.base import OpenMode
 from repro.sim.events import Event
 from repro.sim.process import Process
-from repro.stap.datacube import DataCube
 from repro.trace.record import Phase
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DROPPED",
@@ -145,12 +145,16 @@ class SlabReader:
         their shapes, the sacrificed data simply contains no targets.
         """
         if raw is DROPPED:
+            import numpy as np
+
             p = self.ctx.params
             return np.zeros(
                 (p.n_channels, p.n_pulses, self.rhi - self.rlo), dtype=p.dtype
             )
         if isinstance(raw, Phantom):
             return None
+        from repro.stap.datacube import DataCube
+
         return DataCube.slab_from_file_bytes(raw, self.ctx.params, self.rlo, self.rhi)
 
     # -- teardown ------------------------------------------------------------

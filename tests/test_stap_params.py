@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.core.pipeline import (
+    NodeAssignment,
+    build_embedded_pipeline,
+    build_separate_io_pipeline,
+)
+from repro.core.plan import PipelinePlan
 from repro.errors import ConfigurationError
-from repro.stap.params import STAPParams
+from repro.stap.costs import STAPCosts
+from repro.stap.params import STAPParams, tiny_params, training_gate_indices
+from repro.stap.weights import training_gates
 
 
 class TestValidation:
@@ -30,6 +38,8 @@ class TestValidation:
             {"pfa": 0.0},
             {"pfa": 1.0},
             {"dtype": np.dtype(np.float32)},
+            {"dtype": "float32"},
+            {"dtype": "bogus"},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -84,3 +94,76 @@ class TestDerived:
         p = STAPParams()
         with pytest.raises(Exception):
             p.n_channels = 3  # type: ignore[misc]
+
+
+class TestDtype:
+    """``dtype`` is held as a name, whatever form it was given in."""
+
+    @pytest.mark.parametrize(
+        "given", ["complex64", np.complex64, np.dtype(np.complex64), "c8", "<c8"]
+    )
+    def test_forms_of_complex64_are_one_params(self, given):
+        p, q = STAPParams(dtype=given), STAPParams()
+        assert p.dtype == "complex64"
+        assert p == q and hash(p) == hash(q)
+        assert len({p, q}) == 1
+
+    def test_complex128(self):
+        p = STAPParams(dtype=np.complex128)
+        assert p.dtype == "complex128" and p.itemsize == 16
+        assert p.cube_nbytes == 2 * STAPParams().cube_nbytes
+
+    def test_costs_accept_a_named_dtype(self):
+        costs = STAPCosts(STAPParams(dtype="complex64"))
+        assert costs.itemsize == 8
+        assert costs.doppler_easy_bytes() == STAPCosts(STAPParams()).doppler_easy_bytes()
+        assert costs.cube_bytes() == 16 * 1024 * 1024
+
+    def test_itemsize_matches_numpy(self):
+        for name in ("complex64", "complex128", "clongdouble"):
+            p = STAPParams(dtype=name)
+            assert p.itemsize == np.dtype(name).itemsize == np.dtype(p.dtype).itemsize
+
+
+def _numpy_gates(n_ranges, n_training):
+    return np.linspace(0, n_ranges - 1, n_training).astype(np.intp)
+
+
+class TestTrainingGates:
+    """The pure-Python gates equal numpy's linspace-and-truncate."""
+
+    @pytest.mark.parametrize(
+        "n_ranges", [1, 2, 3, 7, 8, 100, 128, 256, 1000, 1023, 1024, 4096, 9973]
+    )
+    def test_equal_to_numpy(self, n_ranges):
+        sizes = {1, 2, 3, n_ranges - 1, n_ranges}
+        sizes |= set(range(1, n_ranges + 1, max(1, n_ranges // 150)))
+        for k in sorted(s for s in sizes if 1 <= s <= n_ranges):
+            gates = training_gate_indices(n_ranges, k)
+            assert isinstance(gates, tuple)
+            assert list(gates) == _numpy_gates(n_ranges, k).tolist(), (n_ranges, k)
+
+    @pytest.mark.parametrize("n_ranges,k", [(8, 0), (8, 9), (1, 2), (5, -1)])
+    def test_invalid_bounds_rejected(self, n_ranges, k):
+        with pytest.raises(ConfigurationError):
+            training_gate_indices(n_ranges, k)
+        with pytest.raises(ConfigurationError):
+            training_gates(n_ranges, k)
+
+    def test_weights_training_gates_is_an_intp_array(self):
+        for n_ranges, k in [(1024, 96), (128, 32), (256, 1), (64, 64)]:
+            gates = training_gates(n_ranges, k)
+            assert gates.dtype == np.intp
+            np.testing.assert_array_equal(gates, _numpy_gates(n_ranges, k))
+
+    @pytest.mark.parametrize("params", [STAPParams(), tiny_params()], ids=["default", "tiny"])
+    @pytest.mark.parametrize("build", [build_embedded_pipeline, build_separate_io_pipeline])
+    def test_plan_gate_cols_equal_nonzero(self, params, build):
+        a = NodeAssignment.balanced(params, 28, io_nodes=4)
+        plan = PipelinePlan(build(a), params)
+        gates = _numpy_gates(params.n_ranges, params.n_training)
+        assert plan.train_gates == tuple(gates.tolist())
+        for dop in range(plan.ranges_doppler.parts):
+            rlo, rhi = plan.ranges_doppler.bounds(dop)
+            old = np.nonzero((gates >= rlo) & (gates < rhi))[0]
+            assert plan.train_gate_cols(rlo, rhi) == old.tolist()
