@@ -290,9 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--backpressure", type=int, default=64,
                        help="max undelivered cells per job before its "
                        "dispatch pauses (default 64)")
-    p_srv.add_argument("--job-retention", type=int, default=256,
-                       help="finished jobs kept fully resident before the "
-                       "oldest are evicted to summaries (default 256)")
     p_srv.add_argument("--cache-dir", default=str(DEFAULT_CACHE_DIR),
                        help="shared content-addressed result cache")
     p_srv.add_argument("--no-cache", action="store_true",
@@ -907,7 +904,6 @@ def _cmd_serve(args) -> int:
     store = None if args.no_cache else ResultStore(args.cache_dir)
     scheduler = ExperimentScheduler(
         workers=args.workers, store=store, backpressure=args.backpressure,
-        job_retention=args.job_retention,
     )
     feed = EventFeed().attach(scheduler)
     server = ExperimentServer(scheduler, host=args.host, port=args.port,

@@ -470,12 +470,13 @@ class BeamformStages(TaskStages):
 
 
 class _ReportWriterMixin(TaskStages):
-    """Optional detection-report write-back for sink tasks."""
+    """CFAR detection and optional report write-back for sink tasks."""
 
     def _setup_report_writer(self) -> None:
         ctx = self.ctx
         self._report_handle = None
         self._report_bytes = ctx.costs.detections_bytes()
+        self._n_dets = 0
         if not ctx.cfg.write_reports:
             return
         fs = ctx.fileset.fs
@@ -504,6 +505,35 @@ class _ReportWriterMixin(TaskStages):
         yield from ctx.fileset.fs.write(
             self._report_handle, k * nbytes, payload
         )
+
+    def _run_cfar(self, data: np.ndarray, k: int) -> None:
+        """Detect over bins ``[glo, ghi)`` (compute mode only): deposit
+        the detections and record their count, which sizes CPI ``k``'s
+        report."""
+        from repro.stap.cfar import ca_cfar
+
+        p = self.ctx.params
+        dets = ca_cfar(
+            data,
+            bins=list(range(self.glo, self.ghi)),
+            window=p.cfar_window,
+            guard=p.cfar_guard,
+            pfa=p.pfa,
+            cpi_index=k,
+            method=p.cfar_method,
+        )
+        self.ctx.results.setdefault("detections", []).extend(dets)
+        self._n_dets = len(dets)
+
+    def send(self, k: int, outputs):
+        """Reports go to the display (negligible) and — optionally — to
+        the parallel file system (`write_reports`)."""
+        if self._report_handle is None:
+            return
+        ctx = self.ctx
+        t0 = ctx.now
+        yield from self._write_reports(k, self._n_dets)
+        ctx.record(k, Phase.SEND, t0)
 
 
 class _BinRowsMixin(TaskStages):
@@ -539,24 +569,6 @@ class _BinRowsMixin(TaskStages):
                 buf[rows] = arr
             ctx.send_ack(src_rank, k)
         return buf
-
-    def _run_cfar(self, data: Optional[np.ndarray], k: int) -> None:
-        """Detect and deposit results (compute mode only)."""
-        if data is None:
-            return
-        from repro.stap.cfar import ca_cfar
-
-        p = self.ctx.params
-        dets = ca_cfar(
-            data,
-            bins=list(range(self.glo, self.ghi)),
-            window=p.cfar_window,
-            guard=p.cfar_guard,
-            pfa=p.pfa,
-            cpi_index=k,
-            method=p.cfar_method,
-        )
-        self.ctx.results.setdefault("detections", []).extend(dets)
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +631,6 @@ class CfarStages(_ReportWriterMixin):
         self.pc_ranks = ctx.ranks("pulse_compr")
         self.producers = plan.cfar_expected_pc_producers(ctx.local)
         self._setup_report_writer()
-        self._n_dets = 0
         return True
 
     def recv(self, k: int):
@@ -640,33 +651,10 @@ class CfarStages(_ReportWriterMixin):
     def compute(self, k: int, buf):
         ctx = self.ctx
         if ctx.cfg.compute:
-            from repro.stap.cfar import ca_cfar
-
-            p = ctx.params
-            dets = ca_cfar(
-                buf,
-                bins=list(range(self.glo, self.ghi)),
-                window=p.cfar_window,
-                guard=p.cfar_guard,
-                pfa=p.pfa,
-                cpi_index=k,
-                method=p.cfar_method,
-            )
-            ctx.results.setdefault("detections", []).extend(dets)
-            self._n_dets = len(dets)
+            self._run_cfar(buf, k)
         yield from ctx.compute_for(self.t_compute)
         ctx.record(k, Phase.DONE, ctx.now)
         return None
-
-    def send(self, k: int, outputs):
-        """Reports go to the display (negligible) and — optionally — to
-        the parallel file system (`write_reports`)."""
-        if self._report_handle is None:
-            return
-        ctx = self.ctx
-        t0 = ctx.now
-        yield from self._write_reports(k, self._n_dets)
-        ctx.record(k, Phase.SEND, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +672,6 @@ class PulseCfarStages(_BinRowsMixin, _ReportWriterMixin):
             ctx.costs.pulse_compression_flops() + ctx.costs.cfar_flops(), self.share
         )
         self._setup_report_writer()
-        self._n_dets = 0
         return True
 
     def recv(self, k: int):
@@ -701,11 +688,3 @@ class PulseCfarStages(_BinRowsMixin, _ReportWriterMixin):
         yield from ctx.compute_for(self.t_compute)
         ctx.record(k, Phase.DONE, ctx.now)
         return None
-
-    def send(self, k: int, outputs):
-        if self._report_handle is None:
-            return
-        ctx = self.ctx
-        t0 = ctx.now
-        yield from self._write_reports(k, self._n_dets)
-        ctx.record(k, Phase.SEND, t0)

@@ -29,6 +29,10 @@ task** over a persistent worker pool:
 * **Retry on worker death** — a SIGKILLed/crashed worker fails neither
   its task nor the job: the orphaned task is rescheduled (up to
   ``max_task_retries`` times) at the front of its client's queue.
+* **Bounded memory** — a job that ends drops to its ``describe()``
+  summary at once; its result payloads live only as long as the
+  client's :class:`~repro.service.streaming.JobHandle`, and the store
+  is where finished results persist.
 
 All scheduling state is owned by one dispatcher thread; client-facing
 methods only enqueue work and read snapshots under ``self._lock``.
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
+from itertools import islice
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, ServiceError
@@ -53,11 +58,7 @@ __all__ = ["ExperimentScheduler"]
 #: dispatch is paused (see streaming docs).
 DEFAULT_BACKPRESSURE = 64
 
-#: Default count of terminal jobs kept fully resident (handle + result
-#: payloads) before the oldest are evicted down to describe() snapshots.
-DEFAULT_JOB_RETENTION = 256
-
-#: Cap on evicted-job snapshots kept for ``repro jobs list``.
+#: Cap on finished-job snapshots kept for ``repro jobs list``.
 _ARCHIVE_CAP = 4096
 
 
@@ -82,13 +83,6 @@ class ExperimentScheduler:
         that job pauses.
     max_task_retries:
         Worker-death reschedules allowed per task before the job fails.
-    job_retention:
-        Terminal jobs kept fully resident (handle, result payloads)
-        before the oldest are evicted to bounded ``describe()``
-        snapshots; bounds the long-running service's memory.  A client
-        still holding an evicted job's :class:`JobHandle` keeps it
-        usable (the handle owns the job object); only the scheduler's
-        references are dropped.
     """
 
     def __init__(
@@ -99,7 +93,6 @@ class ExperimentScheduler:
         metrics: Optional[ServiceMetrics] = None,
         backpressure: int = DEFAULT_BACKPRESSURE,
         max_task_retries: int = 3,
-        job_retention: int = DEFAULT_JOB_RETENTION,
         poll_interval: float = 0.25,
         mp_context: Optional[str] = None,
     ) -> None:
@@ -109,16 +102,11 @@ class ExperimentScheduler:
             raise ConfigurationError(
                 f"backpressure must be >= 1, got {backpressure}"
             )
-        if job_retention < 0:
-            raise ConfigurationError(
-                f"job_retention must be >= 0, got {job_retention}"
-            )
         self.workers = workers
         self.store = store
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.backpressure = backpressure
         self.max_task_retries = max_task_retries
-        self.job_retention = job_retention
         self._poll_interval = poll_interval
         self._pool = (
             InlinePool() if workers == 0 else ProcessPool(workers, mp_context)
@@ -129,12 +117,12 @@ class ExperimentScheduler:
         #: Event listeners (see :meth:`add_listener`); no-overhead when
         #: empty — ``_emit`` short-circuits before building the event.
         self._listeners: List[Any] = []
-        self._jobs: Dict[str, Job] = {}
-        self._handles: Dict[str, JobHandle] = {}
-        #: Terminal job ids in retirement order (eviction queue).
-        self._retired: Deque[str] = deque()
-        #: Evicted jobs' describe() snapshots (bounded, oldest dropped).
-        self._archive: Dict[str, Dict[str, Any]] = {}
+        #: Live (non-terminal) jobs' handles; ``handle.job`` is the job.
+        self._live: Dict[str, JobHandle] = {}
+        #: Every job in submission order: None while it is live, its
+        #: describe() snapshot once it ended (oldest snapshots dropped
+        #: past ``_ARCHIVE_CAP``).
+        self._archive: Dict[str, Optional[Dict[str, Any]]] = {}
         #: key -> live (non-terminal) task computing that cell.
         self._inflight: Dict[str, Task] = {}
         #: per-client FIFO of ready tasks (fair round-robin source).
@@ -145,7 +133,8 @@ class ExperimentScheduler:
         self._running: Dict[str, Task] = {}
 
         self._stop = False
-        self._closed = False
+        #: Why submissions are refused (shut down or crashed), or None.
+        self._closed: Optional[str] = None
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="repro-service-dispatch",
             daemon=True,
@@ -244,7 +233,7 @@ class ExperimentScheduler:
         stage *N* completed.  Cells are indexed across the whole job in
         submission order (stage 0 first)."""
         if self._closed:
-            raise ServiceError("scheduler is shut down")
+            raise ServiceError(self._closed)
         if not stages or all(not cells for _, cells in stages):
             raise ConfigurationError("a job needs at least one task")
         n_cells = sum(len(cells) for _, cells in stages)
@@ -285,8 +274,11 @@ class ExperimentScheduler:
             prepared.append((stage, rows))
 
         with self._lock:
-            self._jobs[job.id] = job
-            self._handles[job.id] = handle
+            # Shutdown or a crash may have closed us during the probes.
+            if self._closed:
+                raise ServiceError(self._closed)
+            self._live[job.id] = handle
+            self._archive[job.id] = None
             if client not in self._ready:
                 self._ready[client] = deque()
                 self._clients.append(client)
@@ -305,32 +297,35 @@ class ExperimentScheduler:
         are interrupted, dedupe subscribers of other jobs keep the
         shared tasks alive.  Returns False if already terminal."""
         with self._lock:
-            job = self._jobs.get(job_id)
-            if job is None or job.state.terminal:
+            handle = self._live.get(job_id)
+            if handle is None:
                 return False
-            self._cancel_job_locked(job)
+            self._cancel_job_locked(handle.job)
         self._wake()
         return True
 
     def jobs(self) -> List[Dict[str, Any]]:
-        """Snapshot of every job, newest last (for ``repro jobs list``).
+        """Snapshot of every job, newest submission last (for ``repro
+        jobs list``).
 
-        Includes evicted jobs as their frozen terminal snapshots."""
+        Finished jobs appear as their frozen terminal snapshots."""
         with self._lock:
-            return list(self._archive.values()) + [
-                job.describe() for job in self._jobs.values()
+            return [
+                snap if snap is not None else self._live[job_id].job.describe()
+                for job_id, snap in self._archive.items()
             ]
 
     def job(self, job_id: str) -> Optional[Dict[str, Any]]:
         with self._lock:
-            job = self._jobs.get(job_id)
-            if job is not None:
-                return job.describe()
+            handle = self._live.get(job_id)
+            if handle is not None:
+                return handle.job.describe()
             return self._archive.get(job_id)
 
     def handle(self, job_id: str) -> Optional[JobHandle]:
+        """A live job's handle; None once the job has ended."""
         with self._lock:
-            return self._handles.get(job_id)
+            return self._live.get(job_id)
 
     def worker_pids(self) -> List[int]:
         """Live worker PIDs (empty for the inline pool)."""
@@ -344,12 +339,11 @@ class ExperimentScheduler:
     def shutdown(self, timeout: float = 5.0) -> None:
         """Stop dispatching, cancel live jobs, and stop the workers."""
         with self._lock:
-            if self._closed:
+            if self._stop:
                 return
-            self._closed = True
-            for job in list(self._jobs.values()):
-                if not job.state.terminal:
-                    self._cancel_job_locked(job, force=True)
+            self._closed = self._closed or "scheduler is shut down"
+            for handle in list(self._live.values()):
+                self._cancel_job_locked(handle.job)
             self._stop = True
         self._wake()
         self._dispatcher.join(timeout=timeout)
@@ -430,7 +424,7 @@ class ExperimentScheduler:
             job.counters.predicted += 1
             self.metrics.predicted.inc()
             job.results_by_index[index] = predicted
-            self._handles[job.id]._push(
+            self._live[job.id]._push(
                 "result",
                 CellResult(index, cell.key, predicted, "predicted", stage.index),
             )
@@ -443,7 +437,7 @@ class ExperimentScheduler:
             job.counters.cache_hits += 1
             self.metrics.cache_hits.inc()
             job.results_by_index[index] = cached
-            self._handles[job.id]._push(
+            self._live[job.id]._push(
                 "result",
                 CellResult(index, cell.key, cached, "cache", stage.index),
             )
@@ -490,7 +484,7 @@ class ExperimentScheduler:
             return
         job.signal(State.DONE)
         self.metrics.jobs_completed.inc()
-        self._handles[job.id]._push("done")
+        self._live[job.id]._push("done")
         self._emit_job_locked(job)
         self._retire_job_locked(job)
 
@@ -511,24 +505,24 @@ class ExperimentScheduler:
                 dq.append(task)
         self.metrics.queue_depth(job.client).set(len(dq))
 
-    # -- retention (locked) -------------------------------------------------
+    # -- retirement (locked) ------------------------------------------------
     def _retire_job_locked(self, job: Job) -> None:
-        """A job just went terminal: queue it for eviction and evict the
-        oldest retirees past ``job_retention``, keeping only their
-        describe() snapshots (bounds service memory — every Job retains
-        its full result payloads)."""
-        self._retired.append(job.id)
-        while len(self._retired) > self.job_retention:
-            evicted_id = self._retired.popleft()
-            evicted = self._jobs.pop(evicted_id, None)
-            self._handles.pop(evicted_id, None)
-            if evicted is not None:
-                self._archive[evicted_id] = evicted.describe()
-        while len(self._archive) > _ARCHIVE_CAP:
-            del self._archive[next(iter(self._archive))]
+        """A job just went terminal: keep only its describe() snapshot.
+
+        The scheduler drops the job and its handle at once, so result
+        payloads live only as long as the client's handle.  Snapshots
+        past ``_ARCHIVE_CAP`` go oldest first; live jobs keep their
+        place in the listing."""
+        del self._live[job.id]
+        self._archive[job.id] = job.describe()
+        excess = len(self._archive) - _ARCHIVE_CAP
+        if excess > 0:
+            ended = (i for i, snap in self._archive.items() if snap is not None)
+            for job_id in list(islice(ended, excess)):
+                del self._archive[job_id]
 
     # -- cancellation (locked) ---------------------------------------------
-    def _cancel_job_locked(self, job: Job, force: bool = False) -> None:
+    def _cancel_job_locked(self, job: Job) -> None:
         job.signal(State.CANCELLED)
         self.metrics.jobs_cancelled.inc()
         for stage in job.stages:
@@ -543,7 +537,7 @@ class ExperimentScheduler:
                         s for s in inflight.subscribers if s[0] is not job
                     ]
             stage.pending_keys.clear()
-        self._handles[job.id]._push("cancelled")
+        self._live[job.id]._push("cancelled")
         self._emit_job_locked(job)
         self._retire_job_locked(job)
 
@@ -626,7 +620,7 @@ class ExperimentScheduler:
             task = dq[0]
             owner = task.owner
             if owner is not None:
-                handle = self._handles.get(owner.id)
+                handle = self._live.get(owner.id)
                 if (
                     handle is not None
                     and handle.undelivered >= self.backpressure
@@ -697,7 +691,7 @@ class ExperimentScheduler:
         job.results_by_index[index] = payload
         for dup in job.alias_map.pop(index, []):
             job.results_by_index[dup] = payload
-        self._handles[job.id]._push(
+        self._live[job.id]._push(
             "result", CellResult(index, key, payload, source, stage_index)
         )
         self._emit_result_locked(job, index, key, payload, source, stage_index)
@@ -735,7 +729,7 @@ class ExperimentScheduler:
                     ]
             stage.pending_keys.clear()
         job.signal(State.FAILED)
-        self._handles[job.id]._push("failed", error=error)
+        self._live[job.id]._push("failed", error=error)
         self._emit_job_locked(job)
         self._retire_job_locked(job)
 
@@ -780,10 +774,9 @@ class ExperimentScheduler:
             self._pool_respawns_seen = respawns
 
     def _crash(self, exc: Exception) -> None:
-        """Dispatcher hit an internal error: fail every live job."""
+        """Dispatcher hit an internal error: fail every live job and
+        refuse new submissions (nothing would dispatch them)."""
         with self._lock:
-            for job in list(self._jobs.values()):
-                if not job.state.terminal:
-                    self._fail_job_locked(
-                        job, ServiceError(f"scheduler crashed: {exc!r}")
-                    )
+            self._closed = f"scheduler crashed: {exc!r}"
+            for handle in list(self._live.values()):
+                self._fail_job_locked(handle.job, ServiceError(self._closed))

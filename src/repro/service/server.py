@@ -191,8 +191,12 @@ class ExperimentServer:
             _send(wfile, {"ok": False, "error": f"bad specs: {exc}"})
             return
         client = str(req.get("client") or "remote")
-        handle = self.scheduler.submit(specs, client=client,
-                                       label=str(req.get("label") or ""))
+        try:
+            handle = self.scheduler.submit(specs, client=client,
+                                           label=str(req.get("label") or ""))
+        except ReproError as exc:   # shut down or crashed
+            _send(wfile, {"ok": False, "error": str(exc)})
+            return
         _send(wfile, {"ok": True, "event": "accepted", "job": handle.id,
                       "cells": handle.job.n_cells})
         if not req.get("follow"):

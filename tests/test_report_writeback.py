@@ -1,5 +1,8 @@
 """Tests for detection-report write-back (output-side I/O)."""
 
+import dataclasses
+from collections import Counter
+
 import pytest
 
 from repro.core.context import ExecutionConfig
@@ -10,6 +13,7 @@ from repro.core.pipeline import (
     combine_pulse_cfar,
 )
 from repro.machine.presets import paragon
+from repro.stap.costs import STAPCosts
 from repro.stap.scenario import Scenario
 
 
@@ -80,3 +84,25 @@ class TestReportWriteback:
         res = ex.run()
         assert res.throughput > 0
         assert ex.fs.file_size("reports_cfar_0.dat") > 0
+
+    @pytest.mark.parametrize("combined", [False, True],
+                             ids=["cfar", "pc_cfar"])
+    def test_report_size_follows_detections(self, small_params, combined):
+        # Both sinks size each CPI's report by that node's detections.
+        # The combined task used to write nominal-size reports always.
+        params = dataclasses.replace(small_params, pfa=0.05)
+        spec = build_embedded_pipeline(NodeAssignment.balanced(params, 20))
+        if combined:
+            spec = combine_pulse_cfar(spec)
+        ex, res = run(spec, params, True, compute=True, n_cpis=3,
+                      scenario=Scenario.standard(params, seed=7))
+        bins = ex.plan.bins_pc if combined else ex.plan.bins_cfar
+        found = Counter((bins.owner(d.doppler_bin), d.cpi_index)
+                        for d in res.detections)
+        nominal = STAPCosts(params).detections_bytes()
+        expected = sum(
+            max(nominal, 32 * found[(node, k)])
+            for node in range(bins.parts) for k in range(3)
+        )
+        assert sum(found.values()) > 16 * bins.parts * 3
+        assert ex.fs.bytes_for_prefix("reports_") == expected

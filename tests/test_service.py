@@ -7,10 +7,12 @@ SweepRunner-on-scheduler equivalence guarantees, and the TCP front end.
 
 from __future__ import annotations
 
+import gc
 import os
 import signal
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -287,40 +289,127 @@ class TestSchedulerBasics:
                 h.wait(timeout=1)
 
 
+class Token:
+    """A weak-referenceable stand-in for a result payload's contents."""
+
+
+def token_cell(key, token):
+    """A sleep cell whose result payload carries ``token``."""
+    return TaskSpec(key=key, payload={"id": key, "value": token},
+                    runner=SLEEP_RUNNER)
+
+
 class TestJobRetention:
+    """A job that ends drops to its describe() snapshot at once."""
+
     def test_terminal_jobs_evicted_to_snapshots(self, tmp_path):
-        with ExperimentScheduler(workers=0, job_retention=2) as s:
+        with ExperimentScheduler(workers=0) as s:
             handles = []
-            for i in range(4):
+            for i in range(3):
                 h = s.submit_stages(
                     [("x", [sleep_cell(f"r{i}", tmp_path, value=i)])],
                     client="a",
                 )
                 h.wait(timeout=DEADLINE)
                 handles.append(h)
-            oldest = handles[0]
-            # Evicted: the scheduler dropped its own references...
-            assert s.handle(oldest.id) is None
-            assert oldest.id not in s._jobs
-            # ...but `repro jobs list|show` still see the snapshot...
-            assert s.job(oldest.id)["state"] == "done"
+            # The scheduler dropped its own references at once...
+            assert all(s.handle(h.id) is None for h in handles)
+            # ...but `repro jobs list|show` still see the snapshots...
+            assert s.job(handles[0].id)["state"] == "done"
             assert [j["id"] for j in s.jobs()] == [h.id for h in handles]
-            # ...and the newest jobs stay fully resident.
-            assert s.handle(handles[-1].id) is handles[-1]
-            # A client still holding the evicted handle keeps it usable.
-            assert oldest.wait(timeout=1)[0]["value"] == 0
+            # ...and a client still holding a handle keeps it usable.
+            assert handles[0].wait(timeout=1)[0]["value"] == 0
+
+    def test_listing_keeps_submission_order(self, tmp_path):
+        # A job that ends after a later one must not move in the listing.
+        # backpressure=1 holds the first job's second cell until its
+        # client consumes the first, so the second job ends first.
+        with ExperimentScheduler(workers=0, backpressure=1) as s:
+            slow = s.submit_stages(
+                [("x", [sleep_cell(f"s{i}", tmp_path) for i in range(2)])],
+                client="a",
+            )
+            fast = s.submit_stages(
+                [("x", [sleep_cell("fast", tmp_path)])], client="b",
+            )
+            fast.wait(timeout=DEADLINE)
+            listing = s.jobs()
+            assert [j["id"] for j in listing] == [slow.id, fast.id]
+            assert [j["state"] for j in listing] == ["running", "done"]
+            slow.wait(timeout=DEADLINE)
+            listing = s.jobs()
+            assert [j["id"] for j in listing] == [slow.id, fast.id]
+            assert [j["state"] for j in listing] == ["done", "done"]
+
+    def test_finished_jobs_release_payloads(self):
+        # More jobs than the old 256-job retention: once each client
+        # drops its handle, no finished job's payload stays alive.
+        n_jobs = 300
+        refs = []
+
+        def run_one(i):
+            token = Token()
+            refs.append(weakref.ref(token))
+            h = s.submit_stages([("x", [token_cell(f"m{i}", token)])],
+                                client="a")
+            assert h.wait(timeout=DEADLINE)[0]["value"] is token
+
+        with ExperimentScheduler(workers=0) as s:
+            for i in range(n_jobs):
+                run_one(i)
+            kept_token = Token()
+            kept = s.submit_stages([("x", [token_cell("kept", kept_token)])],
+                                   client="a")
+            first = kept.wait(timeout=DEADLINE)
+            gc.collect()
+            alive = [r for r in refs if r() is not None]
+            assert not alive, f"{len(alive)} finished payloads still alive"
+            # A client holding its handle gets the same payloads again.
+            again = kept.wait(timeout=1)
+            assert again == first and again[0]["value"] is kept_token
+            assert len(s.jobs()) == n_jobs + 1
 
     def test_cancel_evicted_job_is_false(self, tmp_path):
-        with ExperimentScheduler(workers=0, job_retention=0) as s:
+        with ExperimentScheduler(workers=0) as s:
             h = s.submit_stages(
                 [("x", [sleep_cell("k", tmp_path)])], client="a"
             )
             h.wait(timeout=DEADLINE)
             assert not s.cancel(h.id)
 
-    def test_retention_validated(self):
-        with pytest.raises(ConfigurationError):
-            ExperimentScheduler(workers=0, job_retention=-1)
+
+class TestDispatcherCrash:
+    def test_crash_fails_live_jobs_and_refuses_submits(self, tmp_path):
+        s = ExperimentScheduler(workers=0)
+        submitted = threading.Event()
+        crashes = []
+        crash = s._crash
+
+        def faulty_dispatch():
+            submitted.wait(DEADLINE)
+            raise RuntimeError("injected dispatch fault")
+
+        def spy_crash(exc):
+            crashes.append(exc)
+            crash(exc)
+
+        s._crash = spy_crash
+        s._dispatch_once = faulty_dispatch
+        try:
+            h = s.submit_stages([("x", [sleep_cell("k", tmp_path)])],
+                                client="a")
+            submitted.set()
+            with pytest.raises(ServiceError, match="scheduler crashed"):
+                h.wait(timeout=DEADLINE)
+            assert h.state is State.FAILED
+            assert len(crashes) == 1
+            assert "injected dispatch fault" in str(crashes[0])
+            # Nothing would dispatch a new job: refuse it at once.
+            with pytest.raises(ServiceError, match="scheduler crashed"):
+                s.submit_stages([("x", [sleep_cell("k2", tmp_path)])],
+                                client="a")
+        finally:
+            s.shutdown()
 
 
 class TestSchedulerWithStore:
@@ -834,6 +923,19 @@ class TestServer:
         d["flaky_dsk"] = {"server": 1, "error_rate": 0.1, "seed": 0}
         with pytest.raises(ServiceError, match="bad specs.*'flaky_dsk'"):
             request(server.host, server.port, {"op": "submit", "specs": [d]})
+
+    def test_refused_submit_answered_not_fatal(self, small_params):
+        # A submit the scheduler refuses gets an error response, not a
+        # dropped connection.
+        scheduler = ExperimentScheduler(workers=0)
+        scheduler.shutdown()
+        with ExperimentServer(scheduler, port=0) as server:
+            specs = [small_spec(small_params).to_dict()]
+            with pytest.raises(ServiceError, match="scheduler is shut down"):
+                list(submit_batch(server.host, server.port, specs,
+                                  timeout=10))
+            assert request(server.host, server.port,
+                           {"op": "ping"})["event"] == "pong"
 
     def test_bad_requests_rejected_not_fatal(self, served_scheduler):
         _, server = served_scheduler
