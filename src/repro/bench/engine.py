@@ -560,13 +560,14 @@ class SweepRunner:
         self.cache_misses += counters["cache_misses"]
         self.executed += counters["executed"]
         self.predicted += counters.get("predicted", 0)
-        results = [
-            type(spec).RESULT.from_dict(p) for spec, p in zip(specs, payloads)
-        ]
-        # Duplicate specs alias one result object, as before.
-        seen: Dict[int, PipelineResult] = {}
+        # Each distinct cell is rehydrated once; duplicate specs alias
+        # its result object.
+        first_index = handle.job.first_index_by_key
+        by_first: Dict[int, PipelineResult] = {}
         out: List[PipelineResult] = []
-        for spec, result in zip(specs, results):
-            first = handle.job.first_index_by_key[spec.spec_hash()]
-            out.append(seen.setdefault(first, result))
+        for spec, payload in zip(specs, payloads):
+            first = first_index[spec.spec_hash()]
+            if first not in by_first:
+                by_first[first] = type(spec).RESULT.from_dict(payload)
+            out.append(by_first[first])
         return out

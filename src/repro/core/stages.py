@@ -1,4 +1,4 @@
-"""Stage-structured task execution: sequential and multithreaded runners.
+"""Task execution in phases: sequential and multithreaded runners.
 
 Every task body decomposes into the paper's three phases —
 **receive**, **compute**, **send** — expressed as a :class:`TaskStages`

@@ -1,4 +1,4 @@
-"""Experiment service tier: jobs, stages, tasks, workers, streaming.
+"""Experiment service tier: jobs, tasks, workers, streaming.
 
 This package turns the batch-shaped :class:`~repro.bench.engine.SweepRunner`
 workflow into a long-running service.  An
@@ -16,13 +16,12 @@ from repro.service.model import (
     Job,
     JobCounters,
     Lifecycle,
-    Stage,
     State,
     Task,
     TaskSpec,
 )
 from repro.service.events import EventFeed
-from repro.service.pool import InlinePool, PoolEvent, ProcessPool, default_pool
+from repro.service.pool import InlinePool, PoolEvent, ProcessPool
 from repro.service.scheduler import ExperimentScheduler
 from repro.service.streaming import CellResult, JobHandle
 from repro.service.tasks import RUN_SPEC_RUNNER, run_spec_payload
@@ -33,7 +32,6 @@ __all__ = [
     "JobHandle",
     "CellResult",
     "Job",
-    "Stage",
     "Task",
     "TaskSpec",
     "State",
@@ -42,7 +40,6 @@ __all__ = [
     "InlinePool",
     "ProcessPool",
     "PoolEvent",
-    "default_pool",
     "RUN_SPEC_RUNNER",
     "run_spec_payload",
 ]

@@ -1,7 +1,7 @@
 """Bounded event feed over scheduler state transitions.
 
 The :class:`~repro.service.scheduler.ExperimentScheduler` emits one
-plain-dict event per job/stage/task transition and per delivered result
+plain-dict event per job/task transition and per delivered result
 (see ``ExperimentScheduler.add_listener``).  :class:`EventFeed` is the
 standard consumer: a bounded ring buffer that stamps each event with a
 monotonically increasing sequence number and a wall-clock time, and

@@ -1,21 +1,18 @@
-"""Job → stage → task model with lifecycle signals.
+"""Job → task model with lifecycle signals.
 
-The service executes work as a three-level hierarchy, the shape bndl's
-scheduler popularised for bulk-synchronous engines:
+The service executes work as a two-level hierarchy:
 
 * a :class:`Job` is one client submission (e.g. an experiment batch);
-* a :class:`Stage` is an ordered step inside the job — stage *N + 1*
-  only starts once stage *N* is done, so multi-phase workloads
-  (simulate, then post-process) sequence without client round-trips;
 * a :class:`Task` is one unit of schedulable work (one experiment
   cell), dispatched eagerly over the worker pool and retried on worker
   death.
 
-Every level is a :class:`Lifecycle`: it moves through
-``PENDING → RUNNING → DONE | FAILED | CANCELLED`` and notifies
-listeners on each transition.  Cancellation propagates *down* the
-hierarchy (job → stages → tasks) and completion aggregates *up* (all
-tasks done → stage done; last stage done → job done; any task failed →
+The cells of a job are independent, so a job's tasks are ready as soon
+as it is admitted and nothing orders them.  Both levels are a
+:class:`Lifecycle`: they move through
+``PENDING → RUNNING → DONE | FAILED | CANCELLED``.  Cancellation
+propagates *down* (job → tasks) and completion aggregates *up* (every
+task and dedupe subscription settled → job done; any task failed →
 job failed).
 
 Nothing in this module touches threads, processes, or the store — it is
@@ -28,21 +25,20 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
     "State",
     "Lifecycle",
     "TaskSpec",
     "Task",
-    "Stage",
     "Job",
     "JobCounters",
 ]
 
 
 class State(str, enum.Enum):
-    """Lifecycle state shared by jobs, stages, and tasks."""
+    """Lifecycle state shared by jobs and tasks."""
 
     PENDING = "pending"
     RUNNING = "running"
@@ -68,7 +64,7 @@ _TRANSITIONS = {
 
 
 class Lifecycle:
-    """State machine with transition listeners.
+    """State machine over :class:`State`.
 
     Terminal states are sticky: a second transition request against a
     terminal object is ignored (the first signal wins), which is what
@@ -78,11 +74,6 @@ class Lifecycle:
 
     def __init__(self) -> None:
         self.state = State.PENDING
-        self._listeners: List[Callable[["Lifecycle"], None]] = []
-
-    def add_listener(self, fn: Callable[["Lifecycle"], None]) -> None:
-        """Call ``fn(self)`` after every subsequent state transition."""
-        self._listeners.append(fn)
 
     def signal(self, state: State) -> bool:
         """Move to ``state``; returns False if the move was a no-op.
@@ -101,8 +92,6 @@ class Lifecycle:
                 f"{state.value} on {self!r}"
             )
         self.state = state
-        for fn in list(self._listeners):
-            fn(self)
         return True
 
 
@@ -127,19 +116,19 @@ class TaskSpec:
 
 
 class Task(Lifecycle):
-    """One schedulable attempt-tracked unit of a stage."""
+    """One schedulable attempt-tracked unit of a job."""
 
     _ids = itertools.count(1)
 
-    def __init__(self, spec: TaskSpec, stage: "Stage") -> None:
+    def __init__(self, spec: TaskSpec, job: "Job") -> None:
         super().__init__()
         self.id = f"t{next(self._ids)}"
         self.spec = spec
-        self.stage = stage
+        self.job = job
         #: The job whose counters get "executed" credit.  Cleared when
         #: that job is cancelled but other jobs still need the result
         #: (ownership transfer keeps the task running).
-        self.owner: Optional["Job"] = stage.job
+        self.owner: Optional["Job"] = job
         #: Dispatch attempts so far (1 on first dispatch).
         self.attempts = 0
         #: Worker-death reschedules consumed.
@@ -150,39 +139,16 @@ class Task(Lifecycle):
         self.result: Optional[Dict[str, Any]] = None
         #: The exception that failed this task, once FAILED.
         self.error: Optional[BaseException] = None
-        #: ``(job, stage, index)`` triples to deliver the result to.
-        #: The first entry is the owning cell; extras are in-flight
-        #: dedupe subscribers from other submissions.
-        self.subscribers: List[Tuple["Job", "Stage", int]] = []
+        #: ``(job, index)`` pairs to deliver the result to.  The first
+        #: entry is the owning cell; extras are in-flight dedupe
+        #: subscribers from other submissions.
+        self.subscribers: List[Tuple["Job", int]] = []
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<Task {self.id} {self.state.value} key={self.spec.key[:12]} "
             f"attempts={self.attempts}>"
         )
-
-
-class Stage(Lifecycle):
-    """An ordered step of a job: a set of tasks with a barrier after."""
-
-    def __init__(self, job: "Job", index: int, name: str = "") -> None:
-        super().__init__()
-        self.job = job
-        self.index = index
-        self.name = name or f"stage-{index}"
-        self.tasks: List[Task] = []
-        #: Keys this stage subscribed to on *other jobs'* in-flight
-        #: tasks and is still waiting for, mapped to the submission
-        #: index they fill (in-flight dedupe).
-        self.pending_keys: Dict[str, int] = {}
-
-    @property
-    def settled(self) -> bool:
-        """True when every task (and dedupe subscription) has resolved."""
-        return all(t.state.terminal for t in self.tasks) and not self.pending_keys
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Stage {self.job.id}/{self.index} {self.state.value}>"
 
 
 @dataclass
@@ -216,7 +182,7 @@ class JobCounters:
 
 
 class Job(Lifecycle):
-    """One client submission: ordered stages over a list of cells."""
+    """One client submission: the tasks for a list of cells."""
 
     _ids = itertools.count(1)
 
@@ -226,7 +192,11 @@ class Job(Lifecycle):
         self.client = client
         self.label = label
         self.n_cells = n_cells
-        self.stages: List[Stage] = []
+        self.tasks: List[Task] = []
+        #: Keys this job subscribed to on *other jobs'* in-flight tasks
+        #: and is still waiting for, mapped to the submission index they
+        #: fill (in-flight dedupe).
+        self.pending_keys: Dict[str, int] = {}
         self.counters = JobCounters()
         #: Set by the scheduler: the first task failure, re-raised to
         #: the client from :meth:`JobHandle.wait`.
@@ -239,8 +209,9 @@ class Job(Lifecycle):
         self.alias_map: Dict[int, List[int]] = {}
 
     @property
-    def tasks(self) -> List[Task]:
-        return [t for s in self.stages for t in s.tasks]
+    def settled(self) -> bool:
+        """True when every task (and dedupe subscription) has resolved."""
+        return all(t.state.terminal for t in self.tasks) and not self.pending_keys
 
     def describe(self) -> Dict[str, Any]:
         """JSON-able snapshot for ``repro jobs list|show``."""
@@ -253,7 +224,6 @@ class Job(Lifecycle):
             "label": self.label,
             "state": self.state.value,
             "cells": self.n_cells,
-            "stages": len(self.stages),
             "tasks": by_state,
             "counters": self.counters.to_dict(),
         }

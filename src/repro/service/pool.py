@@ -36,7 +36,7 @@ import socket
 import threading
 import traceback
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ConfigurationError, ServiceError
 
@@ -44,7 +44,6 @@ __all__ = [
     "PoolEvent",
     "InlinePool",
     "ProcessPool",
-    "default_pool",
     "resolve_runner",
 ]
 
@@ -72,7 +71,7 @@ class PoolEvent:
 
     * ``"done"`` — ``task_id`` finished; ``result`` is the payload dict;
     * ``"error"`` — the task raised; ``error`` is the (re-hydrated)
-      exception, ``tb`` its formatted worker-side traceback;
+      exception;
     * ``"died"`` — the worker process exited without reporting;
       ``task_id`` is the task it held (reschedule it).
     """
@@ -82,7 +81,6 @@ class PoolEvent:
     worker_id: int
     result: Optional[dict] = None
     error: Optional[BaseException] = None
-    tb: str = ""
 
 
 class InlinePool:
@@ -105,8 +103,7 @@ class InlinePool:
             result = resolve_runner(runner)(payload)
         except BaseException as exc:  # noqa: BLE001 - reported, not hidden
             self._events.append(
-                PoolEvent("error", task_id, worker_id=0, error=exc,
-                          tb=traceback.format_exc())
+                PoolEvent("error", task_id, worker_id=0, error=exc)
             )
         else:
             self._events.append(
@@ -203,11 +200,11 @@ class _Worker:
 class ProcessPool:
     """``size`` persistent worker processes with death detection."""
 
-    def __init__(self, size: int, mp_context: Optional[str] = None) -> None:
+    def __init__(self, size: int) -> None:
         if size < 1:
             raise ConfigurationError(f"pool size must be >= 1, got {size}")
         self.size = size
-        self._ctx = multiprocessing.get_context(mp_context)
+        self._ctx = multiprocessing.get_context()
         self._next_worker_id = 0
         #: Guards ``_workers`` against the dispatcher's poll-time
         #: mutations (death del + respawn insert) racing client-thread
@@ -340,8 +337,7 @@ class ProcessPool:
                             f"{worker.id}:\n{tb}"
                         )
                     events.append(
-                        PoolEvent("error", task_id, worker.id,
-                                  error=error, tb=tb)
+                        PoolEvent("error", task_id, worker.id, error=error)
                     )
         # Death detection second: a worker whose result we just consumed
         # has task_id None and its exit (if any) is not a task loss.
@@ -359,10 +355,3 @@ class ProcessPool:
             if orphan is not None:
                 events.append(PoolEvent("died", orphan, worker.id))
         return events
-
-
-def default_pool(workers: int):
-    """The right pool for a worker count: 0 → inline, N → processes."""
-    if workers <= 0:
-        return InlinePool()
-    return ProcessPool(workers)

@@ -2,8 +2,8 @@
 
 :class:`ExperimentScheduler` is a long-running, in-process service that
 accepts :class:`~repro.bench.engine.ExperimentSpec` batches from any
-number of concurrent clients and executes them as **job → stage →
-task** over a persistent worker pool:
+number of concurrent clients and executes them as **job → task** over
+a persistent worker pool:
 
 * **Eager dispatch** — a task runs as soon as a worker is free; the
   pool never drains between jobs (workers spawn once per scheduler).
@@ -20,7 +20,7 @@ task** over a persistent worker pool:
   job's :class:`~repro.service.streaming.JobHandle` in completion
   order; a job whose client stops consuming stops being dispatched
   (never blocking other clients' deliveries).
-* **Cancellation** — job → stage → task; queued tasks never dispatch,
+* **Cancellation** — job → task; queued tasks never dispatch,
   in-flight process tasks are interrupted by terminating their worker
   (atomic store writes make any interruption point safe; the pool
   respawns a replacement), in-flight inline tasks stop at the next task
@@ -43,11 +43,11 @@ from __future__ import annotations
 import threading
 from collections import deque
 from itertools import islice
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError, ServiceError
 from repro.obs.service import ServiceMetrics
-from repro.service.model import Job, Stage, State, Task, TaskSpec
+from repro.service.model import Job, State, Task, TaskSpec
 from repro.service.pool import InlinePool, PoolEvent, ProcessPool
 from repro.service.streaming import CellResult, JobHandle
 from repro.service.tasks import RUN_SPEC_RUNNER
@@ -61,9 +61,13 @@ DEFAULT_BACKPRESSURE = 64
 #: Cap on finished-job snapshots kept for ``repro jobs list``.
 _ARCHIVE_CAP = 4096
 
+#: Longest the dispatcher sleeps in a pool poll; a wakeup (submit,
+#: cancel, delivery) ends the sleep early.
+_POLL_INTERVAL = 0.25
+
 
 class ExperimentScheduler:
-    """Job/stage/task scheduler over a persistent worker pool.
+    """Job/task scheduler over a persistent worker pool.
 
     Parameters
     ----------
@@ -93,8 +97,6 @@ class ExperimentScheduler:
         metrics: Optional[ServiceMetrics] = None,
         backpressure: int = DEFAULT_BACKPRESSURE,
         max_task_retries: int = 3,
-        poll_interval: float = 0.25,
-        mp_context: Optional[str] = None,
     ) -> None:
         if workers < 0:
             raise ConfigurationError(f"workers must be >= 0, got {workers}")
@@ -107,10 +109,7 @@ class ExperimentScheduler:
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.backpressure = backpressure
         self.max_task_retries = max_task_retries
-        self._poll_interval = poll_interval
-        self._pool = (
-            InlinePool() if workers == 0 else ProcessPool(workers, mp_context)
-        )
+        self._pool = InlinePool() if workers == 0 else ProcessPool(workers)
         self._pool_respawns_seen = 0
 
         self._lock = threading.RLock()
@@ -143,8 +142,8 @@ class ExperimentScheduler:
 
     # -- event stream ------------------------------------------------------
     def add_listener(self, fn) -> None:
-        """Call ``fn(event_dict)`` on every job/stage/task transition
-        and delivered result.
+        """Call ``fn(event_dict)`` on every job/task transition and
+        delivered result.
 
         Listeners run on whichever thread drove the transition — often
         the dispatcher, often *under the scheduler lock* — so they must
@@ -174,8 +173,7 @@ class ExperimentScheduler:
         )
 
     def _emit_result_locked(
-        self, job: Job, index: int, key: str, payload: dict,
-        source: str, stage_index: int,
+        self, job: Job, index: int, key: str, payload: dict, source: str,
     ) -> None:
         if not self._listeners:
             return
@@ -188,7 +186,6 @@ class ExperimentScheduler:
             index=index,
             key=key,
             source=source,
-            stage=stage_index,
             throughput=meas.get("throughput"),
             latency=meas.get("latency"),
             result_source=(
@@ -205,8 +202,8 @@ class ExperimentScheduler:
         client: str = "default",
         label: str = "",
     ) -> JobHandle:
-        """Submit one batch of spec cells as a single-stage job;
-        returns its streaming :class:`JobHandle`.
+        """Submit one batch of spec cells as a job; returns its
+        streaming :class:`JobHandle`.
 
         Experiment cells and scenarios mix freely: every cell runs on
         :func:`~repro.service.tasks.run_spec_payload`."""
@@ -220,58 +217,37 @@ class ExperimentScheduler:
             )
             for spec in specs
         ]
-        return self.submit_stages([("simulate", cells)], client=client,
-                                  label=label)
+        return self.submit_tasks(cells, client=client, label=label)
 
-    def submit_stages(
+    def submit_tasks(
         self,
-        stages: Sequence[Tuple[str, Sequence[TaskSpec]]],
+        cells: Sequence[TaskSpec],
         client: str = "default",
         label: str = "",
     ) -> JobHandle:
-        """Submit a multi-stage job: stage *N + 1* starts only after
-        stage *N* completed.  Cells are indexed across the whole job in
-        submission order (stage 0 first)."""
+        """Submit one job of independent task cells, indexed in
+        submission order; returns its streaming :class:`JobHandle`."""
         if self._closed:
             raise ServiceError(self._closed)
-        if not stages or all(not cells for _, cells in stages):
+        if not cells:
             raise ConfigurationError("a job needs at least one task")
-        n_cells = sum(len(cells) for _, cells in stages)
-        job = Job(client, n_cells, label=label)
+        job = Job(client, len(cells), label=label)
         handle = JobHandle(job, self)
 
         # Store probes and surrogate screening happen outside the lock:
         # they are file reads and model evaluations and must not stall
         # the dispatcher or other submitters.
-        index = 0
-        prepared: List[
-            Tuple[Stage, List[Tuple[int, TaskSpec, Optional[dict], Optional[dict]]]]
-        ] = []
-        for stage_idx, (stage_name, cells) in enumerate(stages):
-            stage = Stage(job, stage_idx, stage_name)
-            job.stages.append(stage)
-            predictions = self._screen_cells(cells)
-            rows: List[Tuple[int, TaskSpec, Optional[dict], Optional[dict]]] = []
-            for pos, cell in enumerate(cells):
-                predicted = predictions.get(pos)
-                cached = None
-                if (
-                    predicted is None
-                    and self.store is not None
-                    and cell.spec is not None
-                    and cell.key not in job.first_index_by_key
-                ):
-                    cached = self.store.get_dict(cell.spec)
-                    if (
-                        cached is not None
-                        and cached.get("source") == "predicted"
-                    ):
-                        # A stored prediction never satisfies a request
-                        # for a full simulation.
-                        cached = None
-                rows.append((index, cell, cached, predicted))
-                index += 1
-            prepared.append((stage, rows))
+        predictions = self._screen_cells(cells)
+        cached: Dict[int, dict] = {}
+        if self.store is not None:
+            for index, cell in enumerate(cells):
+                if index in predictions or cell.spec is None:
+                    continue
+                hit = self.store.get_dict(cell.spec)
+                # A stored prediction never satisfies a request for a
+                # full simulation.
+                if hit is not None and hit.get("source") != "predicted":
+                    cached[index] = hit
 
         with self._lock:
             # Shutdown or a crash may have closed us during the probes.
@@ -283,11 +259,14 @@ class ExperimentScheduler:
                 self._ready[client] = deque()
                 self._clients.append(client)
             self.metrics.jobs_submitted.inc()
-            for stage, rows in prepared:
-                for idx, cell, cached, predicted in rows:
-                    self._admit_cell(job, stage, idx, cell, cached, predicted)
+            for index, cell in enumerate(cells):
+                self._admit_cell(job, index, cell, cached.get(index),
+                                 predictions.get(index))
             job.signal(State.RUNNING)
             self._emit_job_locked(job)
+            dq = self._ready[client]
+            dq.extend(job.tasks)
+            self.metrics.queue_depth(client).set(len(dq))
             self._advance_job_locked(job)
         self._wake()
         return handle
@@ -357,7 +336,7 @@ class ExperimentScheduler:
 
     # -- submission internals ----------------------------------------------
     def _screen_cells(self, cells: Sequence[TaskSpec]) -> Dict[int, dict]:
-        """Surrogate-screen one stage's cells (prepared phase, unlocked).
+        """Surrogate-screen one job's cells (prepared phase, unlocked).
 
         Cells whose spec opted into screening (``spec.screening != "off"``)
         are planned per mode — the crossover check compares sibling
@@ -404,11 +383,10 @@ class ExperimentScheduler:
     def _admit_cell(
         self,
         job: Job,
-        stage: Stage,
         index: int,
         cell: TaskSpec,
         cached: Optional[dict],
-        predicted: Optional[dict] = None,
+        predicted: Optional[dict],
     ) -> None:
         first = job.first_index_by_key.get(cell.key)
         if first is not None:
@@ -423,27 +401,13 @@ class ExperimentScheduler:
         if predicted is not None:
             job.counters.predicted += 1
             self.metrics.predicted.inc()
-            job.results_by_index[index] = predicted
-            self._live[job.id]._push(
-                "result",
-                CellResult(index, cell.key, predicted, "predicted", stage.index),
-            )
-            self._emit_result_locked(
-                job, index, cell.key, predicted, "predicted", stage.index
-            )
+            self._deliver_locked(job, index, cell.key, predicted, "predicted")
             return
 
         if cached is not None:
             job.counters.cache_hits += 1
             self.metrics.cache_hits.inc()
-            job.results_by_index[index] = cached
-            self._live[job.id]._push(
-                "result",
-                CellResult(index, cell.key, cached, "cache", stage.index),
-            )
-            self._emit_result_locked(
-                job, index, cell.key, cached, "cache", stage.index
-            )
+            self._deliver_locked(job, index, cell.key, cached, "cache")
             return
 
         job.counters.cache_misses += 1
@@ -453,57 +417,27 @@ class ExperimentScheduler:
         if inflight is not None:
             # In-flight dedupe: subscribe to the existing task instead
             # of executing the same cell twice.
-            inflight.subscribers.append((job, stage, index))
-            stage.pending_keys[cell.key] = index
+            inflight.subscribers.append((job, index))
+            job.pending_keys[cell.key] = index
             job.counters.deduped += 1
             self.metrics.dedupe_hits.inc()
             return
 
-        task = Task(cell, stage)
-        task.subscribers.append((job, stage, index))
-        stage.tasks.append(task)
+        task = Task(cell, job)
+        task.subscribers.append((job, index))
+        job.tasks.append(task)
         self._inflight[cell.key] = task
 
     # -- job advancement (locked) ------------------------------------------
     def _advance_job_locked(self, job: Job) -> None:
-        """Drive stage activation / completion; finish the job when the
-        last stage settles."""
-        if job.state.terminal:
-            return
-        for stage in job.stages:
-            if stage.state is State.DONE:
-                continue
-            if stage.state is State.PENDING:
-                stage.signal(State.RUNNING)
-                self._emit_stage_locked(job, stage)
-                self._enqueue_stage_locked(job, stage)
-            if stage.settled:
-                stage.signal(State.DONE)
-                self._emit_stage_locked(job, stage)
-                continue
+        """Finish the job once every task and subscription settled."""
+        if job.state.terminal or not job.settled:
             return
         job.signal(State.DONE)
         self.metrics.jobs_completed.inc()
         self._live[job.id]._push("done")
         self._emit_job_locked(job)
         self._retire_job_locked(job)
-
-    def _emit_stage_locked(self, job: Job, stage: Stage) -> None:
-        self._emit(
-            "stage",
-            job=job.id,
-            stage=stage.index,
-            name=stage.name,
-            state=stage.state.value,
-            tasks=len(stage.tasks),
-        )
-
-    def _enqueue_stage_locked(self, job: Job, stage: Stage) -> None:
-        dq = self._ready[job.client]
-        for task in stage.tasks:
-            if task.state is State.PENDING:
-                dq.append(task)
-        self.metrics.queue_depth(job.client).set(len(dq))
 
     # -- retirement (locked) ------------------------------------------------
     def _retire_job_locked(self, job: Job) -> None:
@@ -525,21 +459,24 @@ class ExperimentScheduler:
     def _cancel_job_locked(self, job: Job) -> None:
         job.signal(State.CANCELLED)
         self.metrics.jobs_cancelled.inc()
-        for stage in job.stages:
-            for task in stage.tasks:
-                self._release_task_locked(job, task)
-            stage.signal(State.CANCELLED)
-            # Drop this job's dedupe subscriptions on other jobs' tasks.
-            for key in list(stage.pending_keys):
-                inflight = self._inflight.get(key)
-                if inflight is not None:
-                    inflight.subscribers = [
-                        s for s in inflight.subscribers if s[0] is not job
-                    ]
-            stage.pending_keys.clear()
+        self._release_job_locked(job)
         self._live[job.id]._push("cancelled")
         self._emit_job_locked(job)
         self._retire_job_locked(job)
+
+    def _release_job_locked(self, job: Job) -> None:
+        """Release a job that ended early: its tasks stop (or pass to
+        the other jobs subscribed to them), and its dedupe subscriptions
+        on other jobs' tasks are dropped."""
+        for task in job.tasks:
+            self._release_task_locked(job, task)
+        for key in job.pending_keys:
+            inflight = self._inflight.get(key)
+            if inflight is not None:
+                inflight.subscribers = [
+                    s for s in inflight.subscribers if s[0] is not job
+                ]
+        job.pending_keys.clear()
 
     def _release_task_locked(self, job: Job, task: Task) -> None:
         """Cancel one of ``job``'s tasks — unless another job subscribed
@@ -579,7 +516,7 @@ class ExperimentScheduler:
                     break
             try:
                 self._dispatch_once()
-                events = self._pool.poll(timeout=self._poll_interval)
+                events = self._pool.poll(timeout=_POLL_INTERVAL)
                 for event in events:
                     self._handle_event(event)
                 self._sync_pool_metrics()
@@ -673,28 +610,28 @@ class ExperimentScheduler:
             self.metrics.tasks_completed.inc()
             self._inflight.pop(task.spec.key, None)
             touched = []
-            for job, stage, index in task.subscribers:
+            for job, index in task.subscribers:
                 if job.state.terminal:
                     continue
                 source = "executed" if job is task.owner else "deduped"
                 if job is task.owner:
                     job.counters.executed += 1
-                stage.pending_keys.pop(task.spec.key, None)
+                job.pending_keys.pop(task.spec.key, None)
                 self._deliver_locked(job, index, task.spec.key,
-                                     event.result, source, stage.index)
+                                     event.result, source)
                 touched.append(job)
             for job in touched:
                 self._advance_job_locked(job)
 
     def _deliver_locked(self, job: Job, index: int, key: str,
-                        payload: dict, source: str, stage_index: int) -> None:
+                        payload: dict, source: str) -> None:
         job.results_by_index[index] = payload
         for dup in job.alias_map.pop(index, []):
             job.results_by_index[dup] = payload
         self._live[job.id]._push(
-            "result", CellResult(index, key, payload, source, stage_index)
+            "result", CellResult(index, key, payload, source)
         )
-        self._emit_result_locked(job, index, key, payload, source, stage_index)
+        self._emit_result_locked(job, index, key, payload, source)
 
     def _on_task_error(self, event: PoolEvent) -> None:
         with self._lock:
@@ -709,25 +646,14 @@ class ExperimentScheduler:
             self._inflight.pop(task.spec.key, None)
             # A deterministic task failure fails every job that wanted
             # this cell — retrying would fail identically.
-            for job, _stage, _index in list(task.subscribers):
+            for job, _index in list(task.subscribers):
                 self._fail_job_locked(job, event.error)
 
     def _fail_job_locked(self, job: Job, error: BaseException) -> None:
         if job.state.terminal:
             return
         job.error = error
-        for stage in job.stages:
-            for task in stage.tasks:
-                self._release_task_locked(job, task)
-            if not stage.state.terminal:
-                stage.signal(State.FAILED)
-            for key in list(stage.pending_keys):
-                inflight = self._inflight.get(key)
-                if inflight is not None:
-                    inflight.subscribers = [
-                        s for s in inflight.subscribers if s[0] is not job
-                    ]
-            stage.pending_keys.clear()
+        self._release_job_locked(job)
         job.signal(State.FAILED)
         self._live[job.id]._push("failed", error=error)
         self._emit_job_locked(job)
@@ -753,7 +679,7 @@ class ExperimentScheduler:
                 self._emit_task_locked(task)
                 self.metrics.tasks_failed.inc()
                 self._inflight.pop(task.spec.key, None)
-                for job, _stage, _index in list(task.subscribers):
+                for job, _index in list(task.subscribers):
                     self._fail_job_locked(job, error)
                 return
             # Reschedule at the front of the client's queue: the task
@@ -761,7 +687,7 @@ class ExperimentScheduler:
             task.signal(State.PENDING)
             self._emit_task_locked(task)
             task.worker_id = None
-            client = task.stage.job.client
+            client = task.job.client
             self._ready[client].appendleft(task)
             self.metrics.queue_depth(client).set(len(self._ready[client]))
 

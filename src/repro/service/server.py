@@ -40,6 +40,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import traceback
 from typing import Any, Dict, Iterator, List, Optional
 
 from repro.errors import ReproError, ServiceError
@@ -117,10 +118,11 @@ class ExperimentServer:
             ).start()
 
     def _serve_connection(self, conn: socket.socket) -> None:
-        with conn:
-            rfile = conn.makefile("rb")
-            wfile = conn.makefile("wb")
-            try:
+        # The file objects close with the socket: an open makefile keeps
+        # the connection open after ``conn.close()``.
+        try:
+            with conn, conn.makefile("rb") as rfile, \
+                    conn.makefile("wb") as wfile:
                 line = rfile.readline()
                 if not line:
                     return
@@ -131,9 +133,16 @@ class ExperimentServer:
                 except (ValueError, UnicodeDecodeError) as exc:
                     _send(wfile, {"ok": False, "error": f"bad request: {exc}"})
                     return
-                self._handle(req, wfile)
-            except (BrokenPipeError, ConnectionResetError, OSError):
-                pass  # client went away; nothing to clean up
+                try:
+                    self._handle(req, wfile)
+                except OSError:
+                    raise   # the client went away: nobody to answer
+                except Exception as exc:  # noqa: BLE001 - answer, don't die
+                    traceback.print_exc()
+                    _send(wfile, {"ok": False,
+                                  "error": f"internal error: {exc!r}"})
+        except OSError:
+            pass  # client went away; nothing to clean up
 
     def _handle(self, req: Dict[str, Any], wfile) -> None:
         op = req.get("op")

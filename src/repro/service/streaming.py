@@ -55,7 +55,6 @@ class CellResult:
     key: str
     payload: Dict[str, Any]
     source: str
-    stage: int = 0
 
 
 class JobHandle:

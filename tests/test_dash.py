@@ -101,7 +101,7 @@ class TestSchedulerEvents:
         with ExperimentScheduler(workers=0, store=None) as s:
             s.add_listener(events.append)
             cells = [sleep_cell(f"c{i}", tmp_path) for i in range(3)]
-            h = s.submit_stages([("sleep", cells)], client="a")
+            h = s.submit_tasks(cells, client="a")
             drain(h)
         kinds = [e["event"] for e in events]
         assert kinds.count("result") == 3
@@ -109,8 +109,6 @@ class TestSchedulerEvents:
         job_states = [e["state"] for e in events if e["event"] == "job"]
         assert job_states[0] == "running"
         assert job_states[-1] == "done"
-        stage_states = [e["state"] for e in events if e["event"] == "stage"]
-        assert "done" in stage_states
         task_states = {e["state"] for e in events if e["event"] == "task"}
         assert {"running", "done"} <= task_states
         # results count rides on the job event for progress rendering
@@ -123,8 +121,8 @@ class TestSchedulerEvents:
 
         with ExperimentScheduler(workers=0, store=None) as s:
             s.add_listener(bad_listener)
-            h = s.submit_stages(
-                [("sleep", [sleep_cell("k", tmp_path)])], client="a"
+            h = s.submit_tasks(
+                [sleep_cell("k", tmp_path)], client="a"
             )
             out = drain(h)
         assert len(out) == 1  # the job still completes
@@ -135,8 +133,8 @@ class TestSchedulerEvents:
         events = []
         with ExperimentScheduler(workers=0, store=None) as s:
             s.add_listener(events.append)
-            h = s.submit_stages(
-                [("sleep", [sleep_cell("k", tmp_path)])], client="a"
+            h = s.submit_tasks(
+                [sleep_cell("k", tmp_path)], client="a"
             )
             drain(h)
         (result_event,) = [e for e in events if e["event"] == "result"]
@@ -179,7 +177,7 @@ class TestServerOps:
         srv = live_service
         resp = request(srv.host, srv.port, {"op": "events", "after": 0})
         kinds = {e["event"] for e in resp["events"]}
-        assert {"job", "stage", "task", "result"} <= kinds
+        assert {"job", "task", "result"} <= kinds
         assert resp["next"] >= len(resp["events"])
         # cursor resumes cleanly
         again = request(

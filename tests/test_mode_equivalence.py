@@ -1,0 +1,83 @@
+"""Compute mode and timing mode produce the same run.
+
+Compute mode moves real numerics through the pipeline; timing mode moves
+phantom payloads of the same sizes and charges the same cost model.  The
+two must agree exactly on everything except what compute mode alone
+produces (``detections``) and what names the mode (``cfg``, ``spec``):
+throughput, latency, traces, per-rank traffic and disk statistics are
+compared with ``==``, not to a tolerance.  Reports are nominal-size
+here (``write_reports`` is off), so report size cannot differ.
+"""
+
+import pytest
+
+from repro.bench.engine import ExperimentSpec
+from repro.core.context import ExecutionConfig
+from repro.core.executor import FSConfig
+from repro.core.pipeline import NodeAssignment
+from repro.scenario import ScenarioSpec, TenantSpec
+from repro.strategies import get_strategy, strategy_names
+
+#: (machine, file-system kind) pairs: the paper's two platforms.
+PLATFORMS = [("paragon", "pfs"), ("sp", "piofs")]
+
+CELLS = [
+    (machine, kind, name)
+    for machine, kind in PLATFORMS
+    for name in strategy_names()
+    if get_strategy(name).missing_capability(kind) is None
+]
+
+#: Fields that name the mode or exist in compute mode alone.
+_MODE_FIELDS = ("cfg", "spec", "detections")
+
+
+def _cfg(compute):
+    return ExecutionConfig(n_cpis=3, warmup=1, compute=compute)
+
+
+def _strip(d):
+    out = {k: v for k, v in d.items() if k not in _MODE_FIELDS}
+    if "tenants" in out:
+        out["tenants"] = {
+            name: _strip(tenant) for name, tenant in out["tenants"].items()
+        }
+    return out
+
+
+def _both_modes(make_spec):
+    timing, compute = (make_spec(c).run().to_dict() for c in (False, True))
+    return timing, compute
+
+
+def test_cells_cover_every_runnable_strategy():
+    assert len(CELLS) == 16
+
+
+@pytest.mark.parametrize(
+    "machine,kind,name", CELLS, ids=[f"{m}-{k}-{n}" for m, k, n in CELLS]
+)
+def test_cell_modes_equal(small_params, machine, kind, name):
+    assignment = NodeAssignment.balanced(small_params, 20, io_nodes=4)
+    timing, compute = _both_modes(lambda c: ExperimentSpec(
+        assignment=assignment, pipeline=name, machine=machine,
+        fs=FSConfig(kind, 8), params=small_params, cfg=_cfg(c), seed=7,
+    ))
+    assert compute["detections"]      # the numerics really ran
+    assert _strip(compute) == _strip(timing)
+
+
+@pytest.mark.parametrize("machine,kind", PLATFORMS,
+                         ids=[f"{m}-{k}" for m, k in PLATFORMS])
+def test_two_tenant_scenario_modes_equal(small_params, machine, kind):
+    assignment = NodeAssignment.balanced(small_params, 14)
+    timing, compute = _both_modes(lambda c: ScenarioSpec(
+        tenants=tuple(
+            TenantSpec(assignment=assignment, pipeline=pipeline, cfg=_cfg(c))
+            for pipeline in ("embedded-io", "separate-io")
+        ),
+        machine=machine, fs=FSConfig(kind, 8), params=small_params, seed=7,
+    ))
+    assert len(timing["tenants"]) == 2
+    assert all(t["detections"] for t in compute["tenants"].values())
+    assert _strip(compute) == _strip(timing)

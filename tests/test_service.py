@@ -1,6 +1,6 @@
 """Tests for the experiment service tier (repro.service).
 
-Covers the job/stage/task lifecycle model, the worker pools, the
+Covers the job/task lifecycle model, the worker pools, the
 scheduler's streaming / dedupe / cancellation / retry behavior, the
 SweepRunner-on-scheduler equivalence guarantees, and the TCP front end.
 """
@@ -30,7 +30,7 @@ from repro.service import (
     State,
     TaskSpec,
 )
-from repro.service.model import Job, Lifecycle, Stage, Task
+from repro.service.model import Job, Lifecycle, Task
 from repro.service.pool import InlinePool, ProcessPool, resolve_runner
 from repro.service.server import ExperimentServer, request, submit_batch
 from repro.service.testing import (
@@ -77,11 +77,9 @@ def wait_until(predicate, timeout=DEADLINE, interval=0.01):
 class TestLifecycle:
     def test_legal_path_and_listeners(self):
         lc = Lifecycle()
-        seen = []
-        lc.add_listener(lambda obj: seen.append(obj.state))
         assert lc.signal(State.RUNNING)
         assert lc.signal(State.DONE)
-        assert seen == [State.RUNNING, State.DONE]
+        assert lc.state is State.DONE
 
     def test_terminal_states_sticky(self):
         lc = Lifecycle()
@@ -99,17 +97,16 @@ class TestLifecycle:
         lc.signal(State.RUNNING)
         assert lc.signal(State.PENDING)
 
-    def test_stage_settled_tracks_tasks_and_subscriptions(self):
+    def test_job_settled_tracks_tasks_and_subscriptions(self):
         job = Job("c", 2)
-        stage = Stage(job, 0)
-        task = Task(TaskSpec(key="k", payload={}, runner="x:y"), stage)
-        stage.tasks.append(task)
-        assert not stage.settled
+        task = Task(TaskSpec(key="k", payload={}, runner="x:y"), job)
+        job.tasks.append(task)
+        assert not job.settled
         task.signal(State.RUNNING)
         task.signal(State.DONE)
-        assert stage.settled
-        stage.pending_keys["other"] = 1
-        assert not stage.settled
+        assert job.settled
+        job.pending_keys["other"] = 1
+        assert not job.settled
 
     def test_job_describe_shape(self):
         job = Job("cli", 3, label="sweep")
@@ -200,7 +197,7 @@ class TestSchedulerBasics:
     def test_inline_job_completes_in_order_index(self, tmp_path):
         with ExperimentScheduler(workers=0) as s:
             cells = [sleep_cell(f"k{i}", tmp_path, value=i) for i in range(4)]
-            h = s.submit_stages([("sleep", cells)], client="a")
+            h = s.submit_tasks(cells, client="a")
             out = h.wait(timeout=DEADLINE)
             assert [r["value"] for r in out] == [0, 1, 2, 3]
             assert h.state is State.DONE
@@ -209,7 +206,7 @@ class TestSchedulerBasics:
     def test_streaming_iterator_sources_and_indices(self, tmp_path):
         with ExperimentScheduler(workers=0) as s:
             cells = [sleep_cell(f"k{i}", tmp_path) for i in range(3)]
-            h = s.submit_stages([("sleep", cells)], client="a")
+            h = s.submit_tasks(cells, client="a")
             got = list(h.results(timeout=DEADLINE))
             assert {c.index for c in got} == {0, 1, 2}
             assert all(c.source == "executed" for c in got)
@@ -217,27 +214,18 @@ class TestSchedulerBasics:
     def test_intra_job_duplicates_alias_single_execution(self, tmp_path):
         with ExperimentScheduler(workers=0) as s:
             cell = sleep_cell("dup", tmp_path, value=7)
-            h = s.submit_stages([("sleep", [cell, cell, cell])], client="a")
+            h = s.submit_tasks([cell, cell, cell], client="a")
             out = h.wait(timeout=DEADLINE)
             assert len(out) == 3
             assert out[0] is out[1] is out[2]
             assert h.counters["executed"] == 1
             assert h.counters["cache_misses"] == 1
 
-    def test_multi_stage_sequencing(self, tmp_path):
-        with ExperimentScheduler(workers=0) as s:
-            first = [sleep_cell("s0", tmp_path, value="first")]
-            second = [sleep_cell("s1", tmp_path, value="second")]
-            h = s.submit_stages([("a", first), ("b", second)], client="c")
-            got = list(h.results(timeout=DEADLINE))
-            assert [c.payload["value"] for c in got] == ["first", "second"]
-            assert [c.stage for c in got] == [0, 1]
-
     def test_task_failure_fails_job_with_original_error(self, tmp_path):
         with ExperimentScheduler(workers=0) as s:
             bad = TaskSpec(key="bad", payload={"message": "synthetic"},
                            runner=FAILING_RUNNER)
-            h = s.submit_stages([("x", [bad])], client="a")
+            h = s.submit_tasks([bad], client="a")
             with pytest.raises(ValueError, match="synthetic"):
                 h.wait(timeout=DEADLINE)
             assert h.state is State.FAILED
@@ -245,18 +233,18 @@ class TestSchedulerBasics:
     def test_empty_job_rejected(self):
         with ExperimentScheduler(workers=0) as s:
             with pytest.raises(ConfigurationError):
-                s.submit_stages([], client="a")
+                s.submit_tasks([], client="a")
 
     def test_submit_after_shutdown_rejected(self):
         s = ExperimentScheduler(workers=0)
         s.shutdown()
         with pytest.raises(ServiceError):
-            s.submit_stages([("x", [TaskSpec("k", {}, "m:f")])])
+            s.submit_tasks([TaskSpec("k", {}, "m:f")])
 
     def test_jobs_listing(self, tmp_path):
         with ExperimentScheduler(workers=0) as s:
-            h = s.submit_stages(
-                [("sleep", [sleep_cell("k", tmp_path)])], client="me",
+            h = s.submit_tasks(
+                [sleep_cell("k", tmp_path)], client="me",
                 label="demo",
             )
             h.wait(timeout=DEADLINE)
@@ -270,8 +258,8 @@ class TestSchedulerBasics:
         # A second results()/wait() call after the terminal event was
         # consumed must return immediately, not block on the empty queue.
         with ExperimentScheduler(workers=0) as s:
-            h = s.submit_stages(
-                [("sleep", [sleep_cell("k", tmp_path, value=3)])], client="a"
+            h = s.submit_tasks(
+                [sleep_cell("k", tmp_path, value=3)], client="a"
             )
             first = h.wait(timeout=DEADLINE)
             again = h.wait(timeout=1)
@@ -282,7 +270,7 @@ class TestSchedulerBasics:
         with ExperimentScheduler(workers=0) as s:
             bad = TaskSpec(key="bad", payload={"message": "synthetic"},
                            runner=FAILING_RUNNER)
-            h = s.submit_stages([("x", [bad])], client="a")
+            h = s.submit_tasks([bad], client="a")
             with pytest.raises(ValueError, match="synthetic"):
                 h.wait(timeout=DEADLINE)
             with pytest.raises(ValueError, match="synthetic"):
@@ -306,8 +294,8 @@ class TestJobRetention:
         with ExperimentScheduler(workers=0) as s:
             handles = []
             for i in range(3):
-                h = s.submit_stages(
-                    [("x", [sleep_cell(f"r{i}", tmp_path, value=i)])],
+                h = s.submit_tasks(
+                    [sleep_cell(f"r{i}", tmp_path, value=i)],
                     client="a",
                 )
                 h.wait(timeout=DEADLINE)
@@ -325,12 +313,12 @@ class TestJobRetention:
         # backpressure=1 holds the first job's second cell until its
         # client consumes the first, so the second job ends first.
         with ExperimentScheduler(workers=0, backpressure=1) as s:
-            slow = s.submit_stages(
-                [("x", [sleep_cell(f"s{i}", tmp_path) for i in range(2)])],
+            slow = s.submit_tasks(
+                [sleep_cell(f"s{i}", tmp_path) for i in range(2)],
                 client="a",
             )
-            fast = s.submit_stages(
-                [("x", [sleep_cell("fast", tmp_path)])], client="b",
+            fast = s.submit_tasks(
+                [sleep_cell("fast", tmp_path)], client="b",
             )
             fast.wait(timeout=DEADLINE)
             listing = s.jobs()
@@ -350,7 +338,7 @@ class TestJobRetention:
         def run_one(i):
             token = Token()
             refs.append(weakref.ref(token))
-            h = s.submit_stages([("x", [token_cell(f"m{i}", token)])],
+            h = s.submit_tasks([token_cell(f"m{i}", token)],
                                 client="a")
             assert h.wait(timeout=DEADLINE)[0]["value"] is token
 
@@ -358,7 +346,7 @@ class TestJobRetention:
             for i in range(n_jobs):
                 run_one(i)
             kept_token = Token()
-            kept = s.submit_stages([("x", [token_cell("kept", kept_token)])],
+            kept = s.submit_tasks([token_cell("kept", kept_token)],
                                    client="a")
             first = kept.wait(timeout=DEADLINE)
             gc.collect()
@@ -371,8 +359,8 @@ class TestJobRetention:
 
     def test_cancel_evicted_job_is_false(self, tmp_path):
         with ExperimentScheduler(workers=0) as s:
-            h = s.submit_stages(
-                [("x", [sleep_cell("k", tmp_path)])], client="a"
+            h = s.submit_tasks(
+                [sleep_cell("k", tmp_path)], client="a"
             )
             h.wait(timeout=DEADLINE)
             assert not s.cancel(h.id)
@@ -396,7 +384,7 @@ class TestDispatcherCrash:
         s._crash = spy_crash
         s._dispatch_once = faulty_dispatch
         try:
-            h = s.submit_stages([("x", [sleep_cell("k", tmp_path)])],
+            h = s.submit_tasks([sleep_cell("k", tmp_path)],
                                 client="a")
             submitted.set()
             with pytest.raises(ServiceError, match="scheduler crashed"):
@@ -406,7 +394,7 @@ class TestDispatcherCrash:
             assert "injected dispatch fault" in str(crashes[0])
             # Nothing would dispatch a new job: refuse it at once.
             with pytest.raises(ServiceError, match="scheduler crashed"):
-                s.submit_stages([("x", [sleep_cell("k2", tmp_path)])],
+                s.submit_tasks([sleep_cell("k2", tmp_path)],
                                 client="a")
         finally:
             s.shutdown()
@@ -431,9 +419,9 @@ class TestSchedulerWithStore:
         # client B submits the same key — B must subscribe, not re-run.
         with ExperimentScheduler(workers=1) as s:
             cell = sleep_cell("shared", tmp_path, duration=1.0, value=42)
-            ha = s.submit_stages([("x", [cell])], client="a")
+            ha = s.submit_tasks([cell], client="a")
             assert wait_until(lambda: (tmp_path / "started-shared").exists())
-            hb = s.submit_stages([("x", [cell])], client="b")
+            hb = s.submit_tasks([cell], client="b")
             ra = ha.wait(timeout=DEADLINE)
             rb = hb.wait(timeout=DEADLINE)
             assert ra[0]["value"] == rb[0]["value"] == 42
@@ -460,7 +448,7 @@ class TestStreamingOrder:
                 sleep_cell("c1", tmp_path, duration=0.4),
                 sleep_cell("c2", tmp_path, duration=0.4),
             ]
-            h = s.submit_stages([("sleep", cells)], client="a")
+            h = s.submit_tasks(cells, client="a")
             stream = h.results(timeout=DEADLINE)
             first = next(stream)
             assert first.key == "c0"
@@ -478,7 +466,7 @@ class TestCancellation:
         with ExperimentScheduler(workers=1) as s:
             cells = [sleep_cell(f"c{i}", tmp_path, duration=30)
                      for i in range(3)]
-            h = s.submit_stages([("sleep", cells)], client="a")
+            h = s.submit_tasks(cells, client="a")
             assert wait_until(lambda: (tmp_path / "started-c0").exists())
             assert h.cancel()
             with pytest.raises(JobCancelledError):
@@ -490,16 +478,16 @@ class TestCancellation:
             # in-flight work was interrupted, not awaited: c0 never finished
             assert not (tmp_path / "finished-c0").exists()
             # and the scheduler is still usable afterwards
-            h2 = s.submit_stages(
-                [("sleep", [sleep_cell("after", tmp_path, value=1)])],
+            h2 = s.submit_tasks(
+                [sleep_cell("after", tmp_path, value=1)],
                 client="a",
             )
             assert h2.wait(timeout=DEADLINE)[0]["value"] == 1
 
     def test_cancel_is_idempotent_and_false_when_done(self, tmp_path):
         with ExperimentScheduler(workers=0) as s:
-            h = s.submit_stages(
-                [("sleep", [sleep_cell("k", tmp_path)])], client="a"
+            h = s.submit_tasks(
+                [sleep_cell("k", tmp_path)], client="a"
             )
             h.wait(timeout=DEADLINE)
             assert not h.cancel()
@@ -510,9 +498,9 @@ class TestCancellation:
         # task keeps running (ownership transfer) and B still completes.
         with ExperimentScheduler(workers=1) as s:
             cell = sleep_cell("xfer", tmp_path, duration=1.0, value=9)
-            ha = s.submit_stages([("x", [cell])], client="a")
+            ha = s.submit_tasks([cell], client="a")
             assert wait_until(lambda: (tmp_path / "started-xfer").exists())
-            hb = s.submit_stages([("x", [cell])], client="b")
+            hb = s.submit_tasks([cell], client="b")
             assert ha.cancel()
             rb = hb.wait(timeout=DEADLINE)
             assert rb[0]["value"] == 9
@@ -532,7 +520,7 @@ class TestWorkerDeathRetry:
                 payload={"id": "v", "value": 5, "dir": str(tmp_path)},
                 runner=SLOW_FIRST_RUNNER,
             )
-            h = s.submit_stages([("x", [cell])], client="a")
+            h = s.submit_tasks([cell], client="a")
             assert wait_until(lambda: (tmp_path / "attempted-v").exists())
             os.kill(s.worker_pids()[0], signal.SIGKILL)
             out = h.wait(timeout=DEADLINE)
@@ -546,7 +534,7 @@ class TestWorkerDeathRetry:
     def test_repeated_deaths_fail_the_job(self, tmp_path):
         with ExperimentScheduler(workers=1, max_task_retries=0) as s:
             cell = sleep_cell("k", tmp_path, duration=30)
-            h = s.submit_stages([("x", [cell])], client="a")
+            h = s.submit_tasks([cell], client="a")
             assert wait_until(lambda: (tmp_path / "started-k").exists())
             os.kill(s.worker_pids()[0], signal.SIGKILL)
             with pytest.raises(ServiceError, match="lost"):
@@ -561,9 +549,9 @@ class TestFairQueueing:
         with ExperimentScheduler(workers=1) as s:
             a_cells = [sleep_cell(f"a{i}", tmp_path, duration=0.1)
                        for i in range(6)]
-            ha = s.submit_stages([("x", a_cells)], client="a")
-            hb = s.submit_stages(
-                [("x", [sleep_cell("b0", tmp_path, duration=0.1)])],
+            ha = s.submit_tasks(a_cells, client="a")
+            hb = s.submit_tasks(
+                [sleep_cell("b0", tmp_path, duration=0.1)],
                 client="b",
             )
             done_b = []
@@ -584,7 +572,7 @@ class TestBackpressure:
     def test_slow_consumer_pauses_own_dispatch(self, tmp_path):
         with ExperimentScheduler(workers=1, backpressure=2) as s:
             cells = [sleep_cell(f"c{i}", tmp_path) for i in range(6)]
-            h = s.submit_stages([("x", cells)], client="a")
+            h = s.submit_tasks(cells, client="a")
             # Don't consume: completed-but-undelivered grows to the
             # limit and dispatch stops there.
             assert wait_until(lambda: h.undelivered >= 2)
@@ -602,14 +590,14 @@ class TestBackpressure:
         # and must not block later jobs from the same client.
         with ExperimentScheduler(workers=1, backpressure=2) as s:
             cells = [sleep_cell(f"d{i}", tmp_path) for i in range(6)]
-            h = s.submit_stages([("x", cells)], client="a")
+            h = s.submit_tasks(cells, client="a")
             h.detach()
             assert wait_until(lambda: h.state is State.DONE)
             assert len(list(tmp_path.glob("finished-d*"))) == 6
             assert h.undelivered == 0
             # the queue head is clear: a follow-up job runs normally
-            h2 = s.submit_stages(
-                [("x", [sleep_cell("after", tmp_path, value=1)])], client="a"
+            h2 = s.submit_tasks(
+                [sleep_cell("after", tmp_path, value=1)], client="a"
             )
             assert h2.wait(timeout=DEADLINE)[0]["value"] == 1
 
@@ -618,7 +606,7 @@ class TestBackpressure:
         # results stay reachable through the job's index map.
         with ExperimentScheduler(workers=0, backpressure=1) as s:
             cells = [sleep_cell(f"w{i}", tmp_path, value=i) for i in range(3)]
-            h = s.submit_stages([("x", cells)], client="a")
+            h = s.submit_tasks(cells, client="a")
             h.detach()
             out = h.wait(timeout=DEADLINE)
             assert [r["value"] for r in out] == [0, 1, 2]
@@ -743,7 +731,7 @@ class TestSweepRunnerEquivalence:
             scheduler = runner._scheduler
             bad = TaskSpec(key="bad", payload={"message": "x"},
                            runner=FAILING_RUNNER)
-            h = scheduler.submit_stages([("x", [bad])], client="sweep")
+            h = scheduler.submit_tasks([bad], client="sweep")
             with pytest.raises(ValueError):
                 h.wait(timeout=DEADLINE)
             # pool survived the failed job
@@ -805,8 +793,8 @@ class TestServiceMetrics:
     def test_scheduler_populates_metrics(self, tmp_path):
         m = ServiceMetrics()
         with ExperimentScheduler(workers=0, metrics=m) as s:
-            h = s.submit_stages(
-                [("x", [sleep_cell("k", tmp_path)])], client="a"
+            h = s.submit_tasks(
+                [sleep_cell("k", tmp_path)], client="a"
             )
             h.wait(timeout=DEADLINE)
         snap = m.snapshot()
@@ -818,6 +806,21 @@ class TestServiceMetrics:
 # ---------------------------------------------------------------------------
 # TCP front end
 # ---------------------------------------------------------------------------
+class _FaultyScheduler:
+    """A scheduler stand-in whose ``jobs()`` raises and keeps the
+    exception alive."""
+
+    def __init__(self):
+        self.errors = []
+
+    def jobs(self):
+        try:
+            raise RuntimeError("listing broke")
+        except RuntimeError as exc:
+            self.errors.append(exc)
+            raise
+
+
 @pytest.fixture
 def served_scheduler(tmp_path):
     store = ResultStore(tmp_path / "cache")
@@ -936,6 +939,20 @@ class TestServer:
                                   timeout=10))
             assert request(server.host, server.port,
                            {"op": "ping"})["event"] == "pong"
+
+    def test_handler_fault_answered_not_wedged(self):
+        # An unexpected handler exception is answered, and the
+        # connection closes even though the exception stays referenced
+        # (the scheduler keeps job and task errors).
+        stub = _FaultyScheduler()
+        with ExperimentServer(stub, port=0) as server:
+            start = time.monotonic()
+            with pytest.raises(ServiceError, match="listing broke"):
+                request(server.host, server.port, {"op": "jobs"}, timeout=3)
+            assert time.monotonic() - start < 2
+            assert request(server.host, server.port,
+                           {"op": "ping"})["event"] == "pong"
+        assert len(stub.errors) == 1
 
     def test_bad_requests_rejected_not_fatal(self, served_scheduler):
         _, server = served_scheduler
