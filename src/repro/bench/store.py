@@ -110,6 +110,31 @@ _ORPHAN_TMP_AGE = 60.0
 _tmp_seq = itertools.count(1)
 
 
+def _nodes(result: dict) -> Optional[int]:
+    tasks = result.get("spec", {}).get("tasks")
+    return tasks and sum(t["n_nodes"] for t in tasks)
+
+
+def _listing_fields(spec: dict, result: dict) -> dict:
+    """Pipeline, file system, nodes, CPIs, throughput and latency of one
+    stored result.  A scenario lists its tenant mix and total nodes and
+    leaves per-tenant throughput and latency to ``results show``."""
+    if spec.get("kind") != "scenario":
+        meas = result.get("measurement", {})
+        return {"pipeline": spec.get("pipeline"), "fs": result.get("fs_label"),
+                "nodes": _nodes(result),
+                "n_cpis": spec.get("cfg", {}).get("n_cpis"),
+                "throughput": meas.get("throughput"),
+                "latency": meas.get("latency")}
+    tenants = spec.get("tenants", [])
+    results = list(result.get("tenants", {}).values()) or [{}]
+    cpis = dict.fromkeys(str(t.get("cfg", {}).get("n_cpis")) for t in tenants)
+    return {"pipeline": "+".join(t.get("pipeline", "?") for t in tenants),
+            "fs": results[0].get("fs_label"),
+            "nodes": sum(_nodes(r) or 0 for r in results),
+            "n_cpis": "/".join(cpis), "throughput": None, "latency": None}
+
+
 class ResultStore:
     """A directory of ``<spec-hash>.json`` experiment results."""
 
@@ -248,7 +273,6 @@ class ResultStore:
                 continue
             spec = payload.get("spec", {})
             result = payload.get("result", {})
-            meas = result.get("measurement", {})
             try:
                 st = self.path_for(spec_hash).stat()
                 size_bytes, mtime = st.st_size, st.st_mtime
@@ -259,17 +283,10 @@ class ResultStore:
                     "hash": spec_hash,
                     "size_bytes": size_bytes,
                     "mtime": mtime,
-                    "pipeline": spec.get("pipeline"),
                     "machine": spec.get("machine"),
-                    "fs": result.get("fs_label"),
-                    "nodes": result.get("spec", {}).get("tasks") and sum(
-                        t["n_nodes"] for t in result["spec"]["tasks"]
-                    ),
-                    "n_cpis": spec.get("cfg", {}).get("n_cpis"),
                     "seed": spec.get("seed"),
-                    "throughput": meas.get("throughput"),
-                    "latency": meas.get("latency"),
                     "source": result.get("source", "simulated"),
+                    **_listing_fields(spec, result),
                 }
             )
         return out

@@ -784,7 +784,9 @@ def _cmd_results(args) -> int:
             entries.sort(key=lambda e: e["mtime"], reverse=True)
         rows = [
             [e["hash"][:12], e["pipeline"], e["machine"], e["fs"],
-             e["nodes"], e["n_cpis"], e["throughput"], e["latency"],
+             e["nodes"], e["n_cpis"],
+             "-" if e["throughput"] is None else e["throughput"],
+             "-" if e["latency"] is None else e["latency"],
              f"{e['size_bytes'] / 1024:.1f}"]
             for e in entries
         ]
@@ -815,26 +817,30 @@ def _cmd_results(args) -> int:
         print("error: 'results show' needs a spec hash (see 'results list')",
               file=sys.stderr)
         return 2
-    matches = [h for h in store.hashes() if h.startswith(args.hash)]
-    if len(matches) != 1:
-        what = "no" if not matches else f"{len(matches)} ambiguous"
-        print(f"error: {what} cached result(s) match {args.hash!r}",
-              file=sys.stderr)
+    from repro.analysis import load
+
+    # The resolver `metrics show` uses: any unique hash prefix, either
+    # result kind.
+    loaded = load(args.hash, store=store)
+    if loaded.spec_hash is None:
+        print(f"error: {args.hash!r} is not a stored result", file=sys.stderr)
         return 2
-    payload = store.load(matches[0])
-    if payload is None:
-        print(f"error: entry {matches[0]} is unreadable", file=sys.stderr)
-        return 2
-    meas = payload["result"]["measurement"]
-    print(f"hash      : {payload['spec_hash']}")
-    print(f"file      : {store.path_for(matches[0])}")
-    print(f"spec      : {json.dumps(payload['spec'], indent=2, sort_keys=True)}")
-    print(f"throughput: {meas['throughput']:.4f} CPIs/s")
-    print(f"latency   : {meas['latency']:.4f} s")
-    per_task = {s["task"]: s["recv"] + s["compute"] + s["send"]
-                for s in meas["task_stats"]}
-    bottleneck = max(per_task, key=per_task.get)
-    print(f"bottleneck: {bottleneck} ({per_task[bottleneck]:.4f} s)")
+    print(f"hash      : {loaded.spec_hash}")
+    print(f"file      : {store.path_for(loaded.spec_hash)}")
+    print(f"spec      : {json.dumps(loaded.spec, indent=2, sort_keys=True)}")
+    result = loaded.result
+    if loaded.kind == "scenario":
+        rows = [[name, f"{r.throughput:.4f}", f"{r.latency:.4f}"]
+                for name, r in result.tenants.items()]
+        print(format_table(["tenant", "CPIs/s", "latency (s)"], rows,
+                           title="per-tenant results"))
+        return 0
+    meas = result.measurement
+    print(f"throughput: {meas.throughput:.4f} CPIs/s")
+    print(f"latency   : {meas.latency:.4f} s")
+    bottleneck = meas.bottleneck_task
+    print(f"bottleneck: {bottleneck} "
+          f"({meas.task_stats[bottleneck].total:.4f} s)")
     return 0
 
 

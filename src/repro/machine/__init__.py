@@ -11,8 +11,10 @@ machine presets reproduce the paper's platforms:
   compute nodes on a multistage switch
   (:class:`~repro.machine.multistage.MultistageNetwork`).
 
-Networks expose a single operation — ``transfer(src, dst, nbytes)`` as a
-process generator — which the MPI layer drives.
+A network is a path of capacity-1 ports held by one process-generator
+body, ``deliver(src, dst, nbytes, mailbox, msg)``, which the MPI layer
+and the file system drive; ``transfer(src, dst, nbytes)`` validates the
+endpoints and runs it with no mailbox.
 """
 
 from repro.machine.node import NodeSpec, Node

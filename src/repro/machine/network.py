@@ -1,75 +1,133 @@
 """Interconnect base classes.
 
-A network's single job is to model the time a message of ``nbytes`` takes
-from node ``src`` to node ``dst``, including contention with concurrent
-traffic.  The operation is exposed as a *process generator* —
-``yield from net.transfer(src, dst, nbytes)`` — so implementations can
-acquire link resources, wait, and release.
-
-:class:`ContentionFreeNetwork` is the analytic baseline
-(``latency + nbytes / bandwidth``), useful for tests and for isolating
-contention effects in ablations.
+A network models the time a message of ``nbytes`` takes from node
+``src`` to node ``dst``, including contention with concurrent traffic.
+A topology is data: :meth:`Network._path` names the capacity-1 ports
+(links, switch ports) a message holds, in acquisition order, and one
+process-generator body, :meth:`Network.deliver`, holds them for the wire
+time.  :class:`ContentionFreeNetwork`, the empty path, is the analytic
+baseline (``latency + nbytes / bandwidth``) for tests and ablations.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
+from typing import Dict, Sequence, Tuple
 
 from repro.errors import ConfigurationError
+from repro.sim.events import Timeout
 from repro.sim.kernel import Kernel
+from repro.sim.resources import Resource
 
 __all__ = ["Network", "ContentionFreeNetwork"]
 
 
-class Network(ABC):
-    """Abstract interconnect attached to a DES kernel.
+class Network:
+    """Interconnect attached to a DES kernel.
 
     Attributes
     ----------
     kernel:
         The owning simulation kernel.
+    n_nodes:
+        Number of valid endpoints.
     latency:
         Fixed per-message software + hardware startup cost in seconds
         (the alpha of the alpha-beta model).
     bandwidth:
         Per-link (or per-port) bandwidth in bytes/s (1/beta).
+    kind:
+        Topology name as ``MachinePreset.network_kind`` spells it.
     """
 
-    def __init__(self, kernel: Kernel, latency: float, bandwidth: float) -> None:
+    kind = "ideal"
+
+    def __init__(
+        self, kernel: Kernel, n_nodes: int, latency: float, bandwidth: float
+    ) -> None:
+        if n_nodes < 1:
+            raise ConfigurationError(f"n_nodes must be >= 1, got {n_nodes}")
         if latency < 0:
             raise ConfigurationError(f"latency must be >= 0, got {latency}")
         if bandwidth <= 0:
             raise ConfigurationError(f"bandwidth must be > 0, got {bandwidth}")
         self.kernel = kernel
+        self.n_nodes = n_nodes
         self.latency = float(latency)
         self.bandwidth = float(bandwidth)
+        # Capacity-1 ports by name (``link3->4``, ``inj5``), made on use.
+        self._ports: Dict[str, Resource] = {}
+        # (src, dst) -> (path, reversed path), resolved once.
+        self._paths: Dict[Tuple[int, int], Tuple[tuple, tuple]] = {}
 
-    @abstractmethod
+    def _path(self, src: int, dst: int) -> Sequence[Resource]:
+        """Ports a ``src -> dst`` message holds, in acquisition order;
+        none on the base (ideal) network."""
+        return ()
+
+    def _port(self, name: str) -> Resource:
+        port = self._ports.get(name)
+        return port or self._ports.setdefault(name, Resource(self.kernel, 1, name))
+
+    def _memo_path(self, src: int, dst: int) -> Tuple[tuple, tuple]:
+        path = tuple(self._path(src, dst))
+        self._paths[(src, dst)] = pair = (path, path[::-1])
+        return pair
+
     def transfer(self, src: int, dst: int, nbytes: int):
-        """Process generator that completes when the message has arrived.
-
-        Implementations must accept ``src == dst`` and model it as a local
-        memcpy-speed operation (no network involvement).
-        """
-
-    def deliver(self, src: int, dst: int, nbytes: int, mailbox, msg):
-        """Process generator: transfer, then ``mailbox.put_nowait(msg)``.
-
-        The message-delivery process the MPI layer spawns per ``isend``.
-        Implementations may override to fuse the deposit into the
-        transfer body: delegating through ``yield from`` costs one extra
-        frame resume per yield, and delivery dominates yield volume.
-        """
-        yield from self.transfer(src, dst, nbytes)
-        mailbox.put_nowait(msg)
-
-    def _validate(self, src: int, dst: int, nbytes: int, n_nodes: int) -> None:
-        if not (0 <= src < n_nodes) or not (0 <= dst < n_nodes):
+        """Validate the endpoints and size, then :meth:`deliver` with no
+        mailbox.  ``src == dst`` costs half a latency (a local copy)."""
+        if not (0 <= src < self.n_nodes) or not (0 <= dst < self.n_nodes):
             raise ConfigurationError(
-                f"transfer endpoints ({src}, {dst}) outside machine of {n_nodes} nodes"
+                f"transfer endpoints ({src}, {dst}) outside machine of "
+                f"{self.n_nodes} nodes"
             )
         if nbytes < 0:
             raise ConfigurationError(f"message size must be >= 0, got {nbytes}")
+        return self.deliver(src, dst, nbytes, None, None)
+
+    def deliver(self, src: int, dst: int, nbytes: int, mailbox, msg):
+        """Process generator: hold the path for the wire time, then
+        ``mailbox.put_nowait(msg)`` unless ``mailbox`` is None.
+
+        Endpoints are not validated (callers checked them up front).
+        Ports are capacity-1, so the grant is inlined: a busy port queues
+        FIFO through ``request()``; a free one is taken directly, without
+        the yield on the born-fired grant when the kernel is quiescent
+        (nothing could interleave).  Release is in reverse; a port with
+        waiters is handed on through ``Resource.release()``, which skips
+        waiters an interrupt abandoned.  An interrupted delivery releases
+        every port it holds and deposits nothing.
+        """
+        kernel = self.kernel
+        if src == dst:
+            yield Timeout(kernel, self.latency * 0.5)
+        else:
+            path, back = self._paths.get((src, dst)) or self._memo_path(src, dst)
+            try:
+                for port in path:
+                    if port._in_use:
+                        yield port.request()
+                    elif kernel._lane or kernel._due:
+                        port._in_use = 1
+                        yield port._granted
+                    else:  # quiescent (checked per port): nothing interleaves
+                        port._in_use = 1
+                port = None
+                # Wormhole: startup + size/bw, whatever the hop count.
+                yield Timeout(kernel, self.latency + nbytes / self.bandwidth)
+            finally:
+                if port is not None:
+                    # Interrupted while queued for ``port`` (a born-fired
+                    # grant always resumes before an interrupt lands):
+                    # the ports before it are held.
+                    back = back[len(back) - path.index(port):]
+                for port in back:
+                    if port._waiters:
+                        port.release()
+                    else:
+                        port._in_use = 0
+        if mailbox is not None:
+            mailbox.put_nowait(msg)
 
     def pure_transfer_time(self, nbytes: int) -> float:
         """Uncontended alpha-beta time for a message of ``nbytes``."""
@@ -77,24 +135,5 @@ class Network(ABC):
 
 
 class ContentionFreeNetwork(Network):
-    """Ideal network: every transfer takes ``latency + nbytes/bandwidth``.
-
-    Any number of messages proceed concurrently without interference.
-    ``n_nodes`` bounds valid endpoints; local transfers (``src == dst``)
-    cost half the latency (no wire time).
-    """
-
-    def __init__(
-        self, kernel: Kernel, n_nodes: int, latency: float, bandwidth: float
-    ) -> None:
-        super().__init__(kernel, latency, bandwidth)
-        if n_nodes < 1:
-            raise ConfigurationError(f"n_nodes must be >= 1, got {n_nodes}")
-        self.n_nodes = n_nodes
-
-    def transfer(self, src: int, dst: int, nbytes: int):
-        self._validate(src, dst, nbytes, self.n_nodes)
-        if src == dst:
-            yield self.kernel.timeout(self.latency * 0.5)
-            return
-        yield self.kernel.timeout(self.pure_transfer_time(nbytes))
+    """Ideal network: the empty path.  Every transfer takes ``latency +
+    nbytes/bandwidth``, concurrently with any other."""

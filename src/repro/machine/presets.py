@@ -49,6 +49,10 @@ _SP_MEM_BW = 1.2e9
 DISK_BW = 5.5e6
 DISK_OVERHEAD = 20e-3
 
+_NETWORKS = {
+    net.kind: net for net in (MeshNetwork, MultistageNetwork, ContentionFreeNetwork)
+}
+
 
 @dataclass(frozen=True)
 class MachinePreset:
@@ -69,20 +73,14 @@ class MachinePreset:
 
     def build(self, kernel: Kernel, n_compute: int, n_io: int = 0) -> Machine:
         """Instantiate a machine with this preset's characteristics."""
-        total = n_compute + n_io
-        if self.network_kind == "mesh":
-            net = MeshNetwork(kernel, total, self.latency, self.bandwidth)
-        elif self.network_kind == "multistage":
-            net = MultistageNetwork(kernel, total, self.latency, self.bandwidth)
-        elif self.network_kind == "ideal":
-            net = ContentionFreeNetwork(kernel, total, self.latency, self.bandwidth)
-        else:
+        network = _NETWORKS.get(self.network_kind)
+        if network is None:
             raise ConfigurationError(f"unknown network kind {self.network_kind!r}")
         return Machine(
             kernel,
             n_compute=n_compute,
             node_spec=self.node_spec,
-            network=net,
+            network=network(kernel, n_compute + n_io, self.latency, self.bandwidth),
             n_io=n_io,
             name=self.name,
         )

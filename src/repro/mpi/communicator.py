@@ -298,7 +298,7 @@ class RankComm:
             # Message already buffered and kernel quiescent: a yield on
             # the born-fired get event would chain straight back with
             # nothing able to interleave, so reading synchronously is
-            # order-identical (see MeshNetwork.transfer).
+            # order-identical (see Network.deliver).
             msg = ev._value
         else:
             msg = yield ev

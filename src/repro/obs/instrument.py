@@ -26,10 +26,8 @@ event order is unchanged whether metrics are on or off.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
-from repro.machine.mesh import MeshNetwork
-from repro.machine.multistage import MultistageNetwork
 from repro.obs.instruments import MetricsRegistry
 
 __all__ = ["instrument_pipeline", "instrument_substrate"]
@@ -45,24 +43,18 @@ class _BusyTally:
     hundreds).
     """
 
-    def __init__(self, groups: List[Tuple[str, Dict]]) -> None:
-        self._groups = groups  # (key prefix, live {key: Resource}) pairs
+    def __init__(self, resources: Dict) -> None:
+        self._resources = resources  # live {port name: Resource}
         self._busy: Dict[str, int] = {}
         self._reads = 0
 
     def __call__(self) -> int:
         self._reads += 1
         n = 0
-        for prefix, resources in self._groups:
-            for key, res in resources.items():
-                if res._in_use:
-                    n += 1
-                    label = (
-                        f"{prefix}{key[0]}->{key[1]}"
-                        if isinstance(key, tuple)
-                        else f"{prefix}{key}"
-                    )
-                    self._busy[label] = self._busy.get(label, 0) + 1
+        for name, res in self._resources.items():
+            if res._in_use:
+                n += 1
+                self._busy[name] = self._busy.get(name, 0) + 1
         return n
 
     def fractions(self) -> Dict[str, float]:
@@ -122,19 +114,12 @@ def _instrument_servers(registry: MetricsRegistry, fs) -> None:
 
 
 def _instrument_network(registry: MetricsRegistry, network) -> None:
-    if isinstance(network, MeshNetwork):
-        tally = _BusyTally([("link", network._links)])
-        kind = "mesh"
-    elif isinstance(network, MultistageNetwork):
-        tally = _BusyTally(
-            [("inj", network._in_ports), ("ej", network._out_ports)]
-        )
-        kind = "multistage"
-    else:  # contention-free: no shared state to watch
+    if network.kind == "ideal":  # contention-free: no shared state to watch
         return
+    tally = _BusyTally(network._ports)
     registry.gauge(
         "net_links_busy",
-        help=f"{kind} links/ports currently held by a transfer",
+        help=f"{network.kind} links/ports currently held by a transfer",
         fn=tally,
     )
     registry.on_finalize(

@@ -523,8 +523,8 @@ class ParallelFileSystem:
         for attempt in range(policy.max_attempts):
             try:
                 if handle.node_id != server.node_id:
-                    yield from self.machine.network.transfer(
-                        handle.node_id, server.node_id, run.nbytes
+                    yield from self.machine.network.deliver(
+                        handle.node_id, server.node_id, run.nbytes, None, None
                     )
                 yield from server.service(
                     run.nbytes, run.n_units, handle.node_id, ship=False

@@ -162,7 +162,7 @@ class IOServer:
             # Disk idle and kernel quiescent: a yield on the born-fired
             # grant would chain straight back with nothing able to
             # interleave, so acquiring synchronously is order-identical
-            # (see MeshNetwork.transfer for the same fast path).
+            # (see Network.deliver for the same fast path).
             disk_res._in_use += 1
         else:
             yield disk_res.request()
@@ -184,5 +184,8 @@ class IOServer:
         self.bytes_served += nbytes
         if ship:
             if dest_node != self.node_id:
-                yield from self.machine.network.transfer(self.node_id, dest_node, nbytes)
+                # Endpoints were validated when the file was opened.
+                yield from self.machine.network.deliver(
+                    self.node_id, dest_node, nbytes, None, None
+                )
             self.bytes_shipped += nbytes

@@ -240,7 +240,12 @@ class ExperimentScheduler:
         predictions = self._screen_cells(cells)
         cached: Dict[int, dict] = {}
         if self.store is not None:
+            probed = set()
             for index, cell in enumerate(cells):
+                # A duplicate aliases its first occurrence: probe once.
+                if cell.key in probed:
+                    continue
+                probed.add(cell.key)
                 if index in predictions or cell.spec is None:
                     continue
                 hit = self.store.get_dict(cell.spec)

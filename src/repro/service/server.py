@@ -225,6 +225,12 @@ class ExperimentServer:
                     "payload": cell.payload,
                 })
             _send(wfile, {"event": "done", "counters": handle.counters})
+        except OSError:
+            # The follower went away: undrained, the job would stall at
+            # the backpressure limit and block every later job of this
+            # client.  Cells that already finished stay in the store.
+            handle.cancel()
+            raise
         except ReproError as exc:
             kind = "cancelled" if handle.job.state.value == "cancelled" \
                 else "failed"

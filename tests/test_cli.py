@@ -449,6 +449,45 @@ class TestScenarioCli:
         assert saved["kind"] == "scenario" and set(saved["tenants"]) == {
             "t0", "t1"}
 
+    def test_results_list_and_show_stored_scenario(self, capsys,
+                                                   small_params):
+        from repro.bench.store import ResultStore
+        from repro.core.context import ExecutionConfig
+        from repro.core.executor import FSConfig
+        from repro.core.pipeline import NodeAssignment
+        from repro.scenario import ScenarioSpec, TenantSpec
+
+        cfg = ExecutionConfig(n_cpis=2, warmup=0)
+        spec = ScenarioSpec(
+            tenants=(
+                TenantSpec(NodeAssignment.balanced(small_params, 14), cfg=cfg),
+                TenantSpec(NodeAssignment.balanced(small_params, 14),
+                           pipeline="separate-io", cfg=cfg),
+            ),
+            fs=FSConfig(kind="pfs", stripe_factor=4),
+            params=small_params,
+        )
+        result = spec.run()
+        ResultStore().put(spec, result)
+
+        assert main(["results", "list"]) == 0
+        row = capsys.readouterr().out.splitlines()[-2]
+        cols = [c.strip() for c in row.split("|")]
+        nodes = sum(t.n_nodes for r in result.tenants.values()
+                    for t in r.spec.tasks)
+        assert cols[:6] == [spec.spec_hash()[:12],
+                            "embedded-io+separate-io", "paragon",
+                            "PFS sf=4", str(nodes), "2"]
+        assert "None" not in row
+
+        assert main(["results", "show", spec.spec_hash()[:10]]) == 0
+        out = capsys.readouterr().out
+        assert spec.spec_hash() in out and "per-tenant results" in out
+        for name in ("t0", "t1"):
+            r = result.tenants[name]
+            assert f"{r.throughput:.4f}" in out
+            assert f"{r.latency:.4f}" in out
+
     def test_bad_spec_file_is_clean_error(self, capsys, tmp_path):
         from repro.core.pipeline import NodeAssignment
         from repro.scenario import ScenarioSpec, TenantSpec

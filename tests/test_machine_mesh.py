@@ -6,7 +6,10 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.machine.mesh import MeshNetwork
+from repro.machine.multistage import MultistageNetwork
+from repro.machine.network import ContentionFreeNetwork
 from repro.sim.kernel import Kernel
+from repro.sim.process import Interrupt
 
 
 def mk(n, cols=None, latency=1e-5, bw=1e8):
@@ -147,3 +150,90 @@ class TestTransfer:
         assert net.allocated_links == 0
         self.run_transfers(net, [(0, 1, 10)])
         assert net.allocated_links == 1
+
+
+NETWORKS = pytest.mark.parametrize("make", [
+    lambda k: MeshNetwork(k, 9, 0.0, 1e6, cols=3),
+    lambda k: MultistageNetwork(k, 9, 0.0, 1e6),
+    lambda k: ContentionFreeNetwork(k, 9, 0.0, 1e6),
+], ids=["mesh", "multistage", "ideal"])
+
+
+class TestInterruptedTransfer:
+    """On every network, an interrupted transfer releases the ports it
+    holds, deposits nothing, and leaves no abandoned waiter to be granted
+    a busy port."""
+
+    @NETWORKS
+    def test_interrupt_while_queued_frees_every_port(self, make):
+        k = Kernel()
+        net = make(k)
+        log = []
+
+        class Box:
+            def put_nowait(self, msg):
+                log.append((msg, k.now))
+
+        def job_a():  # 1 -> 2 holds link1->2 (mesh) / ej2 (switch) for 1 s
+            yield from net.deliver(1, 2, 1e6, Box(), "a")
+
+        def job_b():  # 0 -> 2 takes link0->1 / inj0, then queues
+            try:
+                yield from net.deliver(0, 2, 1e6, Box(), "b")
+            except Interrupt:
+                log.append(("b interrupted", k.now))
+
+        def interrupter(proc):
+            yield k.timeout(0.5)
+            proc.interrupt()
+
+        def probe():  # after the interrupt, only A's path is held
+            yield k.timeout(0.6)
+            log.append({n for n, p in net._ports.items() if p.in_use})
+
+        def later():
+            yield k.timeout(2.0)
+            yield from net.transfer(1, 2, 1e6)
+            log.append(("later", k.now))
+
+        k.process(job_a())
+        k.process(interrupter(k.process(job_b())))
+        k.process(probe())
+        k.process(later())
+        k.run()
+
+        a_path = {"mesh": {"link1->2"}, "multistage": {"inj1", "ej2"},
+                  "ideal": set()}[net.kind]
+        assert log == [("b interrupted", 0.5), a_path, ("a", 1.0),
+                       ("later", 3.0)]
+        assert all(p.in_use == 0 and p.queue_length == 0
+                   for p in net._ports.values())
+
+    @NETWORKS
+    def test_interrupt_while_holding_frees_the_path(self, make):
+        k = Kernel()
+        net = make(k)
+        log = []
+
+        def job():  # 0 -> 2 holds its whole path from t=0 to t=1
+            try:
+                yield from net.transfer(0, 2, 1e6)
+            except Interrupt:
+                log.append(("interrupted", k.now))
+
+        def interrupter(proc):
+            yield k.timeout(0.5)
+            proc.interrupt()
+
+        def later():
+            yield k.timeout(0.6)
+            yield from net.transfer(0, 2, 1e6)
+            log.append(("later", k.now))
+
+        k.process(interrupter(k.process(job())))
+        k.process(later())
+        k.run()
+
+        assert log == [("interrupted", 0.5), ("later", pytest.approx(1.6))]
+        assert all(p.in_use == 0 and p.queue_length == 0
+                   for p in net._ports.values())

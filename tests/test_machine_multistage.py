@@ -96,7 +96,7 @@ class TestPortGrants:
     def test_ports_idle_after_contention(self):
         net = mk()
         run_transfers(net, [(i % 3, 7 - i % 2, 1e5) for i in range(12)])
-        ports = list(net._in_ports.values()) + list(net._out_ports.values())
+        ports = list(net._ports.values())
         assert ports and all(p.in_use == 0 and p.queue_length == 0
                              for p in ports)
 
@@ -108,8 +108,8 @@ class TestPortGrants:
 
         def plain_transfer(net, src, dst, nbytes):
             k = net.kernel
-            inj = net._port(net._in_ports, src, "inj")
-            ej = net._port(net._out_ports, dst, "ej")
+            inj = net._port(f"inj{src}")
+            ej = net._port(f"ej{dst}")
             yield inj.request()
             try:
                 yield ej.request()
@@ -137,8 +137,7 @@ class TestPortGrants:
                 if kind == "xfer":
                     yield from move(net, a, b, 2.5e5)
                 else:
-                    table = net._in_ports if kind == "inj" else net._out_ports
-                    port = net._port(table, a, kind)
+                    port = net._port(f"{kind}{a}")
                     yield port.request()
                     log.append((i, "held", k.now))
                     yield k.timeout(0.3)

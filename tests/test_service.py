@@ -414,6 +414,26 @@ class TestSchedulerWithStore:
                                   "executed": 0, "deduped": 0, "retries": 0,
                                   "predicted": 0}
 
+    def test_duplicate_cells_probe_the_store_once(self, small_params,
+                                                  tmp_path):
+        class CountingStore(ResultStore):
+            calls = 0
+
+            def get_dict(self, spec):
+                self.calls += 1
+                return super().get_dict(spec)
+
+        store = CountingStore(tmp_path / "cache")
+        spec = small_spec(small_params)
+        with ExperimentScheduler(workers=0, store=store) as s:
+            s.submit([spec], client="a").wait(timeout=DEADLINE)
+            store.calls = 0
+            h = s.submit([spec] * 8, client="a")
+            out = h.wait(timeout=DEADLINE)
+            assert store.calls == 1
+            assert h.counters["cache_hits"] == 1
+            assert len(out) == 8 and all(r is out[0] for r in out)
+
     def test_inflight_dedupe_across_clients(self, tmp_path):
         # One busy worker: client A's cell is still executing when
         # client B submits the same key — B must subscribe, not re-run.
@@ -897,6 +917,35 @@ class TestServer:
                     client="ff", follow=True,
                 ))
                 assert later[-1]["event"] == "done"
+
+    def test_dropped_follower_cancels_job_not_client(self, small_params,
+                                                      tmp_path):
+        # A --follow client that disconnects mid-stream must not leave
+        # its job running at the backpressure limit: that wedged every
+        # later job of the same client behind it.
+        store = ResultStore(tmp_path / "cache")
+        with ExperimentScheduler(workers=0, store=store,
+                                 backpressure=4) as scheduler:
+            with ExperimentServer(scheduler, port=0) as server:
+                specs = [small_spec(small_params, seed=s).to_dict()
+                         for s in range(10)]
+                stream = submit_batch(server.host, server.port, specs,
+                                      client="drop", follow=True)
+                job_id = next(stream)["job"]
+                assert next(stream)["event"] == "result"
+                stream.close()
+                assert wait_until(
+                    lambda: scheduler.job(job_id)["state"] == "cancelled",
+                    timeout=20,
+                )
+                start = time.monotonic()
+                later = list(submit_batch(
+                    server.host, server.port,
+                    [small_spec(small_params, seed=99).to_dict()],
+                    client="drop", follow=True, timeout=20,
+                ))
+                assert later[-1]["event"] == "done"
+                assert time.monotonic() - start < 10
 
     def test_overlapping_submissions_dedupe_via_shared_cache(
         self, served_scheduler, small_params
