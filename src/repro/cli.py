@@ -817,16 +817,21 @@ def _cmd_results(args) -> int:
         print("error: 'results show' needs a spec hash (see 'results list')",
               file=sys.stderr)
         return 2
+    matches = [h for h in store.hashes() if h.startswith(args.hash)]
+    if len(matches) != 1:
+        what = "no" if not matches else f"{len(matches)} ambiguous"
+        print(f"error: {what} cached result(s) match {args.hash!r}",
+              file=sys.stderr)
+        return 2
+    payload = store.load(matches[0])
+    if payload is None:
+        print(f"error: entry {matches[0]} is unreadable", file=sys.stderr)
+        return 2
     from repro.analysis import load
 
-    # The resolver `metrics show` uses: any unique hash prefix, either
-    # result kind.
-    loaded = load(args.hash, store=store)
-    if loaded.spec_hash is None:
-        print(f"error: {args.hash!r} is not a stored result", file=sys.stderr)
-        return 2
-    print(f"hash      : {loaded.spec_hash}")
-    print(f"file      : {store.path_for(loaded.spec_hash)}")
+    loaded = load(payload)  # either result kind: pipeline or scenario
+    print(f"hash      : {matches[0]}")
+    print(f"file      : {store.path_for(matches[0])}")
     print(f"spec      : {json.dumps(loaded.spec, indent=2, sort_keys=True)}")
     result = loaded.result
     if loaded.kind == "scenario":

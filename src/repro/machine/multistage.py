@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.machine.network import Network
-from repro.sim.events import Timeout
 from repro.sim.resources import Resource
 
 __all__ = ["MultistageNetwork"]
@@ -36,44 +35,3 @@ class MultistageNetwork(Network):
 
     def _path(self, src: int, dst: int) -> Tuple[Resource, Resource]:
         return self._port(f"inj{src}"), self._port(f"ej{dst}")
-
-    def deliver(self, src: int, dst: int, nbytes: int, mailbox, msg):
-        """:meth:`Network.deliver` unrolled for the fixed two-port path,
-        in the same event order.  The generic loop cost the SP case-3
-        cell (sp/PIOFS sf=80) 5-10% CPU time on a shared 2-vCPU host
-        (min-of-5 per side, interleaved pairs: 0.29 -> 0.32 s in 6 of 6;
-        a median 5.6% in 5 of 8 on a busier run)."""
-        kernel = self.kernel
-        if src == dst:
-            yield Timeout(kernel, self.latency * 0.5)
-        else:
-            inj, ej = (self._paths.get((src, dst)) or self._memo_path(src, dst))[0]
-            if inj._in_use:
-                yield inj.request()
-            elif kernel._lane or kernel._due:
-                inj._in_use = 1
-                yield inj._granted
-            else:
-                inj._in_use = 1
-            try:
-                if ej._in_use:
-                    yield ej.request()
-                elif kernel._lane or kernel._due:
-                    ej._in_use = 1
-                    yield ej._granted
-                else:
-                    ej._in_use = 1
-                try:
-                    yield Timeout(kernel, self.latency + nbytes / self.bandwidth)
-                finally:
-                    if ej._waiters:
-                        ej.release()
-                    else:
-                        ej._in_use = 0
-            finally:
-                if inj._waiters:
-                    inj.release()
-                else:
-                    inj._in_use = 0
-        if mailbox is not None:
-            mailbox.put_nowait(msg)

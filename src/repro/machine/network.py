@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.sim.events import Timeout
+from repro.sim.events import _PENDING, Timeout
 from repro.sim.kernel import Kernel
 from repro.sim.resources import Resource
 
@@ -106,21 +106,30 @@ class Network:
             try:
                 for port in path:
                     if port._in_use:
-                        yield port.request()
+                        grant = port.request()
                     elif kernel._lane or kernel._due:
                         port._in_use = 1
-                        yield port._granted
+                        grant = port._granted
                     else:  # quiescent (checked per port): nothing interleaves
                         port._in_use = 1
+                        continue
+                    yield grant
                 port = None
                 # Wormhole: startup + size/bw, whatever the hop count.
                 yield Timeout(kernel, self.latency + nbytes / self.bandwidth)
             finally:
                 if port is not None:
-                    # Interrupted while queued for ``port`` (a born-fired
-                    # grant always resumes before an interrupt lands):
-                    # the ports before it are held.
-                    back = back[len(back) - path.index(port):]
+                    # Interrupted at ``port``'s grant: the ports before it
+                    # are held, and ``port`` too if its grant has fired
+                    # (the interrupt may land after a same-instant grant
+                    # was consumed); a pending request is abandoned so
+                    # no release hands the port to this dead waiter.
+                    held = path.index(port)
+                    if grant._value is _PENDING:
+                        grant._abandoned = True
+                    else:
+                        held += 1
+                    back = back[len(back) - held:]
                 for port in back:
                     if port._waiters:
                         port.release()

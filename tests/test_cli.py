@@ -480,7 +480,8 @@ class TestScenarioCli:
                             "PFS sf=4", str(nodes), "2"]
         assert "None" not in row
 
-        assert main(["results", "show", spec.spec_hash()[:10]]) == 0
+        # Any unique prefix of a stored hash, as for pipeline results.
+        assert main(["results", "show", spec.spec_hash()[:3]]) == 0
         out = capsys.readouterr().out
         assert spec.spec_hash() in out and "per-tenant results" in out
         for name in ("t0", "t1"):

@@ -237,3 +237,51 @@ class TestInterruptedTransfer:
         assert log == [("interrupted", 0.5), ("later", pytest.approx(1.6))]
         assert all(p.in_use == 0 and p.queue_length == 0
                    for p in net._ports.values())
+
+    @pytest.mark.parametrize("next_hold", [2e6, 0.5e6],
+                             ids=["next-busy", "next-free"])
+    @pytest.mark.parametrize("kind", ["mesh", "multistage"])
+    def test_interrupt_in_the_instant_a_queued_grant_lands(self, kind,
+                                                           next_hold):
+        # B queues for its first port.  At t=1 the holder hands that port
+        # to B, and B is interrupted in the same instant, before it has
+        # resumed.  The grant resumes B first, so B takes the port and
+        # goes on to the next one (busy: queues; free: takes it), where
+        # the interrupt lands.
+        k = Kernel()
+        if kind == "mesh":
+            net = MeshNetwork(k, 4, 0.0, 1e6, cols=4)  # 0-1-2-3 in a row
+            first, second, victim = (0, 1), (1, 2), (0, 3)
+        else:
+            net = MultistageNetwork(k, 6, 0.0, 1e6)
+            first, second, victim = (0, 5), (4, 3), (0, 3)
+        log = []
+
+        def hold(pair, nbytes):
+            yield from net.transfer(*pair, nbytes)
+
+        def job_b():
+            try:
+                yield from net.transfer(*victim, 1e6)
+            except Interrupt:
+                log.append(("b interrupted", k.now))
+
+        def interrupter(proc):
+            yield k.timeout(0.5)
+            yield k.timeout(0.5)  # queued after the first holder's release
+            proc.interrupt()
+
+        def later():  # over the second holder's path, once it is done
+            yield k.timeout(3.0)
+            yield from net.transfer(*second, 1e6)
+            log.append(("later", k.now))
+
+        k.process(hold(first, 1e6))
+        k.process(hold(second, next_hold))
+        k.process(interrupter(k.process(job_b())))
+        k.process(later())
+        k.run()
+
+        assert log == [("b interrupted", 1.0), ("later", 4.0)]
+        assert all(p.in_use == 0 and p.queue_length == 0
+                   for p in net._ports.values())
