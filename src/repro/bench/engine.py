@@ -36,13 +36,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.context import ExecutionConfig
 from repro.core.executor import FSConfig, PipelineExecutor, PipelineResult
-from repro.core.pipeline import (
-    NodeAssignment,
-    PipelineSpec,
-    build_embedded_pipeline,
-    build_separate_io_pipeline,
-    combine_pulse_cfar,
-)
+from repro.core.pipeline import NodeAssignment, PipelineSpec
 from repro.core.serialize import Codec, HashedSpec, sparse
 from repro.errors import ConfigurationError
 from repro.machine.presets import MachinePreset, generic_cluster, ibm_sp, paragon
@@ -72,17 +66,11 @@ __all__ = [
 #: old cache entries are invalidated rather than silently misread.
 SPEC_SCHEMA = 1
 
-#: The three pipeline keys that predate the strategy registry.  They are
-#: kept addressable so every published spec hash (the serialized
-#: ``pipeline`` field) is unchanged, but user-facing lookups through
-#: :data:`PIPELINES` now warn and point at the registry names.
-_LEGACY_BUILDERS: Dict[str, Callable[[NodeAssignment], PipelineSpec]] = {
-    "embedded": build_embedded_pipeline,
-    "separate": build_separate_io_pipeline,
-    "combined": lambda a: combine_pulse_cfar(build_embedded_pipeline(a)),
-}
-
-#: Legacy pipeline keys -> the strategy each has always denoted.
+#: The three pipeline keys that predate the strategy registry, and the
+#: strategy each has always denoted.  They are kept addressable so every
+#: published spec hash (the serialized ``pipeline`` field) is unchanged,
+#: but user-facing lookups through :data:`PIPELINES` now warn and point
+#: at the registry names.
 LEGACY_STRATEGY: Dict[str, str] = {
     "embedded": "embedded-io",
     "separate": "separate-io",
@@ -104,9 +92,9 @@ class _PipelineRegistryView(Mapping):
     """
 
     def _table(self) -> Dict[str, Callable[[NodeAssignment], PipelineSpec]]:
-        table = dict(_LEGACY_BUILDERS)
+        table = {key: get_strategy(name).build_spec for key, name in LEGACY_STRATEGY.items()}
         for name in strategy_names():
-            table.setdefault(name, get_strategy(name).build_spec)
+            table[name] = get_strategy(name).build_spec
         return table
 
     def resolve(self, key: str) -> Callable[[NodeAssignment], PipelineSpec]:
@@ -114,7 +102,7 @@ class _PipelineRegistryView(Mapping):
         return self._table()[key]
 
     def __getitem__(self, key: str) -> Callable[[NodeAssignment], PipelineSpec]:
-        if key in _LEGACY_BUILDERS:
+        if key in LEGACY_STRATEGY:
             warnings.warn(
                 f"PIPELINES[{key!r}] is a legacy alias for the "
                 f"{LEGACY_STRATEGY[key]!r} strategy; address pipelines by "

@@ -27,8 +27,7 @@ from repro.core.task import TaskKind
 from repro.errors import PipelineError
 from repro.mpi.request import Request
 from repro.pfs.base import OpenMode
-from repro.strategies.builtin import make_adaptive_reader
-from repro.strategies.readers import DROPPED  # noqa: F401  (re-exported)
+from repro.strategies.readers import DROPPED, SlabReader  # noqa: F401  (DROPPED re-exported)
 from repro.trace.record import Phase
 
 if TYPE_CHECKING:
@@ -66,12 +65,12 @@ def _make_reader(ctx: TaskContext, rlo: int, rhi: int):
     """The slab reader the run's I/O strategy prescribes.
 
     Hand-built specs whose names are not in the strategy registry get
-    the classic adaptive reader (async 1-deep prefetch on PFS, blocking
-    reads on PIOFS) — the pre-registry behaviour, bit-identically.
+    the default :class:`SlabReader` (async 1-deep prefetch on PFS,
+    blocking reads on PIOFS) — the pre-registry behaviour, bit-identically.
     """
     if ctx.strategy is not None:
         return ctx.strategy.make_reader(ctx, rlo, rhi)
-    return make_adaptive_reader(ctx, rlo, rhi)
+    return SlabReader(ctx, rlo, rhi)
 
 
 def _empty(shape, dtype):

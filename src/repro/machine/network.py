@@ -121,9 +121,10 @@ class Network:
                 if port is not None:
                     # Interrupted at ``port``'s grant: the ports before it
                     # are held, and ``port`` too if its grant has fired
-                    # (the interrupt may land after a same-instant grant
-                    # was consumed); a pending request is abandoned so
-                    # no release hands the port to this dead waiter.
+                    # (a grant handed over in the interrupt's instant is
+                    # ours although its resume was dropped); a pending
+                    # request is abandoned so no release hands the port
+                    # to this dead waiter.
                     held = path.index(port)
                     if grant._value is _PENDING:
                         grant._abandoned = True

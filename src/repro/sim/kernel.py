@@ -270,7 +270,7 @@ class Kernel:
         if kind == _KIND_RESUME:
             if b is None:
                 a._resume(None, None)
-            else:
+            elif a._waiting_on is b:  # else stale: interrupted since queued
                 a._waiting_on = None
                 if b._ok:
                     a._resume(b._value, None)
@@ -415,6 +415,8 @@ class Kernel:
                         value = None
                         exc = None
                     else:
+                        if a._waiting_on is not b:
+                            break  # stale: interrupted since queued
                         a._waiting_on = None
                         if b._ok:
                             value = b._value

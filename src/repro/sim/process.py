@@ -125,6 +125,8 @@ class Process(Event):
             k._lane.append((k._seq, _KIND_RESUME, self, target))
 
     def _on_event(self, event: Event) -> None:
+        if self._waiting_on is not event:
+            return  # stale: interrupted after ``event`` fired
         self._waiting_on = None
         if event._ok:
             self._resume(event._value, None)
@@ -132,7 +134,13 @@ class Process(Event):
             self._resume(None, event._value)
 
     def interrupt(self, cause: Any = None) -> None:
-        """Throw an :class:`Interrupt` into the process at the current time."""
+        """Throw an :class:`Interrupt` into the process at the current time.
+
+        The process stops waiting on its event at once.  If that event
+        already fired in this instant, its queued resume finds the
+        process no longer waiting on it and is skipped, so the outcome
+        is dropped and the Interrupt lands at the same ``yield``.
+        """
         if self._value is not _PENDING:
             raise SimulationError(f"cannot interrupt finished process {self.name!r}")
         waiting = self._waiting_on

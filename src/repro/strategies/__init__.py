@@ -13,12 +13,8 @@ from repro.strategies.base import (
 )
 from repro.strategies.readers import (
     DROPPED,
-    AsyncPrefetchReader,
     ListIOReader,
-    SievingAsyncReader,
-    SievingSyncReader,
     SlabReader,
-    SyncReader,
     TwoPhaseReader,
     declare_access_pattern,
     open_round_robin,
@@ -26,7 +22,6 @@ from repro.strategies.readers import (
 
 # Importing the built-ins populates the registry.
 from repro.strategies import builtin as _builtin  # noqa: E402,F401
-from repro.strategies.builtin import make_adaptive_reader
 
 __all__ = [
     "IOStrategy",
@@ -36,13 +31,8 @@ __all__ = [
     "strategy_for_spec",
     "DROPPED",
     "SlabReader",
-    "SyncReader",
-    "AsyncPrefetchReader",
-    "SievingSyncReader",
-    "SievingAsyncReader",
     "ListIOReader",
     "TwoPhaseReader",
     "open_round_robin",
     "declare_access_pattern",
-    "make_adaptive_reader",
 ]

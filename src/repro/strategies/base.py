@@ -33,15 +33,18 @@ Strategies register by name::
 and are looked up with :func:`get_strategy` / enumerated with
 :func:`strategy_names`.  :func:`strategy_for_spec` resolves a pipeline
 spec's name back to its strategy (``None`` for hand-built specs, which
-keep the legacy adaptive reader behaviour).
+get the default :class:`~repro.strategies.readers.SlabReader`).
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Type
 
+from repro.core.pipeline import build_embedded_pipeline
 from repro.errors import ConfigurationError, PipelineError
 from repro.pfs import FS_CLASSES
+from repro.strategies.readers import SlabReader
 
 __all__ = [
     "IOStrategy",
@@ -75,12 +78,19 @@ class IOStrategy:
 
     # -- the strategy surface ----------------------------------------------
     def build_spec(self, assignment):
-        """Build this strategy's :class:`PipelineSpec` for ``assignment``."""
-        raise NotImplementedError
+        """Build this strategy's :class:`PipelineSpec` for ``assignment``.
+
+        By default: the embedded-I/O pipeline under the strategy's name.
+        """
+        return replace(build_embedded_pipeline(assignment), name=self.name)
 
     def make_reader(self, ctx, rlo: int, rhi: int):
-        """Build the slab reader for one reading node's range block."""
-        raise NotImplementedError
+        """Build the slab reader for one reading node's range block.
+
+        By default: independent slab reads, one posted read ahead where
+        the file system can post it, blocking reads where it cannot.
+        """
+        return SlabReader(ctx, rlo, rhi)
 
     def missing_capability(self, fs) -> Optional[str]:
         """The file-system call this strategy needs and ``fs`` lacks.
@@ -162,7 +172,8 @@ def strategy_for_spec(spec_name: str) -> Optional[IOStrategy]:
     """Resolve a pipeline spec's name to its strategy, if it has one.
 
     Hand-built specs with non-registry names return ``None``: the
-    executor then falls back to the legacy adaptive reader, so existing
-    custom pipelines keep their exact behaviour.
+    executor then reads with the default
+    :class:`~repro.strategies.readers.SlabReader`, so existing custom
+    pipelines keep their exact behaviour.
     """
     return _REGISTRY.get(spec_name)

@@ -5,12 +5,14 @@ registry bit-identically (their ``build_spec`` calls the same builders
 in :mod:`repro.core.pipeline`, and their readers reproduce the old
 ``_SlabReader`` behaviour exactly).  The rest use the strategy seam for
 access methods the paper's MPI-IO lineage established later: deeper
-prefetch pipelines, data sieving, and collective two-phase I/O.
+prefetch pipelines, data sieving, collective two-phase I/O, list I/O
+and server-directed placement.  Each class states only what differs
+from the :class:`~repro.strategies.base.IOStrategy` defaults (the
+embedded pipeline under the strategy's name, read by a
+:class:`~repro.strategies.readers.SlabReader`).
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 from repro.core.pipeline import (
     build_embedded_pipeline,
@@ -19,22 +21,11 @@ from repro.core.pipeline import (
 )
 from repro.strategies.base import IOStrategy, register
 from repro.strategies.readers import (
-    AsyncPrefetchReader,
     ListIOReader,
-    SievingAsyncReader,
-    SievingSyncReader,
-    SyncReader,
+    SlabReader,
     TwoPhaseReader,
     declare_access_pattern,
 )
-
-
-def make_adaptive_reader(ctx, rlo: int, rhi: int, prefetch_depth: int = 1):
-    """The classic access method: async 1-deep prefetch when the file
-    system provides it (PFS), blocking reads otherwise (PIOFS)."""
-    if ctx.fileset.fs.supports_async:
-        return AsyncPrefetchReader(ctx, rlo, rhi, prefetch_depth)
-    return SyncReader(ctx, rlo, rhi)
 
 
 @register
@@ -42,12 +33,6 @@ class EmbeddedIO(IOStrategy):
     """Figure 3: I/O embedded in the Doppler task; independent slab reads."""
 
     name = "embedded-io"
-
-    def build_spec(self, assignment):
-        return build_embedded_pipeline(assignment)
-
-    def make_reader(self, ctx, rlo, rhi):
-        return make_adaptive_reader(ctx, rlo, rhi)
 
 
 @register
@@ -59,9 +44,6 @@ class SeparateIO(IOStrategy):
     def build_spec(self, assignment):
         return build_separate_io_pipeline(assignment)
 
-    def make_reader(self, ctx, rlo, rhi):
-        return make_adaptive_reader(ctx, rlo, rhi)
-
 
 @register
 class EmbeddedIOCombined(IOStrategy):
@@ -71,9 +53,6 @@ class EmbeddedIOCombined(IOStrategy):
 
     def build_spec(self, assignment):
         return combine_pulse_cfar(build_embedded_pipeline(assignment))
-
-    def make_reader(self, ctx, rlo, rhi):
-        return make_adaptive_reader(ctx, rlo, rhi)
 
 
 @register
@@ -85,9 +64,6 @@ class SeparateIOCombined(IOStrategy):
     def build_spec(self, assignment):
         return combine_pulse_cfar(build_separate_io_pipeline(assignment))
 
-    def make_reader(self, ctx, rlo, rhi):
-        return make_adaptive_reader(ctx, rlo, rhi)
-
 
 @register
 class EmbeddedPrefetch2(IOStrategy):
@@ -96,11 +72,8 @@ class EmbeddedPrefetch2(IOStrategy):
     name = "embedded-prefetch2"
     requires_async = True
 
-    def build_spec(self, assignment):
-        return replace(build_embedded_pipeline(assignment), name=self.name)
-
     def make_reader(self, ctx, rlo, rhi):
-        return AsyncPrefetchReader(ctx, rlo, rhi, prefetch_depth=2)
+        return SlabReader(ctx, rlo, rhi, depth=2)
 
 
 @register
@@ -110,9 +83,6 @@ class CollectiveTwoPhase(IOStrategy):
     name = "collective-two-phase"
     #: A dropped chunk would desynchronise every peer's exchange.
     supports_read_deadline = False
-
-    def build_spec(self, assignment):
-        return replace(build_embedded_pipeline(assignment), name=self.name)
 
     def make_reader(self, ctx, rlo, rhi):
         return TwoPhaseReader(ctx, rlo, rhi)
@@ -124,13 +94,8 @@ class DataSieving(IOStrategy):
 
     name = "data-sieving"
 
-    def build_spec(self, assignment):
-        return replace(build_embedded_pipeline(assignment), name=self.name)
-
     def make_reader(self, ctx, rlo, rhi):
-        if ctx.fileset.fs.supports_async:
-            return SievingAsyncReader(ctx, rlo, rhi)
-        return SievingSyncReader(ctx, rlo, rhi)
+        return SlabReader(ctx, rlo, rhi, sieve=True)
 
 
 @register
@@ -142,9 +107,6 @@ class ListIO(IOStrategy):
     #: A window's CPIs complete as one request; dropping one is undefined.
     supports_read_deadline = False
 
-    def build_spec(self, assignment):
-        return replace(build_embedded_pipeline(assignment), name=self.name)
-
     def make_reader(self, ctx, rlo, rhi):
         return ListIOReader(ctx, rlo, rhi)
 
@@ -155,9 +117,6 @@ class ServerDirected(IOStrategy):
 
     name = "server-directed"
 
-    def build_spec(self, assignment):
-        return replace(build_embedded_pipeline(assignment), name=self.name)
-
     def make_reader(self, ctx, rlo, rhi):
         declare_access_pattern(ctx)
-        return make_adaptive_reader(ctx, rlo, rhi)
+        return SlabReader(ctx, rlo, rhi)

@@ -6,24 +6,19 @@ The offset/length are set at construction — the paper's "read length and
 file offset ... set only during initialisation" — and CPI ``k`` is read
 from round-robin file ``k % n_files``.
 
-The hierarchy replaces the old ``_SlabReader`` monolith:
-
-* :class:`SyncReader` — one blocking striped read per CPI (the PIOFS
-  behaviour);
-* :class:`AsyncPrefetchReader` — a configurable-depth pipeline of posted
-  ``iread`` requests (depth 1 reproduces the paper's overlap of reading
-  CPI *k+1* with computing CPI *k* bit-identically);
-* :class:`SievingSyncReader` / :class:`SievingAsyncReader` — data
-  sieving: widen the request to whole stripe units and discard the pad;
-* :class:`TwoPhaseReader` — collective two-phase I/O: phase one reads
-  stripe-aligned contiguous chunks, phase two redistributes slab pieces
-  over the mesh.
-
-Deadline/drop handling (graceful degradation under server faults) is
-shared via :class:`SlabReader`, as is in-flight request cleanup:
-``close()`` observes and interrupts any read still outstanding — a
-prefetch orphaned by a deadline drop or an early teardown no longer
-leaks as an unobserved background process.
+An access method is an issued extent plus how it is issued.
+:class:`SlabReader` owns both: a window of ``depth`` posted ``iread``
+requests where the file system can post them (depth 1 is the paper's
+Paragon overlap), one blocking read per CPI where it cannot (depth 0,
+the PIOFS behaviour), and ``sieve=True`` widening the extent to whole
+stripe units (data sieving).  It also owns the one deadline race
+(graceful degradation under server faults) and the in-flight cleanup:
+``close()`` observes and interrupts any read still outstanding, so a
+prefetch orphaned by a deadline drop or an early teardown never leaks
+as an unobserved background process.  The two collective readers reuse
+that window: :class:`TwoPhaseReader` reads its aligned chunk through it
+before the mesh exchange, and :class:`ListIOReader` posts one access
+list per file window into it.
 """
 
 from __future__ import annotations
@@ -49,10 +44,6 @@ __all__ = [
     "open_round_robin",
     "declare_access_pattern",
     "SlabReader",
-    "SyncReader",
-    "AsyncPrefetchReader",
-    "SievingSyncReader",
-    "SievingAsyncReader",
     "ListIOReader",
     "TwoPhaseReader",
 ]
@@ -82,17 +73,51 @@ def _discard(_event) -> None:
 
 
 class SlabReader:
-    """Shared state and deadline/drop/cleanup machinery of all readers."""
+    """One node's slab reads: an issued extent, a posted window, a deadline.
 
-    def __init__(self, ctx, rlo: int, rhi: int) -> None:
+    ``depth`` posted ``iread`` requests run ahead of consumption (depth 1
+    reproduces the paper's overlap of reading CPI *k+1* with computing
+    CPI *k* bit-identically; greater depths hide longer read latencies
+    at the cost of buffering).  On a file system without async reads the
+    reader takes depth 0: one blocking striped read per CPI.
+
+    ``sieve=True`` is data sieving (Thakur et al., *Optimizing
+    Noncontiguous Accesses in MPI-IO*): issue one conforming request
+    covering the slab plus a "hole" of unwanted bytes, then discard the
+    hole in memory.  In this reproduction's range-major layout a node's
+    slab is already contiguous, so the hole is the stripe-unit alignment
+    pad — the request becomes whole-unit-conforming at the cost of moving
+    (and paying disk time for) the pad bytes.  See
+    ``docs/io_strategies.md`` for why the classic request-count reduction
+    needs noncontiguity.
+    """
+
+    def __init__(self, ctx, rlo: int, rhi: int, depth: int = 1, sieve: bool = False) -> None:
+        if depth < 0:
+            raise ConfigurationError(f"reader depth must be >= 0, got {depth}")
         self.ctx = ctx
         self.rlo, self.rhi = rlo, rhi
         self.offset, self.nbytes = ctx.fileset.slab_extent(rlo, rhi)
-        # The extent actually issued to the file system; access methods
-        # that over-read (data sieving) widen it and trim in _extract.
-        self.read_offset, self.read_nbytes = self.offset, self.nbytes
         self.handles = open_round_robin(ctx)
-        self.fs = ctx.fileset.fs
+        self.fs = fs = ctx.fileset.fs
+        self.depth = depth if fs.supports_async else 0
+        # The extent actually issued to the file system; _extract trims
+        # it back to the slab whenever the two differ.
+        self.read_offset, self.read_nbytes = self.offset, self.nbytes
+        if sieve:
+            # The ``sieve_buffer_size`` hint replaces the stripe unit as
+            # the alignment granularity: smaller buffers cap the pad
+            # below one unit, larger ones widen the request to bigger
+            # conforming blocks (more pad, better seek amortisation).
+            # Unset keeps the classic whole-stripe-unit widening.
+            unit = fs.hints.get("sieve_buffer_size") or fs.layout.stripe_unit
+            end = self.offset + self.nbytes
+            lo = (self.offset // unit) * unit
+            hi = min(-(-end // unit) * unit, ctx.params.cube_nbytes)
+            self.read_offset, self.read_nbytes = lo, hi - lo
+        #: (cpi, request) of posted reads, oldest first.
+        self._pending: "deque[Tuple[int, Request]]" = deque()
+        self._next_cpi = 0
         #: (cpi, event) of reads posted but abandoned (deadline drops).
         self._orphans: List[Tuple[int, Event]] = []
         metrics = getattr(ctx, "metrics", None)
@@ -110,8 +135,36 @@ class SlabReader:
         return self.handles[cpi % self.ctx.fileset.n_files]
 
     # -- the access method --------------------------------------------------
+    def _issue(self, cpi: int, call):
+        """Start ``call`` (``fs.read`` or ``fs.iread``) on ``cpi``'s extent."""
+        self.ctx.fileset.ensure_cpi(cpi)
+        return call(self._handle(cpi), self.read_offset, self.read_nbytes)
+
     def prefetch(self, cpi: int) -> None:
-        """Post read-ahead for ``cpi`` (no-op for synchronous readers)."""
+        """Top up the posted-read window, starting no earlier than ``cpi``."""
+        nxt = max(cpi, self._next_cpi)
+        n_cpis = self.ctx.cfg.n_cpis
+        while len(self._pending) < self.depth and nxt < n_cpis:
+            self._pending.append((nxt, self._issue(nxt, self.fs.iread)))
+            nxt += 1
+        self._next_cpi = nxt
+
+    def _posted(self, cpi: int) -> Request:
+        """The oldest posted read, posting the window first if it is empty."""
+        if not self._pending:
+            self.prefetch(cpi)
+        return self._pending.popleft()[1]
+
+    def _fetch(self, cpi: int):
+        """Process generator returning the issued extent's raw bytes for
+        ``cpi``: the wait on a posted read, or at depth 0 a blocking read.
+
+        The generator is returned rather than delegated to, so no extra
+        frame is resumed at each step of a blocking read.
+        """
+        if self.depth:
+            return self._posted(cpi).wait()
+        return self._issue(cpi, self.fs.read)
 
     def read(self, cpi: int):
         """Process generator: obtain the slab bytes for ``cpi``.
@@ -121,11 +174,40 @@ class SlabReader:
         exhausted-retries I/O fault) yields the :data:`DROPPED` sentinel
         instead of stalling — graceful degradation under server faults.
         """
-        raise NotImplementedError
+        ctx = self.ctx
+        deadline = ctx.cfg.read_deadline
+        if deadline is None:
+            raw = yield from self._fetch(cpi)
+            return self._extract(raw)
+        # Race the read — a posted request, or a blocking read spawned
+        # as its own process — against the per-CPI deadline.
+        kernel = ctx.kernel
+        t0 = ctx.now
+        if self.depth:
+            event = self._posted(cpi)._event
+        else:
+            event = kernel.process(
+                self._issue(cpi, self.fs.read),
+                name=f"deadline-read:{ctx.name}[{ctx.local}]@{cpi}",
+            )
+        try:
+            fired, value = yield kernel.any_of([event, kernel.timeout(deadline)])
+        except IOFaultError:
+            # Retries exhausted before the deadline: same degradation.
+            return self._drop(cpi, t0)
+        if fired is event:
+            return self._extract(value)
+        self._orphans.append((cpi, event))
+        return self._drop(cpi, t0)
 
     def _extract(self, raw):
-        """Trim a completed read down to the slab extent (identity here)."""
-        return raw
+        """Trim a completed read of the issued extent down to the slab."""
+        if (
+            self.read_offset == self.offset and self.read_nbytes == self.nbytes
+        ) or isinstance(raw, Phantom):
+            return raw  # the slab itself, or timing mode
+        skip = self.offset - self.read_offset
+        return bytes(raw[skip : skip + self.nbytes])
 
     # -- deadline drops ------------------------------------------------------
     def _drop(self, cpi: int, t0: float):
@@ -160,7 +242,7 @@ class SlabReader:
     # -- teardown ------------------------------------------------------------
     def _inflight(self) -> List[Tuple[int, Event]]:
         """(cpi, event) of every read this reader still has in flight."""
-        return list(self._orphans)
+        return self._orphans + [(c, r._event) for c, r in self._pending]
 
     def outstanding_requests(self) -> int:
         """In-flight reads not yet completed nor cancelled."""
@@ -181,165 +263,13 @@ class SlabReader:
                 (self.ctx.name, self.ctx.local, cpi)
             )
         self._orphans.clear()
+        self._pending.clear()
 
     def close(self) -> None:
         """Drain in-flight reads, then close every data-file handle."""
         self._drain()
         for h in self.handles:
             h.close()
-
-
-class SyncReader(SlabReader):
-    """One blocking striped read per CPI (synchronous file systems)."""
-
-    def read(self, cpi: int):
-        if self.ctx.cfg.read_deadline is not None:
-            raw = yield from self._read_with_deadline(cpi)
-            return raw
-        self.ctx.fileset.ensure_cpi(cpi)
-        raw = yield from self.fs.read(
-            self._handle(cpi), self.read_offset, self.read_nbytes
-        )
-        return self._extract(raw)
-
-    def _read_with_deadline(self, cpi: int):
-        """Race the slab read against the per-CPI deadline."""
-        ctx = self.ctx
-        kernel = ctx.kernel
-        t0 = ctx.now
-        ctx.fileset.ensure_cpi(cpi)
-        event = kernel.process(
-            self.fs.read(self._handle(cpi), self.read_offset, self.read_nbytes),
-            name=f"deadline-read:{ctx.name}[{ctx.local}]@{cpi}",
-        )
-        try:
-            fired, value = yield kernel.any_of(
-                [event, kernel.timeout(ctx.cfg.read_deadline)]
-            )
-        except IOFaultError:
-            # Retries exhausted before the deadline: same degradation.
-            return self._drop(cpi, t0)
-        if fired is event:
-            return self._extract(value)
-        self._orphans.append((cpi, event))
-        return self._drop(cpi, t0)
-
-
-class AsyncPrefetchReader(SlabReader):
-    """A depth-``prefetch_depth`` pipeline of posted ``iread`` requests.
-
-    Depth 1 is the paper's Paragon overlap: while CPI *k* computes, the
-    read of CPI *k+1* is already in flight.  Greater depths keep more
-    CPIs posted, hiding longer read latencies at the cost of buffering.
-    """
-
-    def __init__(self, ctx, rlo: int, rhi: int, prefetch_depth: int = 1) -> None:
-        super().__init__(ctx, rlo, rhi)
-        if prefetch_depth < 1:
-            raise ConfigurationError(
-                f"prefetch_depth must be >= 1, got {prefetch_depth}"
-            )
-        self.prefetch_depth = prefetch_depth
-        self._pending: "deque[Tuple[int, Request]]" = deque()
-        self._next_cpi: Optional[int] = None
-
-    def prefetch(self, cpi: int) -> None:
-        """Top up the posted-read window, starting no earlier than ``cpi``."""
-        nxt = cpi if self._next_cpi is None else max(cpi, self._next_cpi)
-        n_cpis = self.ctx.cfg.n_cpis
-        while len(self._pending) < self.prefetch_depth and nxt < n_cpis:
-            self.ctx.fileset.ensure_cpi(nxt)
-            self._pending.append(
-                (nxt, self.fs.iread(self._handle(nxt), self.read_offset, self.read_nbytes))
-            )
-            nxt += 1
-        self._next_cpi = nxt
-
-    def read(self, cpi: int):
-        if self.ctx.cfg.read_deadline is not None:
-            raw = yield from self._read_with_deadline(cpi)
-            return raw
-        if not self._pending:
-            self.prefetch(cpi)
-        _, req = self._pending.popleft()
-        raw = yield from req.wait()
-        return self._extract(raw)
-
-    def _read_with_deadline(self, cpi: int):
-        """Race the posted read against the per-CPI deadline."""
-        ctx = self.ctx
-        kernel = ctx.kernel
-        t0 = ctx.now
-        if not self._pending:
-            self.prefetch(cpi)
-        _, req = self._pending.popleft()
-        event = req._event
-        try:
-            fired, value = yield kernel.any_of(
-                [event, kernel.timeout(ctx.cfg.read_deadline)]
-            )
-        except IOFaultError:
-            # Retries exhausted before the deadline: same degradation.
-            return self._drop(cpi, t0)
-        if fired is event:
-            return self._extract(value)
-        self._orphans.append((cpi, event))
-        return self._drop(cpi, t0)
-
-    def _inflight(self) -> List[Tuple[int, Event]]:
-        return list(self._orphans) + [(c, r._event) for c, r in self._pending]
-
-    def _drain(self) -> None:
-        super()._drain()
-        self._pending.clear()
-
-
-class _SievingMixin:
-    """Widen the issued extent to whole stripe units; trim on completion.
-
-    Data sieving (Thakur et al., *Optimizing Noncontiguous Accesses in
-    MPI-IO*): issue one large conforming request covering the wanted
-    extent plus a "hole" of unwanted bytes, then discard the hole in
-    memory.  In this reproduction's range-major layout a node's slab is
-    already contiguous, so the hole is the stripe-unit alignment pad —
-    the request becomes whole-unit-conforming at the cost of moving (and
-    paying disk time for) the pad bytes.  See ``docs/io_strategies.md``
-    for why the classic request-count reduction needs noncontiguity.
-    """
-
-    def _init_sieve(self) -> None:
-        # The ``sieve_buffer_size`` hint replaces the stripe unit as the
-        # alignment granularity: smaller buffers cap the pad below one
-        # unit, larger buffers widen the request to bigger conforming
-        # blocks (more pad, better seek amortisation).  Unset keeps the
-        # classic whole-stripe-unit widening bit-identically.
-        unit = self.fs.hints.get("sieve_buffer_size") or self.fs.layout.stripe_unit
-        end = self.offset + self.nbytes
-        lo = (self.offset // unit) * unit
-        hi = min(-(-end // unit) * unit, self.ctx.params.cube_nbytes)
-        self.read_offset, self.read_nbytes = lo, hi - lo
-
-    def _extract(self, raw):
-        if isinstance(raw, (bytes, bytearray, memoryview)):
-            skip = self.offset - self.read_offset
-            return bytes(raw[skip : skip + self.nbytes])
-        return raw  # Phantom (timing mode) needs no trim
-
-
-class SievingSyncReader(_SievingMixin, SyncReader):
-    """Data sieving over blocking reads."""
-
-    def __init__(self, ctx, rlo: int, rhi: int) -> None:
-        super().__init__(ctx, rlo, rhi)
-        self._init_sieve()
-
-
-class SievingAsyncReader(_SievingMixin, AsyncPrefetchReader):
-    """Data sieving over posted asynchronous reads."""
-
-    def __init__(self, ctx, rlo: int, rhi: int, prefetch_depth: int = 1) -> None:
-        super().__init__(ctx, rlo, rhi, prefetch_depth)
-        self._init_sieve()
 
 
 class ListIOReader(SlabReader):
@@ -363,7 +293,6 @@ class ListIOReader(SlabReader):
     def __init__(self, ctx, rlo: int, rhi: int) -> None:
         super().__init__(ctx, rlo, rhi)
         self.window = ctx.fileset.n_files
-        self._req: Optional[Tuple[int, Request]] = None
         self._results: Optional[Tuple[int, list]] = None
 
     def _post_window(self, base: int) -> None:
@@ -372,11 +301,11 @@ class ListIOReader(SlabReader):
         for cpi in range(base, hi):
             self.ctx.fileset.ensure_cpi(cpi)
             accesses.append((self._handle(cpi), self.read_offset, self.read_nbytes))
-        self._req = (base, self.fs.iread_list(accesses))
+        self._pending.append((base, self.fs.iread_list(accesses)))
 
     def prefetch(self, cpi: int) -> None:
         """Post the access list for ``cpi``'s window, if safe to do so."""
-        if cpi >= self.ctx.cfg.n_cpis or self._req is not None:
+        if cpi >= self.ctx.cfg.n_cpis or self._pending:
             return
         base = (cpi // self.window) * self.window
         if self._results is not None and self._results[0] == base:
@@ -386,24 +315,15 @@ class ListIOReader(SlabReader):
     def read(self, cpi: int):
         base = (cpi // self.window) * self.window
         if self._results is None or self._results[0] != base:
-            if self._req is None:
+            if not self._pending:
                 self._post_window(base)
-            posted_base, req = self._req
-            payloads = yield from req.wait()
-            self._req = None
+            # The window stays posted (and counted in flight) until it
+            # has completed.
+            posted_base, req = self._pending[0]
+            payloads = yield req._event
+            self._pending.clear()
             self._results = (posted_base, payloads)
         return self._extract(self._results[1][cpi - base])
-
-    def _inflight(self) -> List[Tuple[int, Event]]:
-        extra = []
-        if self._req is not None:
-            base, req = self._req
-            extra.append((base, req._event))
-        return list(self._orphans) + extra
-
-    def _drain(self) -> None:
-        super()._drain()
-        self._req = None
 
 
 def declare_access_pattern(ctx) -> None:
@@ -476,40 +396,21 @@ class TwoPhaseReader(SlabReader):
             else:
                 lo = hi = 0
             self._chunks[local] = (lo, max(hi, lo))
-        self.chunk_off, self.chunk_end = self._chunks[ctx.local]
-        self.use_async = self.fs.supports_async
-        self._pending: "deque[Tuple[int, Request]]" = deque()
-        self._next_cpi: Optional[int] = None
-
-    def prefetch(self, cpi: int) -> None:
-        """Post the next chunk read (async file systems only)."""
-        if not self.use_async or self.chunk_end <= self.chunk_off:
-            return
-        nxt = cpi if self._next_cpi is None else max(cpi, self._next_cpi)
-        if self._pending or nxt >= self.ctx.cfg.n_cpis:
-            return
-        self.ctx.fileset.ensure_cpi(nxt)
-        self._pending.append(
-            (nxt, self.fs.iread(self._handle(nxt), self.chunk_off, self.chunk_end - self.chunk_off))
-        )
-        self._next_cpi = nxt + 1
+        # Phase one reads the chunk through the slab reader's window; a
+        # participant without a chunk posts nothing.
+        chunk_off, chunk_end = self._chunks[ctx.local]
+        self.read_offset, self.read_nbytes = chunk_off, chunk_end - chunk_off
+        if not self.read_nbytes:
+            self.depth = 0
 
     def read(self, cpi: int):
         ctx = self.ctx
         compute = ctx.cfg.compute
+        chunk_off, chunk_end = self._chunks[ctx.local]
         # Phase one: read my stripe-aligned chunk.
         chunk = None
-        if self.chunk_end > self.chunk_off:
-            if self.use_async:
-                if not self._pending:
-                    self.prefetch(cpi)
-                _, req = self._pending.popleft()
-                chunk = yield from req.wait()
-            else:
-                ctx.fileset.ensure_cpi(cpi)
-                chunk = yield from self.fs.read(
-                    self._handle(cpi), self.chunk_off, self.chunk_end - self.chunk_off
-                )
+        if self.read_nbytes:
+            chunk = yield from self._fetch(cpi)
         # Phase two: post every outgoing piece, then assemble my slab.
         tag = EXCHANGE_TAG_BASE + cpi
         reqs: List[Request] = []
@@ -517,14 +418,10 @@ class TwoPhaseReader(SlabReader):
             if local == ctx.local:
                 continue
             s_lo, s_hi = self._slabs[local]
-            lo, hi = max(s_lo, self.chunk_off), min(s_hi, self.chunk_end)
+            lo, hi = max(s_lo, chunk_off), min(s_hi, chunk_end)
             if hi <= lo:
                 continue
-            piece = (
-                chunk[lo - self.chunk_off : hi - self.chunk_off]
-                if compute
-                else None
-            )
+            piece = chunk[lo - chunk_off : hi - chunk_off] if compute else None
             reqs.append(
                 ctx.rc.isend(
                     ctx.payload(piece, hi - lo, kind="two-phase"),
@@ -540,11 +437,7 @@ class TwoPhaseReader(SlabReader):
             if hi <= lo:
                 continue
             if local == ctx.local:
-                piece = (
-                    chunk[lo - self.chunk_off : hi - self.chunk_off]
-                    if compute
-                    else None
-                )
+                piece = chunk[lo - chunk_off : hi - chunk_off] if compute else None
             else:
                 piece = yield from ctx.rc.recv(self.peer_ranks[local], tag)
             if buf is not None:
@@ -554,10 +447,3 @@ class TwoPhaseReader(SlabReader):
         if compute:
             return bytes(buf)
         return Phantom(self.nbytes)
-
-    def _inflight(self) -> List[Tuple[int, Event]]:
-        return list(self._orphans) + [(c, r._event) for c, r in self._pending]
-
-    def _drain(self) -> None:
-        super()._drain()
-        self._pending.clear()

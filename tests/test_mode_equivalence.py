@@ -6,8 +6,12 @@ two must agree exactly on everything except what compute mode alone
 produces (``detections``) and what names the mode (``cfg``, ``spec``):
 throughput, latency, traces, per-rank traffic and disk statistics are
 compared with ``==``, not to a tolerance.  Reports are nominal-size
-here (``write_reports`` is off), so report size cannot differ.
+here (``write_reports`` is off), so report size cannot differ.  The
+deadline cells add the drop path, and the data-sieving trim of real
+bytes in compute mode, to the comparison.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -27,6 +31,15 @@ CELLS = [
     for name in strategy_names()
     if get_strategy(name).missing_capability(kind) is None
 ]
+
+#: Every cell whose strategy honours ``read_deadline``.
+DEADLINE_CELLS = [c for c in CELLS if get_strategy(c[2]).supports_read_deadline]
+
+#: Stripe factor and read deadline under which every deadline cell both
+#: drops and completes reads (on this assignment 4-14 of the 15 Doppler
+#: reads, or 10 of the 12 read-task reads, are dropped).
+DEADLINE_SF = 4
+DEADLINE_S = 0.05
 
 #: Fields that name the mode or exist in compute mode alone.
 _MODE_FIELDS = ("cfg", "spec", "detections")
@@ -64,6 +77,22 @@ def test_cell_modes_equal(small_params, machine, kind, name):
         fs=FSConfig(kind, 8), params=small_params, cfg=_cfg(c), seed=7,
     ))
     assert compute["detections"]      # the numerics really ran
+    assert _strip(compute) == _strip(timing)
+
+
+@pytest.mark.parametrize(
+    "machine,kind,name", DEADLINE_CELLS,
+    ids=[f"{m}-{k}-{n}" for m, k, n in DEADLINE_CELLS],
+)
+def test_deadline_cell_modes_equal(small_params, machine, kind, name):
+    assignment = NodeAssignment.balanced(small_params, 20, io_nodes=4)
+    timing, compute = _both_modes(lambda c: ExperimentSpec(
+        assignment=assignment, pipeline=name, machine=machine,
+        fs=FSConfig(kind, DEADLINE_SF), params=small_params,
+        cfg=replace(_cfg(c), read_deadline=DEADLINE_S), seed=7,
+    ))
+    readers = assignment.io_nodes if "separate" in name else assignment.doppler
+    assert 0 < len(timing["dropped_cpis"]) < readers * 3  # drops and reads
     assert _strip(compute) == _strip(timing)
 
 

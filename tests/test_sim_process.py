@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.process import Interrupt, Process
+from repro.sim.resources import Resource
 
 
 class TestLifecycle:
@@ -144,3 +145,46 @@ class TestInterrupt:
         kernel.process(interrupter(kernel, p))
         kernel.run()
         assert p.value == 3.0
+
+    @pytest.mark.parametrize("listeners", ["waiter-only", "with-observer"])
+    @pytest.mark.parametrize("drive", ["run", "step"])
+    def test_interrupt_in_grant_instant_drops_stale_resume(
+        self, kernel, drive, listeners
+    ):
+        """A grant that fires in the interrupt's instant must not resume
+        the process: the Interrupt lands at the grant's ``yield``, and a
+        later wait is not cut short by the abandoned hold."""
+        res = Resource(kernel, name="r")
+
+        def holder(k):
+            yield res.request()
+            yield k.timeout(1.0)
+            res.release()  # grants the waiter: its resume is queued
+            w.interrupt("revoked")
+
+        def waiter(k):
+            req = res.request()
+            if listeners == "with-observer":  # fire via _on_event
+                req.callbacks.append(lambda _ev: None)
+            landed = "grant"
+            try:
+                yield req
+                landed = "hold"
+                yield k.timeout(1.0)
+            except Interrupt:
+                pass
+            res.release()
+            yield k.timeout(5.0)
+            return landed, k.now
+
+        kernel.process(holder(kernel))  # spawned first: takes the slot
+        w = kernel.process(waiter(kernel))
+        if drive == "run":
+            kernel.run()
+        else:
+            while kernel.peek() is not None:
+                kernel.step()
+        # Before, the stale resume delivered the grant, the Interrupt
+        # landed in the hold, and the hold's timeout woke it at 2.0.
+        assert w.value == ("grant", 6.0)
+        assert res.in_use == 0

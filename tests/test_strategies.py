@@ -31,11 +31,11 @@ from repro.core.task import TaskKind, TaskSpec
 from repro.errors import ConfigurationError, PipelineError
 from repro.machine.presets import paragon
 from repro.strategies import (
-    AsyncPrefetchReader,
     IOStrategy,
-    SyncReader,
+    ListIOReader,
+    SlabReader,
+    TwoPhaseReader,
     get_strategy,
-    make_adaptive_reader,
     register,
     strategy_for_spec,
     strategy_names,
@@ -47,7 +47,7 @@ FAST = ExecutionConfig(n_cpis=4, warmup=1)
 #: Full-result hashes captured on the pre-refactor reader (the old
 #: ``_SlabReader``), spec: balanced small_params on 14 nodes, paragon,
 #: stripe factor 8, 4 CPIs / 1 warmup, seed 0.  PIOFS rows exercise the
-#: SyncReader fallback; PFS rows the AsyncPrefetchReader path.
+#: blocking (depth 0) reads; PFS rows the 1-deep posted window.
 PRE_REFACTOR_HASHES = {
     ("embedded", "piofs"):
         "68e2bfe2f2fd25796cb2cccead890d34e5d88ead62492e37279bae9ae83f89df",
@@ -71,6 +71,46 @@ SP_HASHES = {
         "cafbf67d90fe06df660695e0b66bb6e53eda56de1194b88b6c9324ff3305855e",
     "collective-two-phase":
         "7f60640d86dee70a2c5a3a51ec573c9e10dac468d9edd6bf49e4e36febba310f",
+}
+
+
+#: Deadline pair of :data:`DEADLINE_HASHES`: stripe factor 4 and a 50 ms
+#: read deadline, under which every cell both drops and completes reads
+#: (the trailing comment is the dropped (node, CPI) count of 12 reads).
+DEADLINE_SF = 4
+DEADLINE_S = 0.05
+
+#: Full-result hashes of every deadline-capable strategy under
+#: (:data:`DEADLINE_SF`, :data:`DEADLINE_S`), the small spec otherwise;
+#: captured on the sync/async/sieving reader classes before they
+#: collapsed into one ``SlabReader``.
+DEADLINE_HASHES = {
+    ("paragon", "data-sieving"):
+        "39e78827674b12215a6aa2c56f06a56457c95fcad6792bdd975d483801d80401",  # 6
+    ("paragon", "embedded-io"):
+        "11ebe85e879c24c293fb6f5670cfc195dae9ad62ec163a52159e03831f89b034",  # 3
+    ("paragon", "embedded-io+combined"):
+        "d6549a3b1db1d93c8f3c01945b63b17b2ab24dc5354f4bafe90271ff48700dfb",  # 3
+    ("paragon", "embedded-prefetch2"):
+        "50df689054992312f30630dbb0690940d0cec06dbd66bb2fa407644e15c7c0db",  # 4
+    ("paragon", "separate-io"):
+        "2d3e7ff82daab7b695625c73f567cad32d9c71388b7adc384d6959094b455067",  # 11
+    ("paragon", "separate-io+combined"):
+        "2267778fe3a89421157cf120823ded67d49075b81b36fd6f105eca6c35c97b67",  # 11
+    ("paragon", "server-directed"):
+        "aac4691d5c9a60e3dd61917902a7f6af9ff4d557b4334780fc739464a63df50b",  # 2
+    ("sp", "data-sieving"):
+        "a12c715ff8e25770abb1c86ec5392625a98aaaf536dd0e5d987c35378e0e06c2",  # 11
+    ("sp", "embedded-io"):
+        "333daa4f024a52e6aecb944a860d090463f270a1ac81098d934785321e3e7267",  # 11
+    ("sp", "embedded-io+combined"):
+        "ba382942ff38cdb65a8b9f04accc4ccfafd9bdda1dc6b20fb5f56ea3bbb01d63",  # 11
+    ("sp", "separate-io"):
+        "255bdbf713ae980f3ed56c3045156b04cd1f3a49e09b187a702956a6f610c118",  # 11
+    ("sp", "separate-io+combined"):
+        "f19b6462fee539c5b6e760556c82821457d8e2d89d5e3dda3e82377fead9ecb2",  # 11
+    ("sp", "server-directed"):
+        "c4e0a9f067b8af39465a4dbb1a5fb8015879b49ac981483187df25e634b8b783",  # 8
 }
 
 
@@ -199,6 +239,28 @@ class TestMigrationPins:
                           fs=FSConfig("piofs", 8))
         assert result_hash(run_spec(spec)) == SP_HASHES[pipeline]
 
+    def test_deadline_cells_cover_every_deadline_strategy(self):
+        expected = {
+            (machine, name)
+            for machine, kind in (("paragon", "pfs"), ("sp", "piofs"))
+            for name in strategy_names()
+            if get_strategy(name).supports_read_deadline
+            and get_strategy(name).missing_capability(kind) is None
+        }
+        assert set(DEADLINE_HASHES) == expected
+
+    @pytest.mark.parametrize("machine,name", sorted(DEADLINE_HASHES))
+    def test_deadline_result_hash(self, machine, name, small_params):
+        kind = "pfs" if machine == "paragon" else "piofs"
+        spec = small_spec(
+            small_params, pipeline=name, machine=machine,
+            fs=FSConfig(kind, DEADLINE_SF),
+            cfg=ExecutionConfig(n_cpis=4, warmup=1, read_deadline=DEADLINE_S),
+        )
+        result = run_spec(spec)
+        assert 0 < len(result.dropped_cpis) < 12  # drops and completes
+        assert result_hash(result) == DEADLINE_HASHES[(machine, name)]
+
     def test_registry_names_alias_legacy_results(self, small_params):
         """'embedded-io' differs from 'embedded' only by spec name."""
         legacy = run_spec(small_spec(small_params, pipeline="embedded"))
@@ -274,8 +336,8 @@ class TestReaderDrain:
         seen = {}
 
         def driver():
-            reader = make_adaptive_reader(ctx, rlo, rhi)
-            assert isinstance(reader, AsyncPrefetchReader)
+            reader = get_strategy("embedded-io").make_reader(ctx, rlo, rhi)
+            assert reader.depth == 1
             reader.prefetch(0)
             seen["posted"] = reader.outstanding_requests()
             yield ctx.kernel.timeout(1e-9)  # iread still in flight
@@ -296,8 +358,8 @@ class TestReaderDrain:
         seen = {}
 
         def driver():
-            reader = make_adaptive_reader(ctx, rlo, rhi)
-            assert isinstance(reader, SyncReader)
+            reader = get_strategy("embedded-io").make_reader(ctx, rlo, rhi)
+            assert reader.depth == 0
             out = yield from reader.read(0)
             assert out is DROPPED
             seen["orphans"] = reader.outstanding_requests()
@@ -313,6 +375,51 @@ class TestReaderDrain:
         # orphaned deadline-read process must be gone.
         assert [p.is_alive for p in seen["procs"]] == [False]
         assert ex.results["cancelled_reads"] == [("doppler", 0, 0)]
+
+    #: kind -> (file system, reader factory, depth, reads left in flight).
+    #: The blocking reader's in-flight read is a deadline orphan; every
+    #: other kind leaves its posted window in flight.
+    READER_KINDS = {
+        "blocking": ("piofs", SlabReader, 0, 1),
+        "depth1": ("pfs", SlabReader, 1, 1),
+        "depth2": ("pfs", lambda *a: SlabReader(*a, depth=2), 2, 2),
+        "sieve": ("pfs", lambda *a: SlabReader(*a, sieve=True), 1, 1),
+        "two-phase": ("pfs", TwoPhaseReader, 1, 1),
+        "list-io": ("pfs", ListIOReader, 1, 1),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(READER_KINDS))
+    def test_close_drains_every_reader_kind(self, kind, small_params):
+        fs_kind, make, depth, n_inflight = self.READER_KINDS[kind]
+        cfg = ExecutionConfig(n_cpis=4, warmup=1, read_deadline=1e-9)
+        ex = self._executor(small_params, fs_kind, cfg)
+        ex.fileset.initialize()
+        ctx = self._context(ex)
+        rlo, rhi = ex.plan.ranges_doppler.bounds(0)
+        seen = {}
+
+        def driver():
+            reader = make(ctx, rlo, rhi)
+            seen["depth"] = reader.depth
+            reader.prefetch(0)
+            if not reader.depth:
+                out = yield from reader.read(0)
+                assert out is DROPPED
+            seen["events"] = [ev for _cpi, ev in reader._inflight()]
+            yield ctx.kernel.timeout(1e-9)  # reads still in flight
+            seen["posted"] = reader.outstanding_requests()
+            reader.close()
+            seen["after_close"] = reader.outstanding_requests()
+
+        ex.kernel.process(driver(), name="driver")
+        ex.kernel.run()  # no unobserved failures may surface
+        assert seen["depth"] == depth
+        assert seen["posted"] == n_inflight
+        assert seen["after_close"] == 0
+        assert not any(getattr(ev, "is_alive", False) for ev in seen["events"])
+        assert ex.results["cancelled_reads"] == [
+            ("doppler", 0, cpi) for cpi in range(n_inflight)
+        ]
 
     def test_deadline_drop_run_is_clean_and_deterministic(self, small_params):
         cfg = ExecutionConfig(n_cpis=4, warmup=1, read_deadline=1e-6)
