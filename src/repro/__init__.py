@@ -56,51 +56,54 @@ or the explicit layers (identical results)::
     ).run()
 """
 
-from repro import analysis
+from importlib import import_module
+
+from repro import analysis, stap
 from repro.analysis import analyze_sweep, load, render
-from repro.api import run
-from repro.bench.engine import ExperimentSpec, SweepRunner, run_spec
-from repro.bench.store import ResultStore
-from repro.core.context import ExecutionConfig
-from repro.core.executor import FSConfig, PipelineExecutor, PipelineResult
-from repro.core.model import CombinationAnalysis, IOModel, PipelineModel
-from repro.core.pipeline import (
-    NodeAssignment,
-    PipelineSpec,
-    build_embedded_pipeline,
-    build_separate_io_pipeline,
-    combine_pulse_cfar,
-)
-from repro.core.arrivals import ArrivalSpec
-from repro.machine.presets import MachinePreset, generic_cluster, ibm_sp, paragon
-from repro.obs import MetricsRegistry
-from repro.scenario import (
-    ScenarioResult,
-    ScenarioSpec,
-    TenantSpec,
-    run_scenario,
-)
-from repro.service import ExperimentScheduler, JobHandle
-from repro import stap
-from repro.stap.params import STAPParams
 
 __version__ = "1.0.0"
 
-#: Numerics names re-exported from :mod:`repro.stap`, which loads them
-#: (and numpy) on first use.
-_STAP_NUMERICS = ("Scenario", "Target", "Jammer", "make_cube", "stap_chain",
-                  "run_cpi_stream")
+#: Every other name, re-exported on first use from the module that
+#: defines it, so ``import repro`` loads neither the simulator nor numpy:
+#: the executors load the simulator, the STAP numerics load numpy.
+_LAZY = {
+    name: module
+    for module, names in (
+        ("repro.api", ("run",)),
+        ("repro.bench.engine", ("ExperimentSpec", "SweepRunner", "run_spec")),
+        ("repro.bench.store", ("ResultStore",)),
+        ("repro.core.arrivals", ("ArrivalSpec",)),
+        ("repro.core.context", ("ExecutionConfig",)),
+        ("repro.core.executor", ("FSConfig", "PipelineExecutor", "PipelineResult")),
+        ("repro.core.model", ("CombinationAnalysis", "IOModel", "PipelineModel")),
+        ("repro.core.pipeline", ("NodeAssignment", "PipelineSpec",
+                                 "build_embedded_pipeline",
+                                 "build_separate_io_pipeline",
+                                 "combine_pulse_cfar")),
+        ("repro.machine.presets", ("MachinePreset", "generic_cluster", "ibm_sp",
+                                   "paragon")),
+        ("repro.obs", ("MetricsRegistry",)),
+        ("repro.scenario", ("ScenarioResult", "ScenarioSpec", "TenantSpec",
+                            "run_scenario")),
+        ("repro.service", ("ExperimentScheduler", "JobHandle")),
+        ("repro.stap", ("STAPParams", "Scenario", "Target", "Jammer", "make_cube",
+                        "stap_chain", "run_cpi_stream")),
+    )
+    for name in names
+}
 
 
 def __getattr__(name: str):
-    if name not in _STAP_NUMERICS:
+    module = _LAZY.get(name)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(stap, name)
+    value = globals()[name] = getattr(import_module(module), name)
     return value
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_STAP_NUMERICS))
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "__version__",

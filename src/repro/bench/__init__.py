@@ -10,44 +10,47 @@ from a plain Python session::
     print(run_table1().render())
 """
 
-from repro.bench.artifacts import (
-    DiscoveredArtifacts,
-    ParsedTextArtifact,
-    discover_artifacts,
-    parse_text_artifact,
-)
-from repro.bench.cases import PAPER_CASES, BenchCase, paper_cases, paper_filesystems
-from repro.bench.engine import (
-    PIPELINES,
-    DiskFault,
-    ExperimentSpec,
-    NodeFault,
-    SweepRunner,
-    WriterLoad,
-    run_spec,
-    spec_from_dict,
-)
-from repro.bench.experiments import (
-    CellResult,
-    ExperimentResult,
-    InterferenceAblation,
-    grid,
-    run_ablation_async,
-    run_ablation_bottleneck_migration,
-    run_ablation_combination_analysis,
-    run_ablation_interference,
-    run_ablation_straggler_disk,
-    run_ablation_straggler_node,
-    run_ablation_stripe_sweep,
-    run_ablation_writer_interference,
-    run_fig8,
-    run_table1,
-    run_table2,
-    run_table3,
-    run_table4,
-    sweep,
-)
-from repro.bench.store import ResultStore
+from importlib import import_module
+
+#: Every name, loaded from its module on first use, so that importing the
+#: engine or the store loads none of the table, figure and ablation
+#: functions.
+_LAZY = {
+    name: module
+    for module, names in (
+        ("artifacts", ("DiscoveredArtifacts", "ParsedTextArtifact",
+                       "discover_artifacts", "parse_text_artifact")),
+        ("cases", ("PAPER_CASES", "BenchCase", "paper_cases", "paper_filesystems")),
+        ("engine", ("PIPELINES", "DiskFault", "ExperimentSpec", "NodeFault",
+                    "SweepRunner", "WriterLoad", "run_spec", "spec_from_dict")),
+        ("experiments", ("CellResult", "ExperimentResult", "InterferenceAblation",
+                         "grid", "run_ablation_async",
+                         "run_ablation_bottleneck_migration",
+                         "run_ablation_combination_analysis",
+                         "run_ablation_interference",
+                         "run_ablation_straggler_disk",
+                         "run_ablation_straggler_node",
+                         "run_ablation_stripe_sweep",
+                         "run_ablation_writer_interference", "run_fig8",
+                         "run_table1", "run_table2", "run_table3", "run_table4",
+                         "sweep")),
+        ("store", ("ResultStore",)),
+    )
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "DiscoveredArtifacts",

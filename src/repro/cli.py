@@ -50,14 +50,6 @@ from repro.bench.engine import (
     SweepRunner,
 )
 from repro.strategies import get_strategy, strategy_names
-from repro.bench.experiments import (
-    grid,
-    run_ablation_stripe_sweep,
-    run_table1,
-    run_table2,
-    run_table3,
-    run_table4,
-)
 from repro.bench.store import DEFAULT_CACHE_DIR, ResultStore
 from repro.core.context import ExecutionConfig
 from repro.errors import ReproError
@@ -568,6 +560,8 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from repro.bench.experiments import run_table1, run_table2, run_table3, run_table4
+
     cfg = ExecutionConfig(n_cpis=args.cpis, warmup=args.warmup)
     runner = _make_runner(args)
     if args.number == 1:
@@ -659,6 +653,8 @@ def _cmd_sweep_stripe(args) -> int:
     if not factors or any(f < 1 for f in factors):
         print("error: factors must be positive integers", file=sys.stderr)
         return 2
+    from repro.bench.experiments import run_ablation_stripe_sweep
+
     runner = _make_runner(args)
     out = run_ablation_stripe_sweep(
         stripe_factors=factors,
@@ -724,7 +720,13 @@ def _cmd_reproduce(args) -> int:
     """Regenerate the core paper artifacts (tables 1-4, figures 5-8)."""
     import pathlib
 
-    from repro.bench.experiments import run_fig8
+    from repro.bench.experiments import (
+        run_fig8,
+        run_table1,
+        run_table2,
+        run_table3,
+        run_table4,
+    )
 
     out_dir = pathlib.Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -949,6 +951,7 @@ def _cmd_submit(args) -> int:
     """Submit a batch (cases x stripe factors) to a running service."""
     import getpass
 
+    from repro.bench.experiments import grid
     from repro.service.server import submit_batch
 
     cases = _parse_int_list(args.case, "--case")

@@ -19,30 +19,45 @@ Subpackage map:
 * :mod:`~repro.core.metrics` — steady-state measurement from traces.
 """
 
-from repro.core.partition import BlockPartition, label_block_rows
-from repro.core.task import TaskKind, TaskSpec, TaskInstance
-from repro.core.graph import DependencyKind, Edge, TaskGraph
-from repro.core.pipeline import (
-    NodeAssignment,
-    PipelineSpec,
-    build_embedded_pipeline,
-    build_separate_io_pipeline,
-    combine_pulse_cfar,
-)
-from repro.core.arrivals import ArrivalSpec
-from repro.core.model import CombinationAnalysis, IOModel, PipelineModel
-from repro.core.executor import (
-    ExecutionConfig,
-    PipelineExecutor,
-    PipelineResult,
-    Substrate,
-    validate_fs_hints,
-)
-from repro.core.metrics import PipelineMeasurement, TaskPhaseStats, measure
-from repro.core.plan import PipelinePlan
-from repro.core.scaling import ScalingStudy, run_scaling_study
-from repro.core.stages import BoundedQueue, TaskStages, run_sequential, run_threaded
-from repro.core.validate import validate_plan
+from importlib import import_module
+
+#: Every name, loaded from its module on first use, so that importing one
+#: light module (``repro.core.serialize``, say) loads no other; the task
+#: runners and the executor's run path load the simulation kernel.
+_LAZY = {
+    name: module
+    for module, names in (
+        ("partition", ("BlockPartition", "label_block_rows")),
+        ("task", ("TaskKind", "TaskSpec", "TaskInstance")),
+        ("graph", ("DependencyKind", "Edge", "TaskGraph")),
+        ("pipeline", ("NodeAssignment", "PipelineSpec", "build_embedded_pipeline",
+                      "build_separate_io_pipeline", "combine_pulse_cfar")),
+        ("arrivals", ("ArrivalSpec",)),
+        ("model", ("CombinationAnalysis", "IOModel", "PipelineModel")),
+        ("context", ("ExecutionConfig",)),
+        ("executor", ("PipelineExecutor", "PipelineResult", "Substrate",
+                      "validate_fs_hints")),
+        ("metrics", ("PipelineMeasurement", "TaskPhaseStats", "measure")),
+        ("plan", ("PipelinePlan",)),
+        ("scaling", ("ScalingStudy", "run_scaling_study")),
+        ("stages", ("BoundedQueue", "TaskStages", "run_sequential", "run_threaded")),
+        ("validate", ("validate_plan",)),
+    )
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "BlockPartition",

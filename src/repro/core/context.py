@@ -9,20 +9,21 @@ credit-window flow control.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple
 
 from repro.core.arrivals import ArrivalSpec
-from repro.core.plan import PipelinePlan
 from repro.core.serialize import Codec, sparse
-from repro.core.task import TaskInstance
-from repro.io.fileset import CubeFileSet
-from repro.mpi.communicator import RankComm
-from repro.mpi.datatypes import Phantom
-from repro.sim.kernel import Kernel
 from repro.stap.costs import STAPCosts
 from repro.stap.params import STAPParams
-from repro.trace.collector import TraceCollector
 from repro.trace.record import Phase
+
+if TYPE_CHECKING:
+    from repro.core.plan import PipelinePlan
+    from repro.core.task import TaskInstance
+    from repro.io.fileset import CubeFileSet
+    from repro.mpi.communicator import RankComm
+    from repro.sim.kernel import Kernel
+    from repro.trace.collector import TraceCollector
 
 __all__ = ["ExecutionConfig", "TaskContext", "data_tag", "ACK_NBYTES"]
 
@@ -159,6 +160,11 @@ class TaskContext:
         self.arrival_times = tuple(arrival_times) if arrival_times is not None else None
         self.params: STAPParams = plan.params
         self.costs = STAPCosts(plan.params)
+        # The message layer's payload type, bound once per node so that
+        # importing ExecutionConfig loads no part of the simulator.
+        from repro.mpi.datatypes import Phantom
+
+        self._phantom = Phantom
         # Per-consumer-set credit bookkeeping: edge key -> consumer ranks.
         self._credit_consumers: Dict[str, Tuple[int, ...]] = {}
 
@@ -247,11 +253,11 @@ class TaskContext:
 
     def send_ack(self, producer_rank: int, cpi: int) -> None:
         """Acknowledge consumption of CPI ``cpi`` to one producer."""
-        self.rc.isend(Phantom(ACK_NBYTES, {"ack": cpi}), producer_rank, data_tag(cpi))
+        self.rc.isend(self._phantom(ACK_NBYTES, {"ack": cpi}), producer_rank, data_tag(cpi))
 
     # -- payload helpers ----------------------------------------------------------
     def payload(self, array_or_none, nbytes: int, **meta) -> Any:
         """Compute mode: the array; timing mode: a Phantom of ``nbytes``."""
         if self.cfg.compute:
             return array_or_none
-        return Phantom(nbytes, meta)
+        return self._phantom(nbytes, meta)

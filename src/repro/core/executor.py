@@ -18,6 +18,11 @@ file system, metrics sampler) and :class:`PipelineExecutor` is one
 tenant pipeline hosted on it.  A standalone run is a substrate hosting a
 single tenant named ``""``; a :class:`~repro.scenario.ScenarioExecutor`
 hosts several tenant pipelines on the same disks and links.
+
+The simulator (kernel, machine, message passing, file system, task
+bodies) is imported by :meth:`Substrate.build` and
+:class:`PipelineExecutor`, once per cell, so ``FSConfig`` and
+``PipelineResult`` import none of it.
 """
 
 from __future__ import annotations
@@ -26,33 +31,21 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.errors import ConfigurationError
-from repro.core.bodies import body_for
 from repro.core.context import ExecutionConfig, TaskContext
 from repro.core.metrics import DroppedCpi, PipelineMeasurement, measure
 from repro.core.serialize import Codec, coded, from_dict, sparse
 from repro.core.pipeline import PipelineSpec
 from repro.core.plan import PipelinePlan
-from repro.core.validate import validate_plan
-from repro.io.fileset import CubeFileSet, CubeSource
 from repro.machine.presets import MachinePreset
-from repro.mpi.communicator import Communicator
-from repro.io.writer import RadarWriter
-from repro.obs import (
-    MetricsRegistry,
-    Sampler,
-    instrument_pipeline,
-    instrument_substrate,
-)
-from repro.obs.instruments import DEFAULT_BUCKETS
-from repro.pfs import FS_CLASSES
-from repro.pfs.blockdev import DiskSpec
-from repro.sim.kernel import Kernel
+from repro.obs.instruments import DEFAULT_BUCKETS, MetricsRegistry
 from repro.stap.cluster import Detection
 from repro.stap.params import STAPParams
 from repro.strategies import strategy_for_spec
 from repro.trace.collector import TraceCollector
 
 if TYPE_CHECKING:
+    from repro.obs.sampler import Sampler
+    from repro.sim.kernel import Kernel
     from repro.stap.scenario import Scenario
 
 __all__ = [
@@ -212,6 +205,11 @@ class Substrate:
         validation, hint install) is fixed: every result hash depends
         on it.
         """
+        from repro.obs.sampler import Sampler
+        from repro.pfs import FS_CLASSES
+        from repro.pfs.blockdev import DiskSpec
+        from repro.sim.kernel import Kernel
+
         kernel = Kernel()
         machine = preset.build(
             kernel,
@@ -265,6 +263,8 @@ class Substrate:
         get their fault counters.
         """
         if self.sampler is not None:
+            from repro.obs.instrument import instrument_substrate
+
             instrument_substrate(self.metrics, self)
             self.sampler.attach()
         self.kernel.run()
@@ -413,6 +413,11 @@ class PipelineExecutor:
         seed: Optional[int] = None,
         substrate: Optional[Substrate] = None,
     ) -> None:
+        from repro.core.validate import validate_plan
+        from repro.io.fileset import CubeFileSet, CubeSource
+        from repro.mpi.communicator import Communicator
+        from repro.obs.instrument import instrument_pipeline
+
         self.spec = spec
         self.params = params
         self.preset = preset
@@ -481,6 +486,8 @@ class PipelineExecutor:
         First half of :meth:`run`; the scenario executor calls it for
         every tenant before driving the shared kernel once.
         """
+        from repro.core.bodies import body_for
+
         self.fileset.initialize()
         for name, inst in self.plan.instances.items():
             for local, rank in enumerate(inst.ranks):
@@ -509,6 +516,8 @@ class PipelineExecutor:
         """Spawn a radar writer streaming ``load``'s future CPIs
         (a :class:`~repro.bench.engine.WriterLoad`) into this pipeline's
         cube files from the first I/O node."""
+        from repro.io.writer import RadarWriter
+
         writer = RadarWriter(
             self.fileset,
             node_id=self.machine.io_node_id(0),

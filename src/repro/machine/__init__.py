@@ -17,12 +17,33 @@ and the file system drive; ``transfer(src, dst, nbytes)`` validates the
 endpoints and runs it with no mailbox.
 """
 
+from importlib import import_module
+
 from repro.machine.node import NodeSpec, Node
-from repro.machine.network import Network, ContentionFreeNetwork
-from repro.machine.mesh import MeshNetwork
-from repro.machine.multistage import MultistageNetwork
-from repro.machine.machine import Machine
 from repro.machine.presets import paragon, ibm_sp, generic_cluster, MachinePreset
+
+#: The machine and interconnect classes, each loaded from its module
+#: (and the simulation kernel with it) on first use.
+_LAZY = {
+    "Network": "network",
+    "ContentionFreeNetwork": "network",
+    "MeshNetwork": "mesh",
+    "MultistageNetwork": "multistage",
+    "Machine": "machine",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "NodeSpec",

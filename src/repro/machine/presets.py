@@ -18,14 +18,14 @@ conclusions are what the presets encode:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
-from repro.machine.machine import Machine
-from repro.machine.mesh import MeshNetwork
-from repro.machine.multistage import MultistageNetwork
-from repro.machine.network import ContentionFreeNetwork
 from repro.machine.node import NodeSpec
-from repro.sim.kernel import Kernel
+
+if TYPE_CHECKING:
+    from repro.machine.machine import Machine
+    from repro.sim.kernel import Kernel
 
 __all__ = ["MachinePreset", "paragon", "ibm_sp", "generic_cluster"]
 
@@ -49,11 +49,6 @@ _SP_MEM_BW = 1.2e9
 DISK_BW = 5.5e6
 DISK_OVERHEAD = 20e-3
 
-_NETWORKS = {
-    net.kind: net for net in (MeshNetwork, MultistageNetwork, ContentionFreeNetwork)
-}
-
-
 @dataclass(frozen=True)
 class MachinePreset:
     """A reusable recipe for building :class:`Machine` instances.
@@ -73,7 +68,16 @@ class MachinePreset:
 
     def build(self, kernel: Kernel, n_compute: int, n_io: int = 0) -> Machine:
         """Instantiate a machine with this preset's characteristics."""
-        network = _NETWORKS.get(self.network_kind)
+        from repro.machine.machine import Machine
+        from repro.machine.mesh import MeshNetwork
+        from repro.machine.multistage import MultistageNetwork
+        from repro.machine.network import ContentionFreeNetwork
+
+        networks = {
+            net.kind: net
+            for net in (MeshNetwork, MultistageNetwork, ContentionFreeNetwork)
+        }
+        network = networks.get(self.network_kind)
         if network is None:
             raise ConfigurationError(f"unknown network kind {self.network_kind!r}")
         return Machine(

@@ -84,24 +84,31 @@ class _Mailbox:
     """Per-rank message buffer with inline (source, tag) matching.
 
     Behaviourally a :class:`~repro.sim.resources.Store` whose get-filters
-    are always "src matches ``source``, tag matches ``tag``" — so the
-    predicate is evaluated inline (two int compares per candidate)
-    instead of through a per-receive closure.  Event creation and
-    born-fired grant semantics are identical to the Store fast path, so
-    kernel event order is unchanged.
+    are always "src matches ``source``, tag matches ``tag``".  Buffered
+    messages are indexed by ``(src, tag)``: one FIFO per key, each entry
+    stamped with its arrival number.  An exact receive pops its key's
+    head; a wildcard receive takes the oldest head among the matching
+    keys, so it still gets the first matching message to arrive.  A
+    key's FIFO is a list: it rarely holds more than two messages, and a
+    deque costs more to allocate than the list's ``pop(0)``.  Event
+    creation and born-fired grant semantics are identical to the Store
+    fast path, so kernel event order is unchanged.
     """
 
-    __slots__ = ("kernel", "_items", "_getters", "_get_name")
+    __slots__ = ("kernel", "_items", "_arrivals", "_getters", "_get_name")
 
     def __init__(self, kernel, name: str) -> None:
         self.kernel = kernel
-        self._items: "deque[Message]" = deque()
+        # (src, tag) -> FIFO of (arrival number, message); a key is
+        # removed when its FIFO empties.
+        self._items: Dict[Tuple[int, int], List[Tuple[int, Message]]] = {}
+        self._arrivals = 0
         # Pending receivers: (event, source, tag), FIFO among matches.
         self._getters: "deque[Tuple[Event, int, int]]" = deque()
         self._get_name = f"get({name})"
 
     def __len__(self) -> int:
-        return len(self._items)
+        return sum(map(len, self._items.values()))
 
     def put_nowait(self, msg: "Message") -> None:
         """Deposit ``msg``, waking the first matching receiver if any."""
@@ -116,7 +123,14 @@ class _Mailbox:
                     del getters[idx]
                     ev.succeed(msg)
                     return
-        self._items.append(msg)
+        arrival = self._arrivals
+        self._arrivals = arrival + 1
+        key = (msg.src, msg.tag)
+        fifo = self._items.get(key)
+        if fifo is None:
+            self._items[key] = [(arrival, msg)]
+        else:
+            fifo.append((arrival, msg))
 
     def get_match(self, source: int, tag: int) -> Event:
         """Event firing with the first buffered message matching
@@ -124,20 +138,25 @@ class _Mailbox:
         ev = Event(self.kernel, name=self._get_name)
         items = self._items
         if items:
-            if source == ANY_SOURCE and tag == ANY_TAG:
-                ev._value = items.popleft()
+            if source != ANY_SOURCE and tag != ANY_TAG:
+                key = (source, tag)
+                fifo = items.get(key)
+            else:
+                key = fifo = None
+                for k, q in items.items():
+                    if (
+                        (source == ANY_SOURCE or k[0] == source)
+                        and (tag == ANY_TAG or k[1] == tag)
+                        and (fifo is None or q[0][0] < fifo[0][0])
+                    ):
+                        key, fifo = k, q
+            if fifo is not None:
+                ev._value = fifo.pop(0)[1]
+                if not fifo:
+                    del items[key]
                 ev._ok = True
                 ev.callbacks = _SEALED
                 return ev
-            for idx, msg in enumerate(items):
-                if (source == ANY_SOURCE or msg.src == source) and (
-                    tag == ANY_TAG or msg.tag == tag
-                ):
-                    del items[idx]
-                    ev._value = msg
-                    ev._ok = True
-                    ev.callbacks = _SEALED
-                    return ev
         self._getters.append((ev, source, tag))
         return ev
 

@@ -26,6 +26,8 @@ chrome-trace counter tracks (see :mod:`repro.trace.export` and
 ``docs/observability.md``).
 """
 
+from importlib import import_module
+
 from repro.obs.instruments import (
     METRICS_SCHEMA,
     Counter,
@@ -35,15 +37,34 @@ from repro.obs.instruments import (
     Timeseries,
     validate_metrics_dict,
 )
-from repro.obs.instrument import instrument_pipeline, instrument_substrate
 from repro.obs.report import (
     bottleneck_profile,
     render_metrics_summary,
     sparkline,
     time_weighted_mean,
 )
-from repro.obs.sampler import Sampler
 from repro.obs.service import ServiceMetrics
+
+#: The kernel-side pieces, each loaded from its module (and the
+#: simulation kernel with it) on first use.
+_LAZY = {
+    "Sampler": "sampler",
+    "instrument_pipeline": "instrument",
+    "instrument_substrate": "instrument",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "ServiceMetrics",

@@ -21,14 +21,32 @@ experiment surface:
 See ``docs/scenarios.md``.
 """
 
+from importlib import import_module
+
 from repro.core.arrivals import ArrivalSpec
-from repro.scenario.executor import ScenarioExecutor, run_scenario
 from repro.scenario.spec import (
     SCENARIO_SCHEMA,
     ScenarioResult,
     ScenarioSpec,
     TenantSpec,
 )
+
+#: The executor, loaded from its module (and the simulator with it) on
+#: first use.
+_LAZY = {"ScenarioExecutor": "executor", "run_scenario": "executor"}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "ArrivalSpec",

@@ -29,8 +29,6 @@ wait or a process join).
 from __future__ import annotations
 
 import importlib
-import multiprocessing
-import multiprocessing.connection
 import pickle
 import socket
 import threading
@@ -39,6 +37,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ConfigurationError, ServiceError
+from repro.service.tasks import ENGINE_MODULES
 
 __all__ = [
     "PoolEvent",
@@ -142,6 +141,9 @@ def _worker_main(conn, worker_id: int) -> None:
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # The parent holds no simulator: load it before the first task.
+    for name in ENGINE_MODULES:
+        importlib.import_module(name)
     while True:
         try:
             item = conn.recv()
@@ -203,8 +205,13 @@ class ProcessPool:
     def __init__(self, size: int) -> None:
         if size < 1:
             raise ConfigurationError(f"pool size must be >= 1, got {size}")
+        # Only a process pool needs multiprocessing: the inline pool's
+        # users never import it.
+        import multiprocessing.connection
+
         self.size = size
         self._ctx = multiprocessing.get_context()
+        self._wait = multiprocessing.connection.wait
         self._next_worker_id = 0
         #: Guards ``_workers`` against the dispatcher's poll-time
         #: mutations (death del + respawn insert) racing client-thread
@@ -302,7 +309,7 @@ class ProcessPool:
             conns = {w.conn: w for w in self._workers.values() if w.busy}
             sentinels = {w.proc.sentinel: w for w in self._workers.values()}
         waitables: List[Any] = list(conns) + list(sentinels) + [self._wake_recv]
-        ready = multiprocessing.connection.wait(waitables, timeout=timeout)
+        ready = self._wait(waitables, timeout=timeout)
         dead: List[_Worker] = []
         for obj in ready:
             if obj is self._wake_recv:

@@ -25,8 +25,11 @@ one per line, UTF-8:
   ``tasks_in_flight`` and worker PIDs, the dashboard's gauge source.
 
 Anything the server rejects answers ``{"ok": false, "error": msg}`` —
-a malformed request never kills the service.  Each connection carries
-one request (plus its event stream), which keeps both ends stateless.
+a malformed request never kills the service.  A request line longer
+than :data:`MAX_REQUEST_BYTES` is answered ``request too large`` and its
+connection closed, so no client can make the server buffer without
+bound.  Each connection carries one request (plus its event stream),
+which keeps both ends stateless.
 
 Streaming back over TCP composes with the scheduler's dispatch-side
 backpressure: the server thread consuming a job's results blocks on
@@ -53,6 +56,10 @@ __all__ = [
 
 #: Server-side accept timeout; bounds shutdown latency.
 _ACCEPT_TICK = 0.2
+
+#: Longest request line the server reads, newline included: far above
+#: the largest batch ``repro submit`` sends.
+MAX_REQUEST_BYTES = 64 * 1024 * 1024
 
 
 def _send(wfile, obj: Dict[str, Any]) -> None:
@@ -123,8 +130,12 @@ class ExperimentServer:
         try:
             with conn, conn.makefile("rb") as rfile, \
                     conn.makefile("wb") as wfile:
-                line = rfile.readline()
+                line = rfile.readline(MAX_REQUEST_BYTES + 1)
                 if not line:
+                    return
+                if len(line) > MAX_REQUEST_BYTES:
+                    _send(wfile, {"ok": False, "error": "request too large: "
+                                  f"over {MAX_REQUEST_BYTES} bytes"})
                     return
                 try:
                     req = json.loads(line.decode("utf-8"))

@@ -9,10 +9,26 @@ in :mod:`repro.service.testing`.
 
 from __future__ import annotations
 
-__all__ = ["RUN_SPEC_RUNNER", "run_spec_payload"]
+__all__ = ["ENGINE_MODULES", "RUN_SPEC_RUNNER", "run_spec_payload"]
 
 #: Import string of the production cell runner.
 RUN_SPEC_RUNNER = "repro.service.tasks:run_spec_payload"
+
+#: The simulator: the modules a cell or a scenario imports when it is
+#: built and run, which specs, results and the scheduler never import.
+#: A process worker imports them when it starts, so that no cell's
+#: measured latency includes compiling them.
+ENGINE_MODULES = (
+    "repro.core.bodies",
+    "repro.core.validate",
+    "repro.io",
+    "repro.machine.machine",
+    "repro.machine.mesh",
+    "repro.machine.multistage",
+    "repro.obs.instrument",
+    "repro.obs.sampler",
+    "repro.scenario.executor",
+)
 
 
 def run_spec_payload(payload: dict) -> dict:

@@ -15,6 +15,7 @@ be seen from the test.
 from __future__ import annotations
 
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -22,14 +23,17 @@ __all__ = [
     "SLEEP_RUNNER",
     "SLOW_FIRST_RUNNER",
     "FAILING_RUNNER",
+    "MODULES_RUNNER",
     "sleep_payload",
     "slow_first_attempt_payload",
     "failing_payload",
+    "modules_payload",
 ]
 
 SLEEP_RUNNER = "repro.service.testing:sleep_payload"
 SLOW_FIRST_RUNNER = "repro.service.testing:slow_first_attempt_payload"
 FAILING_RUNNER = "repro.service.testing:failing_payload"
+MODULES_RUNNER = "repro.service.testing:modules_payload"
 
 
 def _touch(directory: str, name: str) -> None:
@@ -77,3 +81,10 @@ def failing_payload(payload: dict) -> dict:
     """Raise ``ValueError(payload["message"])`` — a deterministic task
     failure (never retried; fails the job)."""
     raise ValueError(payload.get("message", "synthetic task failure"))
+
+
+def modules_payload(payload: dict) -> dict:
+    """The names of the modules the running process has loaded that
+    start with ``prefix``, so a test can see what a worker holds."""
+    prefix = payload.get("prefix", "")
+    return {"modules": sorted(m for m in sys.modules if m.startswith(prefix))}

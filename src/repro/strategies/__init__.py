@@ -4,6 +4,8 @@ See ``docs/io_strategies.md`` for the strategy catalogue and how to
 write a custom strategy.
 """
 
+from importlib import import_module
+
 from repro.strategies.base import (
     IOStrategy,
     get_strategy,
@@ -11,17 +13,30 @@ from repro.strategies.base import (
     strategy_for_spec,
     strategy_names,
 )
-from repro.strategies.readers import (
-    DROPPED,
-    ListIOReader,
-    SlabReader,
-    TwoPhaseReader,
-    declare_access_pattern,
-    open_round_robin,
-)
 
 # Importing the built-ins populates the registry.
-from repro.strategies import builtin as _builtin  # noqa: E402,F401
+from repro.strategies import builtin as _builtin  # noqa: F401
+
+#: The readers, loaded from their module (and the file system with it)
+#: on first use; ``IOStrategy.make_reader`` imports them per cell.
+_LAZY = {
+    name: "readers"
+    for name in ("DROPPED", "ListIOReader", "SlabReader", "TwoPhaseReader",
+                 "declare_access_pattern", "open_round_robin")
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "IOStrategy",

@@ -43,8 +43,6 @@ from typing import Dict, List, Optional, Type
 
 from repro.core.pipeline import build_embedded_pipeline
 from repro.errors import ConfigurationError, PipelineError
-from repro.pfs import FS_CLASSES
-from repro.strategies.readers import SlabReader
 
 __all__ = [
     "IOStrategy",
@@ -90,6 +88,8 @@ class IOStrategy:
         By default: independent slab reads, one posted read ahead where
         the file system can post it, blocking reads where it cannot.
         """
+        from repro.strategies.readers import SlabReader
+
         return SlabReader(ctx, rlo, rhi)
 
     def missing_capability(self, fs) -> Optional[str]:
@@ -101,6 +101,8 @@ class IOStrategy:
         ``"list I/O"``, or None when the strategy can run there.
         """
         if isinstance(fs, str):
+            from repro.pfs import FS_CLASSES
+
             if fs not in FS_CLASSES:
                 raise ConfigurationError(f"unknown file system kind {fs!r}")
             fs = FS_CLASSES[fs]

@@ -20,12 +20,6 @@ from repro.core.pipeline import (
     combine_pulse_cfar,
 )
 from repro.strategies.base import IOStrategy, register
-from repro.strategies.readers import (
-    ListIOReader,
-    SlabReader,
-    TwoPhaseReader,
-    declare_access_pattern,
-)
 
 
 @register
@@ -73,6 +67,8 @@ class EmbeddedPrefetch2(IOStrategy):
     requires_async = True
 
     def make_reader(self, ctx, rlo, rhi):
+        from repro.strategies.readers import SlabReader
+
         return SlabReader(ctx, rlo, rhi, depth=2)
 
 
@@ -85,6 +81,8 @@ class CollectiveTwoPhase(IOStrategy):
     supports_read_deadline = False
 
     def make_reader(self, ctx, rlo, rhi):
+        from repro.strategies.readers import TwoPhaseReader
+
         return TwoPhaseReader(ctx, rlo, rhi)
 
 
@@ -95,6 +93,8 @@ class DataSieving(IOStrategy):
     name = "data-sieving"
 
     def make_reader(self, ctx, rlo, rhi):
+        from repro.strategies.readers import SlabReader
+
         return SlabReader(ctx, rlo, rhi, sieve=True)
 
 
@@ -108,6 +108,8 @@ class ListIO(IOStrategy):
     supports_read_deadline = False
 
     def make_reader(self, ctx, rlo, rhi):
+        from repro.strategies.readers import ListIOReader
+
         return ListIOReader(ctx, rlo, rhi)
 
 
@@ -118,5 +120,7 @@ class ServerDirected(IOStrategy):
     name = "server-directed"
 
     def make_reader(self, ctx, rlo, rhi):
+        from repro.strategies.readers import SlabReader, declare_access_pattern
+
         declare_access_pattern(ctx)
         return SlabReader(ctx, rlo, rhi)

@@ -7,6 +7,8 @@ timelines for debugging; :mod:`~repro.trace.report` renders the paper's
 table and bar-chart formats.
 """
 
+from importlib import import_module
+
 from repro.trace.record import PhaseRecord, Phase
 from repro.trace.collector import TraceCollector
 from repro.trace.export import (
@@ -19,8 +21,23 @@ from repro.trace.export import (
     write_prometheus,
     write_result_json,
 )
-from repro.trace.gantt import render_gantt, render_scenario_gantt
 from repro.trace.report import bar_chart, format_table, grouped_bar_chart, heatmap
+
+#: The timeline renderers, loaded from their module on first use.
+_LAZY = {"render_gantt": "gantt", "render_scenario_gantt": "gantt"}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "PhaseRecord",

@@ -5,10 +5,14 @@ phantom payloads of the same sizes and charges the same cost model.  The
 two must agree exactly on everything except what compute mode alone
 produces (``detections``) and what names the mode (``cfg``, ``spec``):
 throughput, latency, traces, per-rank traffic and disk statistics are
-compared with ``==``, not to a tolerance.  Reports are nominal-size
-here (``write_reports`` is off), so report size cannot differ.  The
-deadline cells add the drop path, and the data-sieving trim of real
-bytes in compute mode, to the comparison.
+compared with ``==``, not to a tolerance.  With ``write_reports`` the
+sink also writes each CPI's detection reports back to the file system;
+at the default false-alarm rate they stay nominal-size, so every cell
+is still exactly equal.  The one stated exception is a high
+false-alarm rate: compute mode sizes a report by its detections once
+they outgrow the nominal size, which timing mode cannot know, so it
+writes more report bytes.  The deadline cells add the drop path, and
+the data-sieving trim of real bytes in compute mode, to the comparison.
 """
 
 from dataclasses import replace
@@ -63,6 +67,20 @@ def _both_modes(make_spec):
     return timing, compute
 
 
+def _cell(params, machine, kind, name, compute, **cfg):
+    return ExperimentSpec(
+        assignment=NodeAssignment.balanced(params, 20, io_nodes=4),
+        pipeline=name, machine=machine, fs=FSConfig(kind, 8), params=params,
+        cfg=replace(_cfg(compute), **cfg), seed=7,
+    )
+
+
+def _cell_both_modes(params, machine, kind, name, **cfg):
+    return _both_modes(
+        lambda c: _cell(params, machine, kind, name, c, **cfg)
+    )
+
+
 def test_cells_cover_every_runnable_strategy():
     assert len(CELLS) == 16
 
@@ -71,13 +89,34 @@ def test_cells_cover_every_runnable_strategy():
     "machine,kind,name", CELLS, ids=[f"{m}-{k}-{n}" for m, k, n in CELLS]
 )
 def test_cell_modes_equal(small_params, machine, kind, name):
-    assignment = NodeAssignment.balanced(small_params, 20, io_nodes=4)
-    timing, compute = _both_modes(lambda c: ExperimentSpec(
-        assignment=assignment, pipeline=name, machine=machine,
-        fs=FSConfig(kind, 8), params=small_params, cfg=_cfg(c), seed=7,
-    ))
+    timing, compute = _cell_both_modes(small_params, machine, kind, name)
     assert compute["detections"]      # the numerics really ran
     assert _strip(compute) == _strip(timing)
+
+
+@pytest.mark.parametrize(
+    "machine,kind,name", CELLS, ids=[f"{m}-{k}-{n}" for m, k, n in CELLS]
+)
+def test_cell_modes_equal_with_reports(small_params, machine, kind, name):
+    timing, compute = _cell_both_modes(small_params, machine, kind, name,
+                                       write_reports=True)
+    assert compute["detections"]
+    assert _strip(compute) == _strip(timing)
+    plain = _cell(small_params, machine, kind, name, False).run().to_dict()
+    # the reports really were written
+    assert (timing["disk_stats"]["bytes_served"]
+            > plain["disk_stats"]["bytes_served"])
+
+
+def test_high_false_alarm_reports_outgrow_nominal_in_compute_mode(
+    small_params,
+):
+    timing, compute = _cell_both_modes(
+        replace(small_params, pfa=0.05), "paragon", "pfs", "embedded-io",
+        write_reports=True,
+    )
+    assert (compute["disk_stats"]["bytes_served"]
+            > timing["disk_stats"]["bytes_served"])
 
 
 @pytest.mark.parametrize(

@@ -174,6 +174,45 @@ class TestSendRecv:
         run_ranks(comm, [(0, sender), (1, receiver)])
         assert got == [0, 1, 2, 3, 4]
 
+    def test_wildcards_take_messages_in_arrival_order(self, comm):
+        # (source, tag) of each message, sent one simulated second apart
+        # so the order they arrive in is the order listed.
+        sends = [(0, 5), (2, 1), (3, 1), (0, 1), (2, 5),
+                 (3, 7), (2, 1), (0, 7), (3, 5), (2, 7)]
+        got = {}
+
+        def sender(rc):
+            for i, (src, tag) in enumerate(sends):
+                if src == rc.rank:
+                    yield rc.kernel.timeout(i - rc.kernel.now)
+                    yield from rc.send(i, dest=1, tag=tag)
+
+        def receiver(rc):
+            yield rc.kernel.timeout(len(sends) + 1)
+            got["buffered"] = len(rc.comm._mailboxes[rc.rank])
+            got["any_source"] = []
+            for _ in range(4):
+                v = yield from rc.recv(source=ANY_SOURCE, tag=1)
+                got["any_source"].append(v)
+            got["any_tag"] = []
+            for _ in range(2):
+                v = yield from rc.recv(source=2, tag=ANY_TAG)
+                got["any_tag"].append(v)
+            got["any"] = []
+            for _ in range(4):
+                v = yield from rc.recv(source=ANY_SOURCE, tag=ANY_TAG)
+                got["any"].append(v)
+            got["left"] = len(rc.comm._mailboxes[rc.rank])
+
+        run_ranks(comm, [(0, sender), (2, sender), (3, sender), (1, receiver)])
+        assert got == {
+            "buffered": 10,
+            "any_source": [1, 2, 3, 6],
+            "any_tag": [4, 9],
+            "any": [0, 5, 7, 8],
+            "left": 0,
+        }
+
     def test_recv_msg_envelope(self, comm):
         got = []
 

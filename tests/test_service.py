@@ -8,8 +8,10 @@ SweepRunner-on-scheduler equivalence guarantees, and the TCP front end.
 from __future__ import annotations
 
 import gc
+import json
 import os
 import signal
+import socket
 import threading
 import time
 import weakref
@@ -32,6 +34,7 @@ from repro.service import (
 )
 from repro.service.model import Job, Lifecycle, Task
 from repro.service.pool import InlinePool, ProcessPool, resolve_runner
+from repro.service import server as server_module
 from repro.service.server import ExperimentServer, request, submit_batch
 from repro.service.testing import (
     FAILING_RUNNER,
@@ -1013,5 +1016,39 @@ class TestServer:
         with pytest.raises(ServiceError, match="no such job"):
             request(server.host, server.port, {"op": "job", "id": "j0"})
         # the server is still alive
+        assert request(server.host, server.port,
+                       {"op": "ping"})["event"] == "pong"
+
+    @staticmethod
+    def _raw(server, data: bytes, close_write: bool = False) -> dict:
+        """Send ``data`` as-is and read the one-line answer."""
+        with socket.create_connection((server.host, server.port),
+                                      timeout=10) as conn:
+            conn.sendall(data)
+            if close_write:
+                conn.shutdown(socket.SHUT_WR)
+            return json.loads(conn.makefile("rb").readline())
+
+    def test_oversized_request_line_refused(self, served_scheduler,
+                                            monkeypatch):
+        _, server = served_scheduler
+        monkeypatch.setattr(server_module, "MAX_REQUEST_BYTES", 1024)
+        # No newline and the connection left open: the answer must not
+        # wait for the rest of the line.
+        resp = self._raw(server, b'{"op": "ping", "pad": "' + b"x" * 2000)
+        assert resp["ok"] is False
+        assert resp["error"].startswith("request too large")
+        # a line of exactly the cap, newline included, is read whole
+        head = b'{"op": "ping", "pad": "'
+        fill = b"x" * (1024 - len(head) - len(b'"}\n'))
+        assert self._raw(server, head + fill + b'"}\n')["event"] == "pong"
+        assert request(server.host, server.port,
+                       {"op": "ping"})["event"] == "pong"
+
+    def test_truncated_request_line_answered(self, served_scheduler):
+        _, server = served_scheduler
+        resp = self._raw(server, b'{"op": "pi', close_write=True)
+        assert resp["ok"] is False
+        assert resp["error"].startswith("bad request")
         assert request(server.host, server.port,
                        {"op": "ping"})["event"] == "pong"
