@@ -58,17 +58,16 @@ or the explicit layers (identical results)::
 
 from importlib import import_module
 
-from repro import analysis, stap
-from repro.analysis import analyze_sweep, load, render
-
 __version__ = "1.0.0"
 
-#: Every other name, re-exported on first use from the module that
-#: defines it, so ``import repro`` loads neither the simulator nor numpy:
-#: the executors load the simulator, the STAP numerics load numpy.
+#: Every name, re-exported on first use from the module that defines it
+#: (a subpackage stands for itself), so ``import repro`` loads neither
+#: the simulator nor numpy: the executors load the simulator, the STAP
+#: numerics load numpy.
 _LAZY = {
     name: module
     for module, names in (
+        ("repro.analysis", ("analysis", "analyze_sweep", "load", "render")),
         ("repro.api", ("run",)),
         ("repro.bench.engine", ("ExperimentSpec", "SweepRunner", "run_spec")),
         ("repro.bench.store", ("ResultStore",)),
@@ -86,8 +85,8 @@ _LAZY = {
         ("repro.scenario", ("ScenarioResult", "ScenarioSpec", "TenantSpec",
                             "run_scenario")),
         ("repro.service", ("ExperimentScheduler", "JobHandle")),
-        ("repro.stap", ("STAPParams", "Scenario", "Target", "Jammer", "make_cube",
-                        "stap_chain", "run_cpi_stream")),
+        ("repro.stap", ("stap", "STAPParams", "Scenario", "Target", "Jammer",
+                        "make_cube", "stap_chain", "run_cpi_stream")),
     )
     for name in names
 }
@@ -97,8 +96,11 @@ def __getattr__(name: str):
     module = _LAZY.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(import_module(module), name)
-    return value
+    found = import_module(module)
+    if module != f"{__name__}.{name}":
+        found = getattr(found, name)
+    globals()[name] = found
+    return found
 
 
 def __dir__():

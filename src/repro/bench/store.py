@@ -220,8 +220,14 @@ class ResultStore:
         except (ConfigurationError, KeyError, TypeError, ValueError):
             return None
 
-    def put_dict(self, spec, result: dict) -> Path:
+    def put_dict(self, spec, result) -> Path:
         """Store a raw result dict under ``spec``'s hash (atomically).
+
+        ``result`` may also be a service
+        :class:`~repro.service.model.ResultPayload`: its JSON text is
+        spliced into the entry as it is, so a result a process worker
+        encoded is written without being decoded or encoded again.  The
+        file's bytes are ``json.dumps`` of the entry either way.
 
         First write wins: the store is content-addressed, so any two
         valid writers of one hash carry identical results, and a writer
@@ -237,26 +243,27 @@ class ResultStore:
         prediction never overwrites any existing valid entry — the store
         can only ever get more authoritative.
         """
+        plain = isinstance(result, dict)
+        source = result.get("source") if plain else result.source
         self.root.mkdir(parents=True, exist_ok=True)
         spec_hash = spec.spec_hash()
         target = self.path_for(spec_hash)
         existing = self.get_dict(spec)
         if existing is not None and (
-            result.get("source") == "predicted"
-            or existing.get("source") != "predicted"
+            source == "predicted" or existing.get("source") != "predicted"
         ):
             return target
-        payload = {
+        head = json.dumps({
             "schema": STORE_SCHEMA,
             "substrate": substrate_fingerprint(),
             "spec_hash": spec_hash,
             "spec": spec.to_dict(),
-            "result": result,
-        }
+        })
         tmp = target.with_name(
             f".{target.name}.{os.getpid()}.{next(_tmp_seq)}.tmp"
         )
-        tmp.write_text(json.dumps(payload), encoding="utf-8")
+        text = json.dumps(result) if plain else result.text
+        tmp.write_text(f'{head[:-1]}, "result": {text}}}', encoding="utf-8")
         tmp.replace(target)
         return target
 

@@ -28,7 +28,7 @@ bodies) is imported by :meth:`Substrate.build` and
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional
 
 from repro.errors import ConfigurationError
 from repro.core.context import ExecutionConfig, TaskContext
@@ -327,11 +327,13 @@ class PipelineResult(Codec):
     #: Filled in by the executor after the run.
     disk_stats: Optional[dict] = None
     #: (src_rank, dst_rank) -> (messages, bytes), stored under
-    #: ``"src->dst"`` keys.
-    rank_traffic: Optional[dict] = coded(
+    #: ``"src->dst"`` keys; a result read back by :meth:`from_dict`
+    #: decodes them on first lookup.
+    rank_traffic: Optional[Mapping] = coded(
         lambda m: {f"{src}->{dst}": list(c) for (src, dst), c in m.items()},
         lambda m: {tuple(map(int, k.split("->"))): tuple(c)
                    for k, c in m.items()},
+        lazy=True,
         default=None,
     )
     #: rank -> task name, stored under stringified ranks.

@@ -12,7 +12,9 @@ serialize by one rule:
   recurse; an ``Enum`` is stored by value, and a type with its own
   ``from_dict`` (every :class:`Codec`, ``TraceCollector``) through that
   class attribute, looked up per call;
-* a :func:`coded` field is stored as its own ``encode(value)``;
+* a :func:`coded` field is stored as its own ``encode(value)``; with
+  ``lazy=True`` it is read into a :class:`LazyMapping`, decoded on first
+  lookup and stored back as read until then;
 * a class constant ``KIND`` is emitted first as a ``"kind"`` marker.
 
 :func:`from_dict` inverts :func:`to_dict`.  An unknown key, a missing
@@ -28,15 +30,17 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import typing
-from typing import Any, Callable, Dict, Mapping, Optional
+from collections.abc import Mapping
+from typing import Any, Callable, Dict, Optional
 
 from repro.errors import ConfigurationError
 
-__all__ = ["sparse", "coded", "to_dict", "from_dict", "canonical_json", "spec_hash",
-           "Codec", "HashedSpec"]
+__all__ = ["sparse", "coded", "LazyMapping", "to_dict", "from_dict",
+           "canonical_json", "spec_hash", "Codec", "HashedSpec"]
 
 _SPARSE = {"sparse": True}
 
@@ -46,11 +50,51 @@ def sparse(default: Any) -> Any:
     return dataclasses.field(default=default, metadata=_SPARSE)
 
 
+class LazyMapping(Mapping):
+    """A mapping kept in its stored form until its first lookup, which
+    runs ``decode`` on it once.  Until then a ``coded(..., lazy=True)``
+    field stores it back as read."""
+
+    __slots__ = ("_stored", "_decode", "_map")
+
+    def __init__(self, stored: Mapping, decode: Callable[[Any], Mapping]) -> None:
+        if not isinstance(stored, Mapping):
+            raise TypeError(f"expected a mapping, got {type(stored).__name__}")
+        self._stored, self._decode, self._map = stored, decode, None
+
+    def _decoded(self) -> Mapping:
+        if self._map is None:
+            self._map, self._stored = self._decode(self._stored), None
+        return self._map
+
+    def __getitem__(self, key: Any) -> Any:
+        return self._decoded()[key]
+
+    def __iter__(self):
+        return iter(self._decoded())
+
+    def __len__(self) -> int:
+        return len(self._decoded() if self._stored is None else self._stored)
+
+    def __reduce__(self):
+        return dict, (dict(self._decoded()),)
+
+    def __repr__(self) -> str:
+        return f"LazyMapping({dict(self._decoded())!r})"
+
+
 def coded(encode: Callable[[Any], Any], decode: Callable[[Any], Any], *,
-          key: Optional[str] = None, **field_kwargs: Any) -> Any:
+          key: Optional[str] = None, lazy: bool = False, **field_kwargs: Any) -> Any:
     """A field stored as ``encode(value)``, read back by ``decode``, under
     ``key`` (default: the field's name).  ``None`` passes through both
-    untouched; ``field_kwargs`` go to :func:`dataclasses.field`."""
+    untouched; ``field_kwargs`` go to :func:`dataclasses.field`.  A
+    ``lazy`` field holds a mapping: it is read into a
+    :class:`LazyMapping`, which decodes on its first lookup."""
+    if lazy:
+        plain = encode
+        encode = (lambda v: v._stored if isinstance(v, LazyMapping)
+                  and v._stored is not None else plain(v))
+        decode = functools.partial(LazyMapping, decode=decode)
     return dataclasses.field(metadata={"codec": (encode, decode), "key": key},
                              **field_kwargs)
 

@@ -54,7 +54,9 @@ class Network:
         self.n_nodes = n_nodes
         self.latency = float(latency)
         self.bandwidth = float(bandwidth)
-        # Capacity-1 ports by name (``link3->4``, ``inj5``), made on use.
+        # Capacity-1 ports by name (``link3->4``, ``inj5``), made on use;
+        # topologies index them by endpoints too, so that resolving a
+        # path formats a port's name only on that index's first miss.
         self._ports: Dict[str, Resource] = {}
         # (src, dst) -> (path, reversed path), resolved once.
         self._paths: Dict[Tuple[int, int], Tuple[tuple, tuple]] = {}

@@ -16,6 +16,7 @@ from repro.service.model import (
     Job,
     JobCounters,
     Lifecycle,
+    ResultPayload,
     State,
     Task,
     TaskSpec,
@@ -31,6 +32,7 @@ __all__ = [
     "EventFeed",
     "JobHandle",
     "CellResult",
+    "ResultPayload",
     "Job",
     "Task",
     "TaskSpec",

@@ -7,6 +7,10 @@ The service executes work as a two-level hierarchy:
   cell), dispatched eagerly over the worker pool and retried on worker
   death.
 
+A finished cell travels as a :class:`ResultPayload`: the JSON text a
+process worker encoded, or the dict an in-process run returned, each
+turned into the other only when someone reads that view.
+
 The cells of a job are independent, so a job's tasks are ready as soon
 as it is admitted and nothing orders them.  Both levels are a
 :class:`Lifecycle`: they move through
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -34,6 +39,7 @@ __all__ = [
     "Task",
     "Job",
     "JobCounters",
+    "ResultPayload",
 ]
 
 
@@ -95,6 +101,52 @@ class Lifecycle:
         return True
 
 
+class ResultPayload:
+    """One cell's result as the service carries it: its JSON text, its
+    dict, or both.
+
+    A process worker sends :meth:`encoded` (the text and the summary),
+    and the store and the TCP server splice that text into what they
+    write, so the parent never decodes it.  The inline pool, cache hits
+    and predictions carry their dict and encode only if a store or a
+    TCP client asks.  Each view is built from the other at most once, on
+    first read, and kept.  ``throughput``, ``latency`` and ``source``
+    are the summary result listeners read.
+    """
+
+    __slots__ = ("_text", "_data", "throughput", "latency", "source")
+
+    def __init__(self, data: Dict[str, Any]) -> None:
+        self._data: Optional[Dict[str, Any]] = data
+        self._text: Optional[str] = None
+        summary = data if isinstance(data, dict) else {}
+        meas = summary.get("measurement") or {}
+        self.throughput = meas.get("throughput")
+        self.latency = meas.get("latency")
+        self.source = summary.get("source", "simulated")
+
+    @classmethod
+    def encoded(cls, data: Dict[str, Any]) -> "ResultPayload":
+        """``data``'s summary and ``json.dumps(data)``, without the dict."""
+        out = cls(data)
+        out._text, out._data = json.dumps(data), None
+        return out
+
+    @property
+    def text(self) -> str:
+        """The result's ``json.dumps`` text."""
+        if self._text is None:
+            self._text = json.dumps(self._data)
+        return self._text
+
+    @property
+    def data(self) -> Dict[str, Any]:
+        """The result dict."""
+        if self._data is None:
+            self._data = json.loads(self._text)
+        return self._data
+
+
 @dataclass(frozen=True)
 class TaskSpec:
     """Immutable description of one unit of work.
@@ -135,8 +187,8 @@ class Task(Lifecycle):
         self.retries = 0
         #: Worker currently (or last) executing this task.
         self.worker_id: Optional[int] = None
-        #: Result payload dict once DONE.
-        self.result: Optional[Dict[str, Any]] = None
+        #: The result once DONE.
+        self.result: Optional[ResultPayload] = None
         #: The exception that failed this task, once FAILED.
         self.error: Optional[BaseException] = None
         #: ``(job, index)`` pairs to deliver the result to.  The first
@@ -201,8 +253,8 @@ class Job(Lifecycle):
         #: Set by the scheduler: the first task failure, re-raised to
         #: the client from :meth:`JobHandle.wait`.
         self.error: Optional[BaseException] = None
-        #: submission index -> result payload, for duplicate aliasing.
-        self.results_by_index: Dict[int, Any] = {}
+        #: submission index -> result, duplicates aliasing one payload.
+        self.results_by_index: Dict[int, ResultPayload] = {}
         #: key -> first submission index (intra-job duplicate aliasing).
         self.first_index_by_key: Dict[str, int] = {}
         #: first index -> later duplicate indices still to fill.

@@ -16,7 +16,9 @@ Two implementations of one small contract:
 Workers resolve their entry point from an ``"module.path:function"``
 import string (see :class:`~repro.service.model.TaskSpec`), so payloads
 stay plain JSON-able dicts and nothing code-shaped ever crosses the
-pipe.
+pipe.  Both pools report a result as a
+:class:`~repro.service.model.ResultPayload`: a process worker sends the
+JSON text it encoded once, the inline pool the dict its runner returned.
 
 Dispatch (:meth:`submit` / :meth:`poll`) belongs to the scheduler's
 dispatcher thread alone, but cancellation arrives on client threads:
@@ -37,6 +39,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ConfigurationError, ServiceError
+from repro.service.model import ResultPayload
 from repro.service.tasks import ENGINE_MODULES
 
 __all__ = [
@@ -68,7 +71,8 @@ class PoolEvent:
 
     ``kind`` is one of:
 
-    * ``"done"`` — ``task_id`` finished; ``result`` is the payload dict;
+    * ``"done"`` — ``task_id`` finished; ``result`` is its
+      :class:`~repro.service.model.ResultPayload`;
     * ``"error"`` — the task raised; ``error`` is the (re-hydrated)
       exception;
     * ``"died"`` — the worker process exited without reporting;
@@ -78,7 +82,7 @@ class PoolEvent:
     kind: str
     task_id: str
     worker_id: int
-    result: Optional[dict] = None
+    result: Optional[ResultPayload] = None
     error: Optional[BaseException] = None
 
 
@@ -105,9 +109,8 @@ class InlinePool:
                 PoolEvent("error", task_id, worker_id=0, error=exc)
             )
         else:
-            self._events.append(
-                PoolEvent("done", task_id, worker_id=0, result=result)
-            )
+            self._events.append(PoolEvent("done", task_id, worker_id=0,
+                                          result=ResultPayload(result)))
         return 0
 
     def poll(self, timeout: float = 0.0) -> List[PoolEvent]:
@@ -134,7 +137,11 @@ class InlinePool:
 
 def _worker_main(conn, worker_id: int) -> None:
     """Worker process loop: recv (task_id, runner, payload), send back
-    (task_id, "done"|"error", result_or_pickled_exc, tb)."""
+    (task_id, "done"|"error", encoded_result_or_pickled_exc, tb).
+
+    A result crosses the pipe once, as its JSON text with its summary
+    (:meth:`ResultPayload.encoded`): the parent forwards that text and
+    never unpickles a decoded copy."""
     # Workers must not inherit the parent's signal-driven shutdown: a
     # Ctrl-C against the service is handled by the scheduler, which
     # shuts workers down explicitly (or they die and are respawned).
@@ -153,7 +160,7 @@ def _worker_main(conn, worker_id: int) -> None:
             break
         task_id, runner, payload = item
         try:
-            result = resolve_runner(runner)(payload)
+            result = ResultPayload.encoded(resolve_runner(runner)(payload))
         except BaseException as exc:  # noqa: BLE001 - shipped to parent
             try:
                 blob = pickle.dumps(exc)

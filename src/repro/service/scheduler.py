@@ -33,6 +33,11 @@ a persistent worker pool:
   summary at once; its result payloads live only as long as the
   client's :class:`~repro.service.streaming.JobHandle`, and the store
   is where finished results persist.
+* **One encoding per result** — a process worker's result arrives as
+  the JSON text the worker encoded
+  (:class:`~repro.service.model.ResultPayload`); the scheduler holds
+  that text, the store and the TCP server splice it into what they
+  write, and a dict is built only for an in-process reader.
 
 All scheduling state is owned by one dispatcher thread; client-facing
 methods only enqueue work and read snapshots under ``self._lock``.
@@ -47,7 +52,7 @@ from typing import Any, Deque, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError, ServiceError
 from repro.obs.service import ServiceMetrics
-from repro.service.model import Job, State, Task, TaskSpec
+from repro.service.model import Job, ResultPayload, State, Task, TaskSpec
 from repro.service.pool import InlinePool, PoolEvent, ProcessPool
 from repro.service.streaming import CellResult, JobHandle
 from repro.service.tasks import RUN_SPEC_RUNNER
@@ -173,26 +178,20 @@ class ExperimentScheduler:
         )
 
     def _emit_result_locked(
-        self, job: Job, index: int, key: str, payload: dict, source: str,
+        self, job: Job, index: int, key: str, payload: ResultPayload,
+        source: str,
     ) -> None:
         if not self._listeners:
             return
-        meas = (
-            payload.get("measurement") if isinstance(payload, dict) else None
-        ) or {}
         self._emit(
             "result",
             job=job.id,
             index=index,
             key=key,
             source=source,
-            throughput=meas.get("throughput"),
-            latency=meas.get("latency"),
-            result_source=(
-                payload.get("source", "simulated")
-                if isinstance(payload, dict)
-                else "simulated"
-            ),
+            throughput=payload.throughput,
+            latency=payload.latency,
+            result_source=payload.source,
         )
 
     # -- client surface ----------------------------------------------------
@@ -238,7 +237,7 @@ class ExperimentScheduler:
         # they are file reads and model evaluations and must not stall
         # the dispatcher or other submitters.
         predictions = self._screen_cells(cells)
-        cached: Dict[int, dict] = {}
+        cached: Dict[int, ResultPayload] = {}
         if self.store is not None:
             probed = set()
             for index, cell in enumerate(cells):
@@ -252,7 +251,7 @@ class ExperimentScheduler:
                 # A stored prediction never satisfies a request for a
                 # full simulation.
                 if hit is not None and hit.get("source") != "predicted":
-                    cached[index] = hit
+                    cached[index] = ResultPayload(hit)
 
         with self._lock:
             # Shutdown or a crash may have closed us during the probes.
@@ -340,13 +339,15 @@ class ExperimentScheduler:
         self.shutdown()
 
     # -- submission internals ----------------------------------------------
-    def _screen_cells(self, cells: Sequence[TaskSpec]) -> Dict[int, dict]:
+    def _screen_cells(
+        self, cells: Sequence[TaskSpec],
+    ) -> Dict[int, ResultPayload]:
         """Surrogate-screen one job's cells (prepared phase, unlocked).
 
         Cells whose spec opted into screening (``spec.screening != "off"``)
         are planned per mode — the crossover check compares sibling
         strategies within the batch, so each mode's cells form one plan.
-        Returns ``{position: predicted result dict}`` for the cells the
+        Returns ``{position: predicted result}`` for the cells the
         screen decided to answer from the model; everything else (and
         every cell with ``screening="off"``) proceeds through the normal
         cache-probe/execute path untouched.  Predicted results are
@@ -364,7 +365,7 @@ class ExperimentScheduler:
         from repro.bench.surrogate import SurrogateScreen, predicted_result
 
         screen = SurrogateScreen(self.store)
-        out: Dict[int, dict] = {}
+        out: Dict[int, ResultPayload] = {}
         for mode, positions in by_mode.items():
             plan = screen.plan([cells[p].spec for p in positions], mode)
             for decision in plan.decisions:
@@ -380,7 +381,7 @@ class ExperimentScheduler:
                         # cache-probe path serve it.
                         continue
                 payload = predicted_result(spec, decision.prediction).to_dict()
-                out[pos] = payload
+                out[pos] = ResultPayload(payload)
                 if self.store is not None:
                     self.store.put_dict(spec, payload)
         return out
@@ -390,8 +391,8 @@ class ExperimentScheduler:
         job: Job,
         index: int,
         cell: TaskSpec,
-        cached: Optional[dict],
-        predicted: Optional[dict],
+        cached: Optional[ResultPayload],
+        predicted: Optional[ResultPayload],
     ) -> None:
         first = job.first_index_by_key.get(cell.key)
         if first is not None:
@@ -603,7 +604,9 @@ class ExperimentScheduler:
             if task is None or task.state.terminal:
                 return   # cancelled while in flight: discard the result
         # Persist before delivery, outside the lock: a crash after this
-        # point loses nothing, and file I/O never stalls submitters.
+        # point loses nothing, and file I/O never stalls submitters.  The
+        # store splices the payload's text in (a process worker's text
+        # as it arrived).
         if self.store is not None and task.spec.spec is not None:
             self.store.put_dict(task.spec.spec, event.result)
         with self._lock:
@@ -629,7 +632,7 @@ class ExperimentScheduler:
                 self._advance_job_locked(job)
 
     def _deliver_locked(self, job: Job, index: int, key: str,
-                        payload: dict, source: str) -> None:
+                        payload: ResultPayload, source: str) -> None:
         job.results_by_index[index] = payload
         for dup in job.alias_map.pop(index, []):
             job.results_by_index[dup] = payload

@@ -31,6 +31,10 @@ connection closed, so no client can make the server buffer without
 bound.  Each connection carries one request (plus its event stream),
 which keeps both ends stateless.
 
+A ``result`` line carries the cell's JSON text as the scheduler holds
+it (a process worker's text, spliced in verbatim), so the server never
+decodes or re-encodes a result it forwards.
+
 Streaming back over TCP composes with the scheduler's dispatch-side
 backpressure: the server thread consuming a job's results blocks on
 ``socket.send`` when the client stalls, stops draining the handle, and
@@ -62,8 +66,13 @@ _ACCEPT_TICK = 0.2
 MAX_REQUEST_BYTES = 64 * 1024 * 1024
 
 
-def _send(wfile, obj: Dict[str, Any]) -> None:
-    wfile.write((json.dumps(obj) + "\n").encode("utf-8"))
+def _send(wfile, obj: Dict[str, Any], payload: Optional[str] = None) -> None:
+    """Write ``obj`` as one line; ``payload``, the JSON text of a last
+    ``"payload"`` key, is spliced in as it is."""
+    line = json.dumps(obj)
+    if payload is not None:
+        line = f'{line[:-1]}, "payload": {payload}}}'
+    wfile.write((line + "\n").encode("utf-8"))
     wfile.flush()
 
 
@@ -233,8 +242,7 @@ class ExperimentServer:
                     "index": cell.index,
                     "key": cell.key,
                     "source": cell.source,
-                    "payload": cell.payload,
-                })
+                }, payload=cell.text)
             _send(wfile, {"event": "done", "counters": handle.counters})
         except OSError:
             # The follower went away: undrained, the job would stall at

@@ -27,7 +27,7 @@ from typing import Any, Dict, Iterator, List, Optional
 
 from repro.errors import JobCancelledError
 
-from repro.service.model import Job, State
+from repro.service.model import Job, ResultPayload, State
 
 __all__ = ["CellResult", "JobHandle"]
 
@@ -49,12 +49,26 @@ class CellResult:
     analytic surrogate, :mod:`repro.bench.surrogate`, with an error
     bound in the payload).  ``index`` is the cell's position in the
     submitted batch (first occurrence for duplicates).
+
+    ``result`` holds the cell's two views: :attr:`payload`, the result
+    dict, and :attr:`text`, its JSON text.  Each is built from the other
+    on first read only (a process worker's result arrives as text).
     """
 
     index: int
     key: str
-    payload: Dict[str, Any]
+    result: ResultPayload
     source: str
+
+    @property
+    def payload(self) -> Dict[str, Any]:
+        """The result dict."""
+        return self.result.data
+
+    @property
+    def text(self) -> str:
+        """The result's JSON text."""
+        return self.result.text
 
 
 class JobHandle:
@@ -184,7 +198,7 @@ class JobHandle:
         for _ in self.results(timeout=timeout):
             pass
         by_index = self.job.results_by_index
-        return [by_index[i] for i in range(self.job.n_cells)]
+        return [by_index[i].data for i in range(self.job.n_cells)]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<JobHandle {self.job.id} {self.job.state.value}>"

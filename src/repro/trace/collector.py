@@ -11,12 +11,31 @@ __all__ = ["TraceCollector"]
 
 
 class TraceCollector:
-    """Accumulates phase records and answers aggregate queries."""
+    """Accumulates phase records and answers aggregate queries.
+
+    A collector read back by :meth:`from_dict` keeps its stored rows and
+    builds its records from them on the first query, so a result that is
+    only forwarded, stored or summarized never builds one; until then
+    :meth:`to_dict` returns the rows as read.
+    """
 
     def __init__(self) -> None:
         self.records: List[PhaseRecord] = []
         # (task, cpi) -> list of records, for fast per-CPI queries.
         self._by_task_cpi: Dict[Tuple[str, int], List[PhaseRecord]] = defaultdict(list)
+
+    def __getattr__(self, name: str):
+        # Reached only while ``records`` and ``_by_task_cpi`` are unset:
+        # on a collector from from_dict that nobody has queried yet.
+        rows = self.__dict__.get("_rows")
+        if rows is None or name not in ("records", "_by_task_cpi"):
+            raise AttributeError(name)
+        built = TraceCollector()
+        for task, node, cpi, phase, t_start, t_end in rows:
+            built.add(task, node, cpi, Phase(phase), t_start, t_end)
+        del self._rows
+        self.__dict__.update(built.__dict__)
+        return built.__dict__[name]
 
     def add(
         self,
@@ -38,19 +57,23 @@ class TraceCollector:
     # -- serialization -----------------------------------------------------
     def to_dict(self) -> Dict[str, list]:
         """Lossless JSON-able form: one row per phase record."""
-        return {
-            "records": [
+        rows = self.__dict__.get("_rows")
+        if rows is None:
+            rows = [
                 [r.task, r.node, r.cpi, r.phase.value, r.t_start, r.t_end]
                 for r in self.records
             ]
-        }
+        return {"records": rows}
 
     @staticmethod
     def from_dict(d: Dict[str, list]) -> "TraceCollector":
-        """Inverse of :meth:`to_dict`."""
-        out = TraceCollector()
-        for task, node, cpi, phase, t_start, t_end in d["records"]:
-            out.add(task, node, cpi, Phase(phase), t_start, t_end)
+        """Inverse of :meth:`to_dict`; the records are built on first
+        query."""
+        rows = d["records"]
+        if not isinstance(rows, list):
+            raise TypeError(f"trace records must be a list, got {type(rows).__name__}")
+        out = TraceCollector.__new__(TraceCollector)
+        out._rows = rows
         return out
 
     # -- queries ---------------------------------------------------------

@@ -230,7 +230,7 @@ _BOUNDARY_PROBE = textwrap.dedent("""
         pool.shutdown()
     (event,) = events
     assert event.kind == "done", event
-    missing = [e for e in ENGINE if e not in event.result["modules"]]
+    missing = [e for e in ENGINE if e not in event.result.data["modules"]]
     assert not missing, missing
     assert not engine_loaded(), engine_loaded()
 
@@ -255,6 +255,35 @@ _BOUNDARY_PROBE = textwrap.dedent("""
             assert getattr(package, name) is not None, name
             assert name in dir(package), name
     print("boundary ok")
+""")
+
+
+#: What ``repro jobs --help``, a client that only talks TCP, must not load.
+SPEC_LAYER = (
+    "repro.bench.engine", "repro.bench.store", "repro.core.executor",
+    "repro.machine.presets", "repro.strategies", "repro.analysis",
+)
+
+_CLI_PROBE = textwrap.dedent("""
+    import contextlib
+    import io
+    import json
+    import sys
+
+    from repro.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            main(["jobs", "--help"])
+        except SystemExit as exc:
+            assert exc.code == 0, exc.code
+    assert out.getvalue().startswith("usage: repro jobs"), out.getvalue()
+    banned = json.loads(sys.argv[1])
+    loaded = sorted(m for m in sys.modules
+                    if any(m == b or m.startswith(b + ".") for b in banned))
+    assert not loaded, loaded
+    print("cli ok")
 """)
 
 
@@ -298,3 +327,9 @@ def test_setup_imports_no_simulator(tmp_path, tiny_params):
     proc = _run_probe(_BOUNDARY_PROBE, json.dumps([ENGINE, *paths]))
     assert proc.returncode == 0, proc.stderr
     assert "boundary ok" in proc.stdout
+
+
+def test_client_cli_loads_no_spec_layer():
+    proc = _run_probe(_CLI_PROBE, json.dumps(SPEC_LAYER))
+    assert proc.returncode == 0, proc.stderr
+    assert "cli ok" in proc.stdout

@@ -138,7 +138,7 @@ class TestInlinePool:
         pool.submit("t1", SLEEP_RUNNER, {"id": "a", "value": 1,
                                          "dir": str(tmp_path)})
         (ev,) = pool.poll()
-        assert ev.kind == "done" and ev.result["value"] == 1
+        assert ev.kind == "done" and ev.result.data["value"] == 1
         pool.submit("t2", FAILING_RUNNER, {"message": "boom"})
         (ev,) = pool.poll()
         assert ev.kind == "error" and "boom" in str(ev.error)
@@ -157,7 +157,7 @@ class TestProcessPool:
                     lambda: events.extend(pool.poll(timeout=0.2)) or events
                 )
                 assert events[0].kind == "done"
-                pids.add(events[0].result["pid"])
+                pids.add(events[0].result.data["pid"])
             assert len(pids) == 1           # persistent, not respawned
             assert pids != {os.getpid()}    # and genuinely out-of-process
         finally:
