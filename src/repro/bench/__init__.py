@@ -11,6 +11,11 @@ from a plain Python session::
 """
 
 from importlib import import_module
+from pathlib import Path
+
+#: Default result cache location, relative to the working directory.  It
+#: lives here, not in the store, so the CLI reads it without loading one.
+DEFAULT_CACHE_DIR = Path(".cache") / "experiments"
 
 #: Every name, loaded from its module on first use, so that importing the
 #: engine or the store loads none of the table, figure and ablation
@@ -53,6 +58,7 @@ def __dir__():
 
 
 __all__ = [
+    "DEFAULT_CACHE_DIR",
     "DiscoveredArtifacts",
     "ParsedTextArtifact",
     "discover_artifacts",

@@ -36,13 +36,12 @@ import time
 from pathlib import Path
 from typing import List, Optional, Union
 
+from repro.bench import DEFAULT_CACHE_DIR
 from repro.core.executor import PipelineResult
 from repro.errors import ConfigurationError
 
 __all__ = ["ResultStore", "DEFAULT_CACHE_DIR", "substrate_fingerprint"]
 
-#: Default cache location, relative to the working directory.
-DEFAULT_CACHE_DIR = Path(".cache") / "experiments"
 
 #: On-disk entry schema; bump on incompatible layout changes.
 #: 2: entries carry a substrate fingerprint (stale-simulator detection).

@@ -42,6 +42,7 @@ import sys
 from dataclasses import replace
 from typing import Dict, List, Optional
 
+from repro.bench import DEFAULT_CACHE_DIR
 from repro.errors import ReproError
 
 __all__ = ["main", "build_parser"]
@@ -92,7 +93,7 @@ def _add_cell_opts(p: argparse.ArgumentParser, lists: bool = False) -> None:
 
 def _cell_spec(
     args, case: Optional[int] = None, stripe_factor: Optional[int] = None
-):
+) -> ExperimentSpec:
     """The experiment cell the :func:`_add_cell_opts` flags name.
 
     ``case``/``stripe_factor`` stand in for those flags when they hold
@@ -118,25 +119,17 @@ def _cell_spec(
     )
 
 
-def _cache_dir_default() -> str:
-    """``--cache-dir``'s default, read when a parser that has the flag
-    is built."""
-    from repro.bench.store import DEFAULT_CACHE_DIR
-
-    return str(DEFAULT_CACHE_DIR)
-
-
 def _add_engine_opts(p: argparse.ArgumentParser) -> None:
     """Experiment-engine knobs shared by run/table/reproduce/sweep-stripe."""
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for simulation cells (default 1)")
-    p.add_argument("--cache-dir", default=_cache_dir_default(),
+    p.add_argument("--cache-dir", default=str(DEFAULT_CACHE_DIR),
                    help="content-addressed result cache directory")
     p.add_argument("--no-cache", action="store_true",
                    help="neither read nor write the result cache")
 
 
-def _make_runner(args):
+def _make_runner(args) -> SweepRunner:
     """A SweepRunner configured from the engine CLI options."""
     from repro.bench.engine import SweepRunner
     from repro.bench.store import ResultStore
@@ -145,271 +138,276 @@ def _make_runner(args):
     return SweepRunner(jobs=args.jobs, store=store)
 
 
-def _run_args(p: argparse.ArgumentParser) -> None:
-    _add_cell_opts(p)
-    p.add_argument("--replication", type=int, default=1,
-                   help="stripe-unit mirror copies (chained declustering); "
-                   ">1 lets reads fail over and mirrors writes")
-    p.add_argument("--hint", action="append", default=[], metavar="K=V",
-                   help="ROMIO-style file-system hint (repeatable): "
-                   "sieve_buffer_size, cb_nodes, or list_io_max_runs")
-    p.add_argument("--read-deadline", type=float, default=None,
-                   metavar="SECONDS",
-                   help="per-CPI read deadline; late CPIs are dropped "
-                   "instead of stalling the pipeline")
-    p.add_argument("--crash-server", type=int, default=None, metavar="N",
-                   help="inject an outage on stripe server N")
-    p.add_argument("--crash-at", type=float, default=0.0, metavar="T",
-                   help="simulated time of the outage (default 0)")
-    p.add_argument("--crash-down", type=float, default=None, metavar="D",
-                   help="outage duration; omit for a permanent crash")
-    p.add_argument("--flaky-server", type=int, default=None, metavar="N",
-                   help="stripe server N fails a fraction of requests")
-    p.add_argument("--flaky-rate", type=float, default=0.1, metavar="P",
-                   help="per-request error probability (default 0.1)")
-    p.add_argument("--flaky-seed", type=int, default=0,
-                   help="seed of the flaky-disk error stream")
-    p.add_argument("--screening", choices=("off", "screen", "predict-all"),
-                   default="off",
-                   help="surrogate screening: 'screen' answers cells the "
-                        "calibrated analytic model can decide without "
-                        "simulating (see repro.bench.surrogate); "
-                        "'predict-all' never simulates")
-    p.add_argument("--threaded", action="store_true",
-                   help="SMP phase-threaded nodes (IPPS'99 design)")
-    p.add_argument("--metrics", action="store_true",
-                   help="sample live metrics during the run and write "
-                   "the time-series artifacts (see docs/observability.md)")
-    p.add_argument("--metrics-interval", type=float, default=None,
-                   metavar="SECONDS",
-                   help="simulated-time sampling interval "
-                   "(implies --metrics; default 0.1)")
-    p.add_argument("--metrics-dir", default="results/metrics",
-                   help="directory for the metrics artifacts "
-                   "(default results/metrics)")
-    _add_engine_opts(p)
-
-
-def _table_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("number", type=int, choices=(1, 2, 3, 4))
-    p.add_argument("--cpis", type=int, default=8)
-    p.add_argument("--warmup", type=int, default=2)
-    _add_engine_opts(p)
-
-
-def _profile_args(p: argparse.ArgumentParser) -> None:
-    _add_cell_opts(p)
-    p.add_argument("--lines", type=int, default=25,
-                   help="rows of the profile to print (default 25)")
-    p.add_argument("--sort", choices=("tottime", "cumtime", "ncalls"),
-                   default="tottime", help="profile sort key")
-    p.add_argument("--queue-stats", action="store_true",
-                   help="after the profile table, print the kernel's "
-                        "event-queue statistics (lane/heap split, "
-                        "clock advances, live and peak heap size)")
-    p.add_argument("--output", default=None, metavar="FILE",
-                   help="also dump raw pstats data to FILE "
-                   "(inspect with python -m pstats)")
-
-
-def _detect_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cpis", type=int, default=3)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--nodes", type=int, default=20)
-
-
-def _sweep_stripe_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--factors", default="4,8,16,32,64,128",
-                   help="comma-separated stripe factors")
-    p.add_argument("--case", type=int, choices=(1, 2, 3), default=3)
-    p.add_argument("--cpis", type=int, default=8)
-    p.add_argument("--screening", choices=("off", "screen", "predict-all"),
-                   default="off",
-                   help="let the calibrated surrogate answer cells the "
-                        "analytic model can decide (repro.bench.surrogate)")
-    _add_engine_opts(p)
-
-
-def _reproduce_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", default="results", help="output directory")
-    p.add_argument("--cpis", type=int, default=8)
-    p.add_argument("--warmup", type=int, default=2)
-    _add_engine_opts(p)
-
-
-def _results_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("action", choices=("list", "show", "clear"))
-    p.add_argument("hash", nargs="?", default=None,
-                   help="spec hash (any unique prefix) for 'show'")
-    p.add_argument("--cache-dir", default=_cache_dir_default(),
-                   help="content-addressed result cache directory")
-    p.add_argument("--sort", choices=("size", "age"), default=None,
-                   help="order 'list' by entry size or by recency "
-                   "(default: spec hash)")
-
-
-def _metrics_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("action", choices=("show",))
-    p.add_argument("target",
-                   help="spec hash (any unique prefix) from the result "
-                   "cache, or a path to a metrics/result JSON file")
-    p.add_argument("--cache-dir", default=_cache_dir_default(),
-                   help="content-addressed result cache directory")
-    p.add_argument("--top", type=int, default=8,
-                   help="series rows in the summary (default 8)")
-
-
-def _spectrum_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=3)
-    p.add_argument("--estimator", choices=("mvdr", "fourier"), default="mvdr")
-    p.add_argument("--cnr-db", type=float, default=30.0)
-    p.add_argument("--jnr-db", type=float, default=30.0)
-
-
-def _strategies_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("action", choices=("list", "smoke"))
-    p.add_argument("--fs", choices=("pfs", "piofs"), default="pfs",
-                   help="file system for 'smoke' (default pfs)")
-    p.add_argument("--stripe-factor", type=int, default=8)
-
-
-def _serve_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=7077,
-                   help="TCP port (0 picks a free one; default 7077)")
-    p.add_argument("--workers", type=int, default=0,
-                   help="persistent worker processes (0 = in-process)")
-    p.add_argument("--backpressure", type=int, default=64,
-                   help="max undelivered cells per job before its "
-                   "dispatch pauses (default 64)")
-    p.add_argument("--cache-dir", default=_cache_dir_default(),
-                   help="shared content-addressed result cache")
-    p.add_argument("--no-cache", action="store_true",
-                   help="run the service without the shared cache")
-
-
-def _submit_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=7077)
-    p.add_argument("--client", default=None,
-                   help="client name for fair queueing "
-                   "(default: the OS user name)")
-    p.add_argument("--label", default="",
-                   help="free-form job label shown in 'repro jobs list'")
-    p.add_argument("--follow", action="store_true",
-                   help="stream results back as cells complete")
-    _add_cell_opts(p, lists=True)
-
-
-def _jobs_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("action", choices=("list", "show", "cancel"))
-    p.add_argument("id", nargs="?", default=None,
-                   help="job id for 'show'/'cancel'")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=7077)
-
-
-def _scenario_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("action", choices=("run",))
-    p.add_argument("--spec", default=None, metavar="FILE",
-                   help="JSON ScenarioSpec file ('-' for stdin); "
-                   "overrides the tenant/arrival flags below")
-    p.add_argument("--tenant", action="append", default=[],
-                   metavar="PIPELINE[:CASE]", dest="tenants",
-                   help="add one tenant (repeatable): a PIPELINES "
-                   "registry name, optionally with a paper case, e.g. "
-                   "embedded-io or separate-io:2 "
-                   "(default: two embedded-io case-1 tenants)")
-    p.add_argument("--machine", choices=_MACHINE_CHOICES, default="paragon")
-    p.add_argument("--fs", choices=("pfs", "piofs"), default="pfs")
-    p.add_argument("--stripe-factor", type=int, default=8)
-    p.add_argument("--cpis", type=int, default=8)
-    p.add_argument("--warmup", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--arrival", choices=("fixed", "poisson", "jittered",
-                                         "burst"), default="fixed",
-                   help="CPI arrival process for every tenant "
-                   "(default fixed: back-to-back, as standalone runs)")
-    p.add_argument("--period", type=float, default=0.0,
-                   help="mean inter-arrival period in simulated seconds "
-                   "(0 with --arrival fixed means no gating)")
-    p.add_argument("--offset", type=float, default=0.0,
-                   help="arrival time of CPI 0 (fixed/burst trains)")
-    p.add_argument("--jitter", type=float, default=0.0,
-                   help="uniform +/- jitter for --arrival jittered")
-    p.add_argument("--burst-size", type=int, default=1,
-                   help="CPIs per burst for --arrival burst")
-    p.add_argument("--burst-gap", type=float, default=0.0,
-                   help="intra-burst spacing for --arrival burst")
-    p.add_argument("--arrival-seed", type=int, default=0,
-                   help="seed of the stochastic arrival stream")
-    p.add_argument("--read-deadline", type=float, default=None,
-                   metavar="SECONDS",
-                   help="per-CPI read deadline for every tenant; late "
-                   "CPIs are dropped instead of stalling the pipeline")
-    p.add_argument("--metrics-interval", type=float, default=None,
-                   metavar="SECONDS",
-                   help="sample tenant-labelled metrics at this "
-                   "simulated-time interval")
-    p.add_argument("--gantt", action="store_true",
-                   help="render the multi-pipeline Gantt chart")
-    p.add_argument("--json", default=None, metavar="FILE",
-                   help="also write the full ScenarioResult JSON")
-
-
-def _analyze_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("sources", nargs="+", metavar="SOURCE",
-                   help="artifact directory, result/metrics JSON file, or "
-                   "cached-result hash prefix (repeatable; directories "
-                   "pick up *.json artifacts and ablation *.txt tables)")
-    p.add_argument("--format", choices=("text", "json", "html"),
-                   default="text", dest="fmt",
-                   help="output rendering (default text)")
-    p.add_argument("--out", default=None, metavar="FILE",
-                   help="write the rendering to FILE instead of stdout")
-    p.add_argument("--cache-dir", default=_cache_dir_default(),
-                   help="result cache used to resolve hash sources")
-    p.add_argument("--store", action="store_true",
-                   help="also join every entry of --cache-dir into the "
-                   "analysis (zero new simulations)")
-
-
-def _dash_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--host", default="127.0.0.1",
-                   help="dashboard bind address (default 127.0.0.1)")
-    p.add_argument("--port", type=int, default=7078,
-                   help="dashboard HTTP port (0 picks a free one; "
-                   "default 7078)")
-    p.add_argument("--service-host", default="127.0.0.1",
-                   help="host of the repro service to watch")
-    p.add_argument("--service-port", type=int, default=7077,
-                   help="TCP port of 'repro serve' (default 7077)")
-    p.add_argument("--cache-dir", default=_cache_dir_default(),
-                   help="result cache backing the run browser")
-    p.add_argument("--no-cache", action="store_true",
-                   help="serve without the stored-run browser")
-    p.add_argument("--results", default=None, metavar="DIR",
-                   help="artifact directory joined into /report "
-                   "(e.g. results/)")
-
-
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The repro command-line argument parser.
-
-    With ``command``, only that subcommand gets its arguments (every
-    subcommand is still listed for ``repro --help``), so a command that
-    simulates nothing, such as ``repro jobs``, loads no spec layer.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The repro command-line argument parser."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Parallel pipelined STAP with simulated parallel I/O "
         "(reproduction of Liao et al., IPPS 2000).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_args, _handler) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        if command in (None, name):
-            add_args(p)
+
+    p_run = sub.add_parser("run", help="run one pipeline configuration")
+    _add_cell_opts(p_run)
+    p_run.add_argument("--replication", type=int, default=1,
+                       help="stripe-unit mirror copies (chained declustering); "
+                       ">1 lets reads fail over and mirrors writes")
+    p_run.add_argument("--hint", action="append", default=[], metavar="K=V",
+                       help="ROMIO-style file-system hint (repeatable): "
+                       "sieve_buffer_size, cb_nodes, or list_io_max_runs")
+    p_run.add_argument("--read-deadline", type=float, default=None,
+                       metavar="SECONDS",
+                       help="per-CPI read deadline; late CPIs are dropped "
+                       "instead of stalling the pipeline")
+    p_run.add_argument("--crash-server", type=int, default=None, metavar="N",
+                       help="inject an outage on stripe server N")
+    p_run.add_argument("--crash-at", type=float, default=0.0, metavar="T",
+                       help="simulated time of the outage (default 0)")
+    p_run.add_argument("--crash-down", type=float, default=None, metavar="D",
+                       help="outage duration; omit for a permanent crash")
+    p_run.add_argument("--flaky-server", type=int, default=None, metavar="N",
+                       help="stripe server N fails a fraction of requests")
+    p_run.add_argument("--flaky-rate", type=float, default=0.1, metavar="P",
+                       help="per-request error probability (default 0.1)")
+    p_run.add_argument("--flaky-seed", type=int, default=0,
+                       help="seed of the flaky-disk error stream")
+    p_run.add_argument("--screening", choices=("off", "screen", "predict-all"),
+                       default="off",
+                       help="surrogate screening: 'screen' answers cells the "
+                            "calibrated analytic model can decide without "
+                            "simulating (see repro.bench.surrogate); "
+                            "'predict-all' never simulates")
+    p_run.add_argument("--threaded", action="store_true",
+                       help="SMP phase-threaded nodes (IPPS'99 design)")
+    p_run.add_argument("--metrics", action="store_true",
+                       help="sample live metrics during the run and write "
+                       "the time-series artifacts (see docs/observability.md)")
+    p_run.add_argument("--metrics-interval", type=float, default=None,
+                       metavar="SECONDS",
+                       help="simulated-time sampling interval "
+                       "(implies --metrics; default 0.1)")
+    p_run.add_argument("--metrics-dir", default="results/metrics",
+                       help="directory for the metrics artifacts "
+                       "(default results/metrics)")
+    _add_engine_opts(p_run)
+
+    p_table = sub.add_parser("table", help="regenerate a paper table (1-4)")
+    p_table.add_argument("number", type=int, choices=(1, 2, 3, 4))
+    p_table.add_argument("--cpis", type=int, default=8)
+    p_table.add_argument("--warmup", type=int, default=2)
+    _add_engine_opts(p_table)
+
+    p_prof = sub.add_parser(
+        "profile",
+        help="profile one pipeline configuration under cProfile",
+    )
+    _add_cell_opts(p_prof)
+    p_prof.add_argument("--lines", type=int, default=25,
+                        help="rows of the profile to print (default 25)")
+    p_prof.add_argument("--sort", choices=("tottime", "cumtime", "ncalls"),
+                        default="tottime", help="profile sort key")
+    p_prof.add_argument("--queue-stats", action="store_true",
+                        help="after the profile table, print the kernel's "
+                             "event-queue statistics (lane/heap split, "
+                             "clock advances, live and peak heap size)")
+    p_prof.add_argument("--output", default=None, metavar="FILE",
+                        help="also dump raw pstats data to FILE "
+                        "(inspect with python -m pstats)")
+
+    p_det = sub.add_parser("detect", help="compute-mode detection demo")
+    p_det.add_argument("--cpis", type=int, default=3)
+    p_det.add_argument("--seed", type=int, default=7)
+    p_det.add_argument("--nodes", type=int, default=20)
+
+    p_sw = sub.add_parser("sweep-stripe", help="stripe-factor throughput sweep")
+    p_sw.add_argument("--factors", default="4,8,16,32,64,128",
+                      help="comma-separated stripe factors")
+    p_sw.add_argument("--case", type=int, choices=(1, 2, 3), default=3)
+    p_sw.add_argument("--cpis", type=int, default=8)
+    p_sw.add_argument("--screening", choices=("off", "screen", "predict-all"),
+                      default="off",
+                      help="let the calibrated surrogate answer cells the "
+                           "analytic model can decide (repro.bench.surrogate)")
+    _add_engine_opts(p_sw)
+
+    p_rep = sub.add_parser(
+        "reproduce",
+        help="regenerate every paper table/figure artifact into a directory",
+    )
+    p_rep.add_argument("--out", default="results", help="output directory")
+    p_rep.add_argument("--cpis", type=int, default=8)
+    p_rep.add_argument("--warmup", type=int, default=2)
+    _add_engine_opts(p_rep)
+
+    p_res = sub.add_parser(
+        "results", help="list/inspect/clear the cached experiment results"
+    )
+    p_res.add_argument("action", choices=("list", "show", "clear"))
+    p_res.add_argument("hash", nargs="?", default=None,
+                       help="spec hash (any unique prefix) for 'show'")
+    p_res.add_argument("--cache-dir", default=str(DEFAULT_CACHE_DIR),
+                       help="content-addressed result cache directory")
+    p_res.add_argument("--sort", choices=("size", "age"), default=None,
+                       help="order 'list' by entry size or by recency "
+                       "(default: spec hash)")
+
+    p_met = sub.add_parser(
+        "metrics", help="inspect the metrics artifact of a cached or saved run"
+    )
+    p_met.add_argument("action", choices=("show",))
+    p_met.add_argument("target",
+                       help="spec hash (any unique prefix) from the result "
+                       "cache, or a path to a metrics/result JSON file")
+    p_met.add_argument("--cache-dir", default=str(DEFAULT_CACHE_DIR),
+                       help="content-addressed result cache directory")
+    p_met.add_argument("--top", type=int, default=8,
+                       help="series rows in the summary (default 8)")
+
+    p_sp = sub.add_parser(
+        "spectrum", help="render the angle-Doppler spectrum of a synthetic scene"
+    )
+    p_sp.add_argument("--seed", type=int, default=3)
+    p_sp.add_argument("--estimator", choices=("mvdr", "fourier"), default="mvdr")
+    p_sp.add_argument("--cnr-db", type=float, default=30.0)
+    p_sp.add_argument("--jnr-db", type=float, default=30.0)
+
+    p_strat = sub.add_parser(
+        "strategies", help="list registered I/O strategies or smoke-test them"
+    )
+    p_strat.add_argument("action", choices=("list", "smoke"))
+    p_strat.add_argument("--fs", choices=("pfs", "piofs"), default="pfs",
+                         help="file system for 'smoke' (default pfs)")
+    p_strat.add_argument("--stripe-factor", type=int, default=8)
+
+    p_srv = sub.add_parser(
+        "serve", help="run the experiment service (scheduler behind TCP)"
+    )
+    p_srv.add_argument("--host", default="127.0.0.1")
+    p_srv.add_argument("--port", type=int, default=7077,
+                       help="TCP port (0 picks a free one; default 7077)")
+    p_srv.add_argument("--workers", type=int, default=0,
+                       help="persistent worker processes (0 = in-process)")
+    p_srv.add_argument("--backpressure", type=int, default=64,
+                       help="max undelivered cells per job before its "
+                       "dispatch pauses (default 64)")
+    p_srv.add_argument("--cache-dir", default=str(DEFAULT_CACHE_DIR),
+                       help="shared content-addressed result cache")
+    p_srv.add_argument("--no-cache", action="store_true",
+                       help="run the service without the shared cache")
+
+    p_sub = sub.add_parser(
+        "submit", help="submit an experiment batch to a running service"
+    )
+    p_sub.add_argument("--host", default="127.0.0.1")
+    p_sub.add_argument("--port", type=int, default=7077)
+    p_sub.add_argument("--client", default=None,
+                       help="client name for fair queueing "
+                       "(default: the OS user name)")
+    p_sub.add_argument("--label", default="",
+                       help="free-form job label shown in 'repro jobs list'")
+    p_sub.add_argument("--follow", action="store_true",
+                       help="stream results back as cells complete")
+    _add_cell_opts(p_sub, lists=True)
+
+    p_jobs = sub.add_parser(
+        "jobs", help="list/inspect/cancel jobs on a running service"
+    )
+    p_jobs.add_argument("action", choices=("list", "show", "cancel"))
+    p_jobs.add_argument("id", nargs="?", default=None,
+                        help="job id for 'show'/'cancel'")
+    p_jobs.add_argument("--host", default="127.0.0.1")
+    p_jobs.add_argument("--port", type=int, default=7077)
+
+    p_scn = sub.add_parser(
+        "scenario",
+        help="run a multi-tenant scenario (N pipelines on one shared PFS)",
+    )
+    p_scn.add_argument("action", choices=("run",))
+    p_scn.add_argument("--spec", default=None, metavar="FILE",
+                       help="JSON ScenarioSpec file ('-' for stdin); "
+                       "overrides the tenant/arrival flags below")
+    p_scn.add_argument("--tenant", action="append", default=[],
+                       metavar="PIPELINE[:CASE]", dest="tenants",
+                       help="add one tenant (repeatable): a PIPELINES "
+                       "registry name, optionally with a paper case, e.g. "
+                       "embedded-io or separate-io:2 "
+                       "(default: two embedded-io case-1 tenants)")
+    p_scn.add_argument("--machine", choices=_MACHINE_CHOICES, default="paragon")
+    p_scn.add_argument("--fs", choices=("pfs", "piofs"), default="pfs")
+    p_scn.add_argument("--stripe-factor", type=int, default=8)
+    p_scn.add_argument("--cpis", type=int, default=8)
+    p_scn.add_argument("--warmup", type=int, default=2)
+    p_scn.add_argument("--seed", type=int, default=0)
+    p_scn.add_argument("--arrival", choices=("fixed", "poisson", "jittered",
+                                             "burst"), default="fixed",
+                       help="CPI arrival process for every tenant "
+                       "(default fixed: back-to-back, as standalone runs)")
+    p_scn.add_argument("--period", type=float, default=0.0,
+                       help="mean inter-arrival period in simulated seconds "
+                       "(0 with --arrival fixed means no gating)")
+    p_scn.add_argument("--offset", type=float, default=0.0,
+                       help="arrival time of CPI 0 (fixed/burst trains)")
+    p_scn.add_argument("--jitter", type=float, default=0.0,
+                       help="uniform +/- jitter for --arrival jittered")
+    p_scn.add_argument("--burst-size", type=int, default=1,
+                       help="CPIs per burst for --arrival burst")
+    p_scn.add_argument("--burst-gap", type=float, default=0.0,
+                       help="intra-burst spacing for --arrival burst")
+    p_scn.add_argument("--arrival-seed", type=int, default=0,
+                       help="seed of the stochastic arrival stream")
+    p_scn.add_argument("--read-deadline", type=float, default=None,
+                       metavar="SECONDS",
+                       help="per-CPI read deadline for every tenant; late "
+                       "CPIs are dropped instead of stalling the pipeline")
+    p_scn.add_argument("--metrics-interval", type=float, default=None,
+                       metavar="SECONDS",
+                       help="sample tenant-labelled metrics at this "
+                       "simulated-time interval")
+    p_scn.add_argument("--gantt", action="store_true",
+                       help="render the multi-pipeline Gantt chart")
+    p_scn.add_argument("--json", default=None, metavar="FILE",
+                       help="also write the full ScenarioResult JSON")
+
+    p_an = sub.add_parser(
+        "analyze",
+        help="offline sweep analysis over result artifacts and caches",
+    )
+    p_an.add_argument("sources", nargs="+", metavar="SOURCE",
+                      help="artifact directory, result/metrics JSON file, or "
+                      "cached-result hash prefix (repeatable; directories "
+                      "pick up *.json artifacts and ablation *.txt tables)")
+    p_an.add_argument("--format", choices=("text", "json", "html"),
+                      default="text", dest="fmt",
+                      help="output rendering (default text)")
+    p_an.add_argument("--out", default=None, metavar="FILE",
+                      help="write the rendering to FILE instead of stdout")
+    p_an.add_argument("--cache-dir", default=str(DEFAULT_CACHE_DIR),
+                      help="result cache used to resolve hash sources")
+    p_an.add_argument("--store", action="store_true",
+                      help="also join every entry of --cache-dir into the "
+                      "analysis (zero new simulations)")
+
+    p_dash = sub.add_parser(
+        "dash", help="serve the live dashboard for a running service"
+    )
+    p_dash.add_argument("--host", default="127.0.0.1",
+                        help="dashboard bind address (default 127.0.0.1)")
+    p_dash.add_argument("--port", type=int, default=7078,
+                        help="dashboard HTTP port (0 picks a free one; "
+                        "default 7078)")
+    p_dash.add_argument("--service-host", default="127.0.0.1",
+                        help="host of the repro service to watch")
+    p_dash.add_argument("--service-port", type=int, default=7077,
+                        help="TCP port of 'repro serve' (default 7077)")
+    p_dash.add_argument("--cache-dir", default=str(DEFAULT_CACHE_DIR),
+                        help="result cache backing the run browser")
+    p_dash.add_argument("--no-cache", action="store_true",
+                        help="serve without the stored-run browser")
+    p_dash.add_argument("--results", default=None, metavar="DIR",
+                        help="artifact directory joined into /report "
+                        "(e.g. results/)")
+
+    sub.add_parser("info", help="show dimensions, costs, and node assignments")
     return parser
 
 
@@ -575,12 +573,7 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    from repro.bench.experiments import (
-        run_table1,
-        run_table2,
-        run_table3,
-        run_table4,
-    )
+    from repro.bench.experiments import run_table1, run_table2, run_table3, run_table4
     from repro.core.context import ExecutionConfig
 
     cfg = ExecutionConfig(n_cpis=args.cpis, warmup=args.warmup)
@@ -887,6 +880,11 @@ def _cmd_results(args) -> int:
 
 def _cmd_strategies(args) -> int:
     """List the I/O strategy registry, or run one tiny cell per strategy."""
+    from repro.bench.engine import ExperimentSpec
+    from repro.core.context import ExecutionConfig
+    from repro.core.executor import FSConfig
+    from repro.core.pipeline import NodeAssignment
+    from repro.stap.params import STAPParams
     from repro.strategies import get_strategy, strategy_names
     from repro.trace.report import format_table
 
@@ -912,11 +910,7 @@ def _cmd_strategies(args) -> int:
         return 0
 
     # smoke: one tiny end-to-end cell per registered strategy.
-    from repro.bench.engine import ExperimentSpec, run_spec
-    from repro.core.context import ExecutionConfig
-    from repro.core.executor import FSConfig
-    from repro.core.pipeline import NodeAssignment
-    from repro.stap.params import STAPParams
+    from repro.bench.engine import run_spec
 
     params = STAPParams(
         n_channels=8, n_pulses=32, n_ranges=256, n_beams=6, n_hard_bins=8,
@@ -1248,80 +1242,30 @@ def _cmd_info(_args) -> int:
     return 0
 
 
-#: Subcommand -> (help, the function adding its arguments, handler), in
-#: ``repro --help`` order.
-_COMMANDS = {
-    "run": ("run one pipeline configuration", _run_args, _cmd_run),
-    "table": ("regenerate a paper table (1-4)", _table_args, _cmd_table),
-    "profile": (
-        "profile one pipeline configuration under cProfile",
-        _profile_args, _cmd_profile,
-    ),
-    "detect": ("compute-mode detection demo", _detect_args, _cmd_detect),
-    "sweep-stripe": (
-        "stripe-factor throughput sweep",
-        _sweep_stripe_args, _cmd_sweep_stripe,
-    ),
-    "reproduce": (
-        "regenerate every paper table/figure artifact into a directory",
-        _reproduce_args, _cmd_reproduce,
-    ),
-    "results": (
-        "list/inspect/clear the cached experiment results",
-        _results_args, _cmd_results,
-    ),
-    "metrics": (
-        "inspect the metrics artifact of a cached or saved run",
-        _metrics_args, _cmd_metrics,
-    ),
-    "spectrum": (
-        "render the angle-Doppler spectrum of a synthetic scene",
-        _spectrum_args, _cmd_spectrum,
-    ),
-    "strategies": (
-        "list registered I/O strategies or smoke-test them",
-        _strategies_args, _cmd_strategies,
-    ),
-    "serve": (
-        "run the experiment service (scheduler behind TCP)",
-        _serve_args, _cmd_serve,
-    ),
-    "submit": (
-        "submit an experiment batch to a running service",
-        _submit_args, _cmd_submit,
-    ),
-    "jobs": (
-        "list/inspect/cancel jobs on a running service",
-        _jobs_args, _cmd_jobs,
-    ),
-    "scenario": (
-        "run a multi-tenant scenario (N pipelines on one shared PFS)",
-        _scenario_args, _cmd_scenario,
-    ),
-    "analyze": (
-        "offline sweep analysis over result artifacts and caches",
-        _analyze_args, _cmd_analyze,
-    ),
-    "dash": (
-        "serve the live dashboard for a running service",
-        _dash_args, _cmd_dash,
-    ),
-    "info": (
-        "show dimensions, costs, and node assignments",
-        lambda p: None, _cmd_info,
-    ),
-}
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # The top-level parser has no options but -h, so the first word that
-    # is not an option names the command; only its parser is built.
-    command = next((a for a in argv if not a.startswith("-")), "")
-    args = build_parser(command).parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handlers = {
+        "run": _cmd_run,
+        "table": _cmd_table,
+        "profile": _cmd_profile,
+        "detect": _cmd_detect,
+        "sweep-stripe": _cmd_sweep_stripe,
+        "reproduce": _cmd_reproduce,
+        "results": _cmd_results,
+        "metrics": _cmd_metrics,
+        "spectrum": _cmd_spectrum,
+        "strategies": _cmd_strategies,
+        "serve": _cmd_serve,
+        "submit": _cmd_submit,
+        "jobs": _cmd_jobs,
+        "scenario": _cmd_scenario,
+        "analyze": _cmd_analyze,
+        "dash": _cmd_dash,
+        "info": _cmd_info,
+    }
     try:
-        return _COMMANDS[args.command][2](args)
+        return handlers[args.command](args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional
 from repro.errors import ConfigurationError
 from repro.core.context import ExecutionConfig, TaskContext
 from repro.core.metrics import DroppedCpi, PipelineMeasurement, measure
-from repro.core.serialize import Codec, coded, from_dict, sparse
+from repro.core.serialize import Codec, LazyMapping, coded, from_dict, sparse
 from repro.core.pipeline import PipelineSpec
 from repro.core.plan import PipelinePlan
 from repro.machine.presets import MachinePreset
@@ -303,6 +303,27 @@ class Substrate:
         )
 
 
+def _encode_traffic(m: Mapping) -> dict:
+    """``rank_traffic`` under ``"src->dst"`` keys; a map read back and
+    not yet looked up is returned as it was read."""
+    if isinstance(m, LazyMapping) and m.stored is not None:
+        return m.stored
+    return {f"{src}->{dst}": list(c) for (src, dst), c in m.items()}
+
+
+def _decode_traffic(m: Mapping) -> LazyMapping:
+    """Inverse of :func:`_encode_traffic`, decoded on first lookup.
+    Every key must read ``"src->dst"`` over two ranks and every value be
+    a (messages, bytes) pair: a malformed map is refused here, when it
+    is read, not at its first lookup."""
+    for key, count in m.items():
+        src, arrow, dst = key.partition("->")
+        if not (arrow and src.isdecimal() and dst.isdecimal()) or len(count) != 2:
+            raise ValueError(f"malformed rank_traffic entry {key!r}: {count!r}")
+    return LazyMapping(m, lambda m: {tuple(map(int, k.split("->"))): tuple(c)
+                                     for k, c in m.items()})
+
+
 @dataclass
 class PipelineResult(Codec):
     """Everything a pipeline run produced."""
@@ -328,14 +349,9 @@ class PipelineResult(Codec):
     disk_stats: Optional[dict] = None
     #: (src_rank, dst_rank) -> (messages, bytes), stored under
     #: ``"src->dst"`` keys; a result read back by :meth:`from_dict`
-    #: decodes them on first lookup.
-    rank_traffic: Optional[Mapping] = coded(
-        lambda m: {f"{src}->{dst}": list(c) for (src, dst), c in m.items()},
-        lambda m: {tuple(map(int, k.split("->"))): tuple(c)
-                   for k, c in m.items()},
-        lazy=True,
-        default=None,
-    )
+    #: checks them when read and decodes them on first lookup.
+    rank_traffic: Optional[Mapping] = coded(_encode_traffic, _decode_traffic,
+                                            default=None)
     #: rank -> task name, stored under stringified ranks.
     rank_task: Optional[dict] = coded(
         lambda m: {str(rank): task for rank, task in m.items()},

@@ -12,9 +12,7 @@ serialize by one rule:
   recurse; an ``Enum`` is stored by value, and a type with its own
   ``from_dict`` (every :class:`Codec`, ``TraceCollector``) through that
   class attribute, looked up per call;
-* a :func:`coded` field is stored as its own ``encode(value)``; with
-  ``lazy=True`` it is read into a :class:`LazyMapping`, decoded on first
-  lookup and stored back as read until then;
+* a :func:`coded` field is stored as its own ``encode(value)``;
 * a class constant ``KIND`` is emitted first as a ``"kind"`` marker.
 
 :func:`from_dict` inverts :func:`to_dict`.  An unknown key, a missing
@@ -30,7 +28,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import functools
 import hashlib
 import json
 import typing
@@ -52,8 +49,9 @@ def sparse(default: Any) -> Any:
 
 class LazyMapping(Mapping):
     """A mapping kept in its stored form until its first lookup, which
-    runs ``decode`` on it once.  Until then a ``coded(..., lazy=True)``
-    field stores it back as read."""
+    runs ``decode`` on it once.  Until then :attr:`stored` is the form
+    it was read in, which a :func:`coded` field's encoder can return as
+    it is; after it, ``None``."""
 
     __slots__ = ("_stored", "_decode", "_map")
 
@@ -61,6 +59,10 @@ class LazyMapping(Mapping):
         if not isinstance(stored, Mapping):
             raise TypeError(f"expected a mapping, got {type(stored).__name__}")
         self._stored, self._decode, self._map = stored, decode, None
+
+    @property
+    def stored(self) -> Optional[Mapping]:
+        return self._stored
 
     def _decoded(self) -> Mapping:
         if self._map is None:
@@ -84,17 +86,10 @@ class LazyMapping(Mapping):
 
 
 def coded(encode: Callable[[Any], Any], decode: Callable[[Any], Any], *,
-          key: Optional[str] = None, lazy: bool = False, **field_kwargs: Any) -> Any:
+          key: Optional[str] = None, **field_kwargs: Any) -> Any:
     """A field stored as ``encode(value)``, read back by ``decode``, under
     ``key`` (default: the field's name).  ``None`` passes through both
-    untouched; ``field_kwargs`` go to :func:`dataclasses.field`.  A
-    ``lazy`` field holds a mapping: it is read into a
-    :class:`LazyMapping`, which decodes on its first lookup."""
-    if lazy:
-        plain = encode
-        encode = (lambda v: v._stored if isinstance(v, LazyMapping)
-                  and v._stored is not None else plain(v))
-        decode = functools.partial(LazyMapping, decode=decode)
+    untouched; ``field_kwargs`` go to :func:`dataclasses.field`."""
     return dataclasses.field(metadata={"codec": (encode, decode), "key": key},
                              **field_kwargs)
 

@@ -22,7 +22,7 @@ The model captures the two phenomena the paper's results depend on:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.errors import ConfigurationError
 from repro.machine.network import Network
@@ -55,6 +55,7 @@ class MeshNetwork(Network):
     """
 
     kind = "mesh"
+    _PORT_NAME = "link{}->{}"
 
     def __init__(
         self,
@@ -71,8 +72,6 @@ class MeshNetwork(Network):
             raise ConfigurationError(f"cols must be >= 1, got {cols}")
         self.cols = cols
         self.rows = math.ceil(n_nodes / cols)
-        # Directed link (a, b) -> its port, made on first use.
-        self._links: Dict[Tuple[int, int], Resource] = {}
 
     # -- topology helpers ------------------------------------------------
     def coords(self, node: int) -> Tuple[int, int]:
@@ -112,13 +111,7 @@ class MeshNetwork(Network):
         """The XY route's links; acquiring them in path order is
         deadlock-free under dimension-ordered routing.  Resolved once per
         (src, dst) by :meth:`Network.deliver`."""
-        links = self._links
-        return [links.get(hop) or self._link(hop) for hop in self.route(src, dst)]
-
-    def _link(self, hop: Tuple[int, int]) -> Resource:
-        """The port of directed link ``hop``, named on its first use."""
-        port = self._links[hop] = self._port("link{}->{}".format(*hop))
-        return port
+        return [self._port(hop) for hop in self.route(src, dst)]
 
     # -- introspection -----------------------------------------------------
     @property

@@ -14,10 +14,9 @@ interference, but strict per-port serialisation.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 from repro.machine.network import Network
-from repro.sim.kernel import Kernel
 from repro.sim.resources import Resource
 
 __all__ = ["MultistageNetwork"]
@@ -33,20 +32,7 @@ class MultistageNetwork(Network):
     """
 
     kind = "multistage"
-
-    def __init__(
-        self, kernel: Kernel, n_nodes: int, latency: float, bandwidth: float
-    ) -> None:
-        super().__init__(kernel, n_nodes, latency, bandwidth)
-        # Node -> its injection / ejection port, made on first use.
-        self._inj: Dict[int, Resource] = {}
-        self._ej: Dict[int, Resource] = {}
+    _PORT_NAME = "{}{}"
 
     def _path(self, src: int, dst: int) -> Tuple[Resource, Resource]:
-        inj = self._inj.get(src)
-        if inj is None:
-            inj = self._inj[src] = self._port(f"inj{src}")
-        ej = self._ej.get(dst)
-        if ej is None:
-            ej = self._ej[dst] = self._port(f"ej{dst}")
-        return inj, ej
+        return self._port(("inj", src)), self._port(("ej", dst))

@@ -40,6 +40,8 @@ class Network:
     """
 
     kind = "ideal"
+    #: ``str.format`` template naming a port from its key.
+    _PORT_NAME = ""
 
     def __init__(
         self, kernel: Kernel, n_nodes: int, latency: float, bandwidth: float
@@ -54,10 +56,10 @@ class Network:
         self.n_nodes = n_nodes
         self.latency = float(latency)
         self.bandwidth = float(bandwidth)
-        # Capacity-1 ports by name (``link3->4``, ``inj5``), made on use;
-        # topologies index them by endpoints too, so that resolving a
-        # path formats a port's name only on that index's first miss.
-        self._ports: Dict[str, Resource] = {}
+        # Capacity-1 ports by endpoints (``(3, 4)`` for a mesh link,
+        # ``("inj", 5)`` for a switch port), made on use; a port's name
+        # (``link3->4``, ``inj5``) is formatted only when it is made.
+        self._ports: Dict[tuple, Resource] = {}
         # (src, dst) -> (path, reversed path), resolved once.
         self._paths: Dict[Tuple[int, int], Tuple[tuple, tuple]] = {}
 
@@ -66,9 +68,12 @@ class Network:
         none on the base (ideal) network."""
         return ()
 
-    def _port(self, name: str) -> Resource:
-        port = self._ports.get(name)
-        return port or self._ports.setdefault(name, Resource(self.kernel, 1, name))
+    def _port(self, key: tuple) -> Resource:
+        port = self._ports.get(key)
+        if port is None:
+            port = self._ports[key] = Resource(
+                self.kernel, 1, self._PORT_NAME.format(*key))
+        return port
 
     def _memo_path(self, src: int, dst: int) -> Tuple[tuple, tuple]:
         path = tuple(self._path(src, dst))

@@ -44,17 +44,17 @@ class _BusyTally:
     """
 
     def __init__(self, resources: Dict) -> None:
-        self._resources = resources  # live {port name: Resource}
+        self._resources = resources  # live {port key: Resource}
         self._busy: Dict[str, int] = {}
         self._reads = 0
 
     def __call__(self) -> int:
         self._reads += 1
         n = 0
-        for name, res in self._resources.items():
+        for res in self._resources.values():
             if res._in_use:
                 n += 1
-                self._busy[name] = self._busy.get(name, 0) + 1
+                self._busy[res.name] = self._busy.get(res.name, 0) + 1
         return n
 
     def fractions(self) -> Dict[str, float]:

@@ -108,9 +108,10 @@ class ResultPayload:
     A process worker sends :meth:`encoded` (the text and the summary),
     and the store and the TCP server splice that text into what they
     write, so the parent never decodes it.  The inline pool, cache hits
-    and predictions carry their dict and encode only if a store or a
-    TCP client asks.  Each view is built from the other at most once, on
-    first read, and kept.  ``throughput``, ``latency`` and ``source``
+    and predictions carry their dict and encode it each time a store or
+    a TCP client asks, without keeping the text.  A payload holds one
+    view at a time: reading :attr:`data` of a text payload decodes it
+    once and drops the text.  ``throughput``, ``latency`` and ``source``
     are the summary result listeners read.
     """
 
@@ -135,16 +136,20 @@ class ResultPayload:
     @property
     def text(self) -> str:
         """The result's ``json.dumps`` text."""
-        if self._text is None:
-            self._text = json.dumps(self._data)
-        return self._text
+        # _data is set before _text is dropped, so a reader on another
+        # thread that finds no text finds the dict.
+        text = self._text
+        return text if text is not None else json.dumps(self._data)
 
     @property
     def data(self) -> Dict[str, Any]:
-        """The result dict."""
-        if self._data is None:
-            self._data = json.loads(self._text)
-        return self._data
+        """The result dict; every read returns the same object."""
+        text = self._text
+        data = self._data
+        if data is None:
+            data = self._data = json.loads(text)
+            self._text = None
+        return data
 
 
 @dataclass(frozen=True)

@@ -51,8 +51,8 @@ class CellResult:
     submitted batch (first occurrence for duplicates).
 
     ``result`` holds the cell's two views: :attr:`payload`, the result
-    dict, and :attr:`text`, its JSON text.  Each is built from the other
-    on first read only (a process worker's result arrives as text).
+    dict, and :attr:`text`, its JSON text.  A process worker's result
+    arrives as text, decoded on the first :attr:`payload` read.
     """
 
     index: int

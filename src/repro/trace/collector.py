@@ -9,6 +9,8 @@ from repro.trace.record import Phase, PhaseRecord
 
 __all__ = ["TraceCollector"]
 
+_PHASES = frozenset(p.value for p in Phase)
+
 
 class TraceCollector:
     """Accumulates phase records and answers aggregate queries.
@@ -68,10 +70,14 @@ class TraceCollector:
     @staticmethod
     def from_dict(d: Dict[str, list]) -> "TraceCollector":
         """Inverse of :meth:`to_dict`; the records are built on first
-        query."""
+        query, but every row's arity and phase are checked here, so a
+        malformed trace is refused when it is read."""
         rows = d["records"]
         if not isinstance(rows, list):
             raise TypeError(f"trace records must be a list, got {type(rows).__name__}")
+        for row in rows:
+            if len(row) != 6 or row[3] not in _PHASES:
+                raise ValueError(f"malformed trace row {row!r}")
         out = TraceCollector.__new__(TraceCollector)
         out._rows = rows
         return out

@@ -15,26 +15,10 @@ def _isolated_cwd(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
 
 
-def _subcommand_help(parser, name):
-    (subparsers,) = parser._subparsers._group_actions
-    return subparsers.choices[name].format_help()
-
-
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
-
-    def test_one_command_parser_matches_the_full_one(self):
-        # main() builds only the invoked subcommand's arguments; its help
-        # and the top-level listing must not differ from the full parser.
-        full = build_parser()
-        names = list(full._subparsers._group_actions[0].choices)
-        assert len(names) == 17
-        for name in names:
-            one = build_parser(name)
-            assert _subcommand_help(one, name) == _subcommand_help(full, name)
-            assert one.format_help() == full.format_help()
 
     def test_run_defaults(self):
         args = build_parser().parse_args(["run"])

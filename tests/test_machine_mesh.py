@@ -189,7 +189,7 @@ class TestInterruptedTransfer:
 
         def probe():  # after the interrupt, only A's path is held
             yield k.timeout(0.6)
-            log.append({n for n, p in net._ports.items() if p.in_use})
+            log.append({p.name for p in net._ports.values() if p.in_use})
 
         def later():
             yield k.timeout(2.0)

@@ -108,8 +108,8 @@ class TestPortGrants:
 
         def plain_transfer(net, src, dst, nbytes):
             k = net.kernel
-            inj = net._port(f"inj{src}")
-            ej = net._port(f"ej{dst}")
+            inj = net._port(("inj", src))
+            ej = net._port(("ej", dst))
             yield inj.request()
             try:
                 yield ej.request()
@@ -137,7 +137,7 @@ class TestPortGrants:
                 if kind == "xfer":
                     yield from move(net, a, b, 2.5e5)
                 else:
-                    port = net._port(f"{kind}{a}")
+                    port = net._port((kind, a))
                     yield port.request()
                     log.append((i, "held", k.now))
                     yield k.timeout(0.3)

@@ -20,6 +20,7 @@ from repro.bench.store import STORE_SCHEMA, ResultStore, substrate_fingerprint
 from repro.bench.surrogate import SurrogateScreen, predicted_result
 from repro.core.context import ExecutionConfig
 from repro.core.executor import FSConfig, PipelineResult
+from repro.errors import ConfigurationError
 from repro.core.pipeline import NodeAssignment
 from repro.scenario import ScenarioResult, ScenarioSpec, TenantSpec, run_scenario
 from repro.service import EventFeed, ExperimentScheduler, model
@@ -202,3 +203,68 @@ class TestOneEncoding:
             out = scheduler.submit([spec, spec]).wait(timeout=60)
         assert out[0] is out[1]
         assert out[0] == run_spec(spec).to_dict()
+
+
+class TestMalformedEntries:
+    """Rows and traffic keys are kept raw but checked when read, so a
+    malformed store entry is a miss, not a result that fails later."""
+
+    @pytest.fixture
+    def stored(self, tmp_path, small_params):
+        spec = _cell(small_params, cfg=ExecutionConfig(n_cpis=2, warmup=0))
+        store = ResultStore(tmp_path)
+        store.put_dict(spec, run_spec(spec).to_dict())
+        assert store.get(spec) is not None
+        return store, spec
+
+    @staticmethod
+    def _corrupt(store, spec, edit):
+        path = store.path_for(spec.spec_hash())
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        edit(entry["result"])
+        path.write_text(json.dumps(entry), encoding="utf-8")
+        with pytest.raises(ConfigurationError):
+            PipelineResult.from_dict(entry["result"])
+
+    @pytest.mark.parametrize("edit", [
+        lambda r: r["trace"]["records"][-1].__setitem__(3, "napping"),
+        lambda r: r["trace"]["records"][-1].pop(),
+    ], ids=["bad-phase", "short-row"])
+    def test_a_bad_trace_row_is_a_miss(self, stored, edit):
+        store, spec = stored
+        self._corrupt(store, spec, edit)
+        assert store.get(spec) is None
+
+    @pytest.mark.parametrize("edit", [
+        lambda r: r["rank_traffic"].__setitem__("3-4", [1, 8]),
+        lambda r: r["rank_traffic"].__setitem__("x->4", [1, 8]),
+        lambda r: r["rank_traffic"].__setitem__("3->4", 8),
+    ], ids=["no-arrow", "bad-rank", "bad-count"])
+    def test_a_bad_traffic_entry_is_a_miss(self, stored, edit):
+        store, spec = stored
+        self._corrupt(store, spec, edit)
+        assert store.get(spec) is None
+
+
+class TestPayloadViews:
+    """A payload holds one view at a time: the text until its dict is
+    read, then the dict; a dict payload encodes per read, keeping no
+    text."""
+
+    def test_dict_payload_keeps_no_text(self, spy):
+        d = {"measurement": {"throughput": 2.0, "latency": 0.5}, "x": [1]}
+        p = model.ResultPayload(d)
+        assert p.text == p.text == json.dumps(d)
+        assert spy == {"dumps": 2, "loads": 0}
+        assert p.data is d
+
+    def test_text_payload_drops_its_text_once_decoded(self, spy):
+        d = {"measurement": {"throughput": 2.0, "latency": 0.5}, "x": [1]}
+        p = model.ResultPayload.encoded(d)
+        assert (p.throughput, p.latency, p.source) == (2.0, 0.5, "simulated")
+        assert p.text is p.text
+        assert p.data is p.data
+        assert p.data == d
+        assert spy == {"dumps": 1, "loads": 1}
+        assert p.text == json.dumps(d)
+        assert spy == {"dumps": 2, "loads": 1}
