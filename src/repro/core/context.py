@@ -165,6 +165,8 @@ class TaskContext:
         from repro.mpi.datatypes import Phantom
 
         self._phantom = Phantom
+        # Every ack carries this one payload: only its size is read.
+        self._ack = Phantom(ACK_NBYTES, {"ack": True})
         # Per-consumer-set credit bookkeeping: edge key -> consumer ranks.
         self._credit_consumers: Dict[str, Tuple[int, ...]] = {}
 
@@ -253,7 +255,7 @@ class TaskContext:
 
     def send_ack(self, producer_rank: int, cpi: int) -> None:
         """Acknowledge consumption of CPI ``cpi`` to one producer."""
-        self.rc.isend(self._phantom(ACK_NBYTES, {"ack": cpi}), producer_rank, data_tag(cpi))
+        self.rc.isend(self._ack, producer_rank, data_tag(cpi))
 
     # -- payload helpers ----------------------------------------------------------
     def payload(self, array_or_none, nbytes: int, **meta) -> Any:

@@ -36,7 +36,11 @@ class MeshNetwork(Network):
     """2-D mesh with per-link contention and XY wormhole routing.
 
     A message's path is its XY route's directed links (``link{a}->{b}``),
-    each a capacity-1 port held by :meth:`Network.deliver`.
+    each a capacity-1 port held by :meth:`Network.deliver`.  The links
+    sit in four tables, filled as messages first cross them: eastbound
+    and westbound per row, southbound and northbound per column, each in
+    travel order, so a route is one slice of its source row's table plus
+    one slice of its destination column's.
 
     Parameters
     ----------
@@ -71,7 +75,16 @@ class MeshNetwork(Network):
         if cols < 1:
             raise ConfigurationError(f"cols must be >= 1, got {cols}")
         self.cols = cols
-        self.rows = math.ceil(n_nodes / cols)
+        self.rows = rows = math.ceil(n_nodes / cols)
+        # Directed links in travel order, None until first crossed:
+        # ``_east[r][c]`` leaves column c of row r, ``_west[r][i]``
+        # leaves column cols-1-i; ``_south[c][r]`` leaves row r of column
+        # c, ``_north[c][i]`` leaves row rows-1-i.  The physical mesh is
+        # full, so a ragged last row has its links too.
+        self._east: List[List[Resource | None]] = [[None] * (cols - 1) for _ in range(rows)]
+        self._west: List[List[Resource | None]] = [[None] * (cols - 1) for _ in range(rows)]
+        self._south: List[List[Resource | None]] = [[None] * (rows - 1) for _ in range(cols)]
+        self._north: List[List[Resource | None]] = [[None] * (rows - 1) for _ in range(cols)]
 
     # -- topology helpers ------------------------------------------------
     def coords(self, node: int) -> Tuple[int, int]:
@@ -109,9 +122,39 @@ class MeshNetwork(Network):
 
     def _path(self, src: int, dst: int) -> List[Resource]:
         """The XY route's links; acquiring them in path order is
-        deadlock-free under dimension-ordered routing.  Resolved once per
-        (src, dst) by :meth:`Network.deliver`."""
-        return [self._port(hop) for hop in self.route(src, dst)]
+        deadlock-free under dimension-ordered routing.  A route with a
+        link not yet made falls back to :meth:`route`, making the link."""
+        cols = self.cols
+        r, c = divmod(src, cols)
+        dr, dc = divmod(dst, cols)
+        if dc > c:
+            path = self._east[r][c:dc]
+        elif dc < c:
+            path = self._west[r][cols - 1 - c:cols - 1 - dc]
+        else:
+            path = []
+        if dr > r:
+            path += self._south[dc][r:dr]
+        elif dr < r:
+            rows = self.rows
+            path += self._north[dc][rows - 1 - r:rows - 1 - dr]
+        if None in path:
+            path = [self._link(a, b) for a, b in self.route(src, dst)]
+        return path
+
+    def _link(self, a: int, b: int) -> Resource:
+        """The port of directed link ``a -> b``, entered in its table."""
+        port = self._port((a, b))
+        (ar, ac), (br, bc) = divmod(a, self.cols), divmod(b, self.cols)
+        if bc > ac:
+            self._east[ar][ac] = port
+        elif bc < ac:
+            self._west[ar][self.cols - 1 - ac] = port
+        elif br > ar:
+            self._south[ac][ar] = port
+        else:
+            self._north[ac][self.rows - 1 - ar] = port
+        return port
 
     # -- introspection -----------------------------------------------------
     @property

@@ -14,9 +14,10 @@ interference, but strict per-port serialisation.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Tuple
 
 from repro.machine.network import Network
+from repro.sim.kernel import Kernel
 from repro.sim.resources import Resource
 
 __all__ = ["MultistageNetwork"]
@@ -34,5 +35,18 @@ class MultistageNetwork(Network):
     kind = "multistage"
     _PORT_NAME = "{}{}"
 
+    def __init__(self, kernel: Kernel, n_nodes: int, latency: float,
+                 bandwidth: float) -> None:
+        super().__init__(kernel, n_nodes, latency, bandwidth)
+        # Each node's injection and ejection port, None until first used.
+        self._inj: List[Resource | None] = [None] * n_nodes
+        self._ej: List[Resource | None] = [None] * n_nodes
+
     def _path(self, src: int, dst: int) -> Tuple[Resource, Resource]:
-        return self._port(("inj", src)), self._port(("ej", dst))
+        inj = self._inj[src]
+        if inj is None:
+            inj = self._inj[src] = self._port(("inj", src))
+        ej = self._ej[dst]
+        if ej is None:
+            ej = self._ej[dst] = self._port(("ej", dst))
+        return inj, ej

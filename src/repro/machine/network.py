@@ -11,7 +11,7 @@ baseline (``latency + nbytes / bandwidth``) for tests and ablations.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence
 
 from repro.errors import ConfigurationError
 from repro.sim.events import _PENDING, Timeout
@@ -59,13 +59,12 @@ class Network:
         # Capacity-1 ports by endpoints (``(3, 4)`` for a mesh link,
         # ``("inj", 5)`` for a switch port), made on use; a port's name
         # (``link3->4``, ``inj5``) is formatted only when it is made.
+        # Topologies index the same ports by link, never by node pair.
         self._ports: Dict[tuple, Resource] = {}
-        # (src, dst) -> (path, reversed path), resolved once.
-        self._paths: Dict[Tuple[int, int], Tuple[tuple, tuple]] = {}
 
     def _path(self, src: int, dst: int) -> Sequence[Resource]:
         """Ports a ``src -> dst`` message holds, in acquisition order;
-        none on the base (ideal) network."""
+        none on the base (ideal) network.  Called once per message."""
         return ()
 
     def _port(self, key: tuple) -> Resource:
@@ -74,11 +73,6 @@ class Network:
             port = self._ports[key] = Resource(
                 self.kernel, 1, self._PORT_NAME.format(*key))
         return port
-
-    def _memo_path(self, src: int, dst: int) -> Tuple[tuple, tuple]:
-        path = tuple(self._path(src, dst))
-        self._paths[(src, dst)] = pair = (path, path[::-1])
-        return pair
 
     def transfer(self, src: int, dst: int, nbytes: int):
         """Validate the endpoints and size, then :meth:`deliver` with no
@@ -109,7 +103,7 @@ class Network:
         if src == dst:
             yield Timeout(kernel, self.latency * 0.5)
         else:
-            path, back = self._paths.get((src, dst)) or self._memo_path(src, dst)
+            path = self._path(src, dst)
             try:
                 for port in path:
                     if port._in_use:
@@ -137,8 +131,8 @@ class Network:
                         grant._abandoned = True
                     else:
                         held += 1
-                    back = back[len(back) - held:]
-                for port in back:
+                    path = path[:held]
+                for port in reversed(path):
                     if port._waiters:
                         port.release()
                     else:

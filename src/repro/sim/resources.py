@@ -45,8 +45,13 @@ class Resource:
 
     Uncontended requests all return the shared ``_granted`` event (born
     fired with the resource as value); only contended requests allocate a
-    fresh pending event and join the FIFO queue.
+    fresh pending event and join the FIFO queue.  The queue is a plain
+    list: a model holds hundreds of mostly idle capacity-1 ports, and an
+    empty deque costs each of them a 528-byte block.
     """
+
+    __slots__ = ("kernel", "capacity", "name", "_in_use", "_waiters",
+                 "_req_name", "_granted")
 
     def __init__(self, kernel: Kernel, capacity: int = 1, name: str = "") -> None:
         if capacity < 1:
@@ -55,7 +60,7 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._in_use = 0
-        self._waiters: Deque[Event] = deque()
+        self._waiters: List[Event] = []
         # Event label shared by every request; formatting it per call is
         # measurable at hot-path request rates.
         self._req_name = f"request({name})"
@@ -96,7 +101,7 @@ class Resource:
             raise SimulationError(f"release() of idle resource {self.name!r}")
         waiters = self._waiters
         while waiters:
-            ev = waiters.popleft()
+            ev = waiters.pop(0)
             if not ev._abandoned:
                 # Hand the slot directly to this waiter: _in_use unchanged.
                 ev.succeed(self)
@@ -120,6 +125,8 @@ class PriorityResource(Resource):
 
     Lower ``priority`` values are served first.
     """
+
+    __slots__ = ("_pwaiters", "_counter")
 
     def __init__(self, kernel: Kernel, capacity: int = 1, name: str = "") -> None:
         super().__init__(kernel, capacity, name)

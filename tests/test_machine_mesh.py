@@ -1,5 +1,8 @@
 """Unit and property tests for the 2-D mesh network."""
 
+import random
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,61 +81,62 @@ class TestTopology:
         assert pos == dst
 
 
+def run_transfers(net, jobs):
+    """jobs: list of (src, dst, nbytes); returns completion times."""
+    k = net.kernel
+    times = {}
+
+    def mover(k, net, i, s, d, nb):
+        yield from net.transfer(s, d, nb)
+        times[i] = k.now
+
+    for i, (s, d, nb) in enumerate(jobs):
+        k.process(mover(k, net, i, s, d, nb))
+    k.run()
+    return times
+
+
 class TestTransfer:
-    def run_transfers(self, net, jobs):
-        """jobs: list of (src, dst, nbytes); returns completion times."""
-        k = net.kernel
-        times = {}
-
-        def mover(k, net, i, s, d, nb):
-            yield from net.transfer(s, d, nb)
-            times[i] = k.now
-
-        for i, (s, d, nb) in enumerate(jobs):
-            k.process(mover(k, net, i, s, d, nb))
-        k.run()
-        return times
-
     def test_single_transfer_time(self):
         net = mk(4, latency=1e-3, bw=1e6)
-        times = self.run_transfers(net, [(0, 3, 1000)])
+        times = run_transfers(net, [(0, 3, 1000)])
         assert times[0] == pytest.approx(1e-3 + 1000 / 1e6)
 
     def test_local_transfer_is_cheap(self):
         net = mk(4, latency=1e-3, bw=1e6)
-        times = self.run_transfers(net, [(2, 2, 10**9)])
+        times = run_transfers(net, [(2, 2, 10**9)])
         assert times[0] == pytest.approx(0.5e-3)
 
     def test_disjoint_paths_do_not_contend(self):
         net = mk(16, cols=4, latency=0.0, bw=1e6)
         # Row 0 and row 3 transfers share no links.
-        times = self.run_transfers(net, [(0, 3, 1e6), (12, 15, 1e6)])
+        times = run_transfers(net, [(0, 3, 1e6), (12, 15, 1e6)])
         assert times[0] == pytest.approx(1.0)
         assert times[1] == pytest.approx(1.0)
 
     def test_shared_link_serialises(self):
         net = mk(4, cols=4, latency=0.0, bw=1e6)
         # Both 0->3 and 1->3 traverse link 1->2 and 2->3.
-        times = self.run_transfers(net, [(0, 3, 1e6), (1, 3, 1e6)])
+        times = run_transfers(net, [(0, 3, 1e6), (1, 3, 1e6)])
         assert min(times.values()) == pytest.approx(1.0)
         assert max(times.values()) == pytest.approx(2.0)
 
     def test_many_to_one_serialises_fully(self):
         net = mk(8, cols=8, latency=0.0, bw=1e6)
         jobs = [(i, 7, 1e6) for i in range(4)]
-        times = self.run_transfers(net, jobs)
+        times = run_transfers(net, jobs)
         assert max(times.values()) == pytest.approx(4.0)
 
     def test_bidirectional_links_are_independent(self):
         net = mk(2, cols=2, latency=0.0, bw=1e6)
-        times = self.run_transfers(net, [(0, 1, 1e6), (1, 0, 1e6)])
+        times = run_transfers(net, [(0, 1, 1e6), (1, 0, 1e6)])
         assert times[0] == pytest.approx(1.0)
         assert times[1] == pytest.approx(1.0)
 
     def test_opposing_traffic_no_deadlock(self):
         net = mk(9, cols=3, latency=0.0, bw=1e7)
         jobs = [(0, 8, 1e6), (8, 0, 1e6), (2, 6, 1e6), (6, 2, 1e6)]
-        times = self.run_transfers(net, jobs)
+        times = run_transfers(net, jobs)
         assert len(times) == 4  # all completed
 
     def test_invalid_endpoint_rejected(self):
@@ -148,8 +152,93 @@ class TestTransfer:
     def test_allocated_links_grow_lazily(self):
         net = mk(16)
         assert net.allocated_links == 0
-        self.run_transfers(net, [(0, 1, 10)])
+        run_transfers(net, [(0, 1, 10)])
         assert net.allocated_links == 1
+
+
+#: (n_nodes, cols): one row, one column, square, ragged last rows.
+SHAPES = [(6, 6), (6, 1), (16, None), (7, 3), (10, None), (100, None)]
+
+
+class TestPortTables:
+    """A message's path is read from the row and column link tables; it
+    must be the XY route's ports in order, and only crossed links exist."""
+
+    @pytest.mark.parametrize("n, cols", SHAPES,
+                             ids=lambda v: "auto" if v is None else str(v))
+    def test_path_is_the_route_in_order(self, n, cols):
+        net = mk(n, cols)
+        pairs = [(s, d) for s in range(n) for d in range(n) if s != d]
+        random.Random(n).shuffle(pairs)
+        crossed = set()
+        for s, d in pairs:
+            hops = net.route(s, d)
+            path = net._path(s, d)
+            crossed.update(hops)
+            assert len(path) == len(hops)
+            assert all(p is net._ports[h] for p, h in zip(path, hops))
+            assert [p.name for p in path] == [f"link{a}->{b}" for a, b in hops]
+            assert net.allocated_links == len(crossed)
+
+    @given(st.sampled_from(SHAPES[:-1]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_transfers_allocate_only_crossed_links(self, shape, data):
+        n, cols = shape
+        net = mk(n, cols)
+        node = st.integers(0, n - 1)
+        jobs = data.draw(st.lists(st.tuples(node, node), max_size=10))
+        run_transfers(net, [(s, d, 1e3) for s, d in jobs])
+        crossed = {hop for s, d in jobs for hop in net.route(s, d)}
+        assert set(net._ports) == crossed
+        assert net.allocated_links == len(crossed)
+        assert all(p.in_use == 0 and p.queue_length == 0
+                   for p in net._ports.values())
+
+
+def directed_links(net):
+    """Directed links (or ports) the topology can ever make."""
+    if net.kind == "mesh":
+        return 2 * net.rows * (net.cols - 1) + 2 * net.cols * (net.rows - 1)
+    return 2 * net.n_nodes
+
+
+def held_containers(net):
+    """Every list, tuple, dict, set and deque the network holds, however
+    deeply nested (ports and the kernel are not walked into)."""
+    found, todo = [], deque(vars(net).values())
+    while todo:
+        obj = todo.popleft()
+        if isinstance(obj, dict):
+            found.append(obj)
+            todo.extend(obj.keys())
+            todo.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset, deque)):
+            found.append(obj)
+            todo.extend(obj)
+    return found
+
+
+class TestStateScalesWithLinks:
+    """A network's state grows with its links, not with node pairs."""
+
+    @pytest.mark.parametrize("n", [100, 400])
+    @pytest.mark.parametrize("make", [MeshNetwork, MultistageNetwork],
+                             ids=["mesh", "multistage"])
+    def test_all_pairs_traffic(self, make, n):
+        k = Kernel()
+        net = make(k, n, 1e-6, 1e9)
+
+        def sender(src):
+            for dst in range(n):
+                yield from net.transfer(src, dst, 64)
+
+        for src in range(n):
+            k.process(sender(src))
+        k.run()
+        links = directed_links(net)
+        assert net.kind != "mesh" or net.allocated_links == links
+        assert len(net._ports) <= links
+        assert max(len(c) for c in held_containers(net)) <= links
 
 
 NETWORKS = pytest.mark.parametrize("make", [

@@ -62,6 +62,17 @@ class TestMultistage:
         t = run_transfers(net, jobs)
         assert len(t) == 8
 
+    def test_path_is_injection_then_ejection(self):
+        net = mk(5)
+        for src in range(5):
+            for dst in range(5):
+                if src == dst:
+                    continue
+                inj, ej = net._path(src, dst)
+                assert inj is net._ports[("inj", src)] and inj.name == f"inj{src}"
+                assert ej is net._ports[("ej", dst)] and ej.name == f"ej{dst}"
+        assert len(net._ports) == 10
+
     def test_invalid_node_count(self):
         with pytest.raises(ConfigurationError):
             MultistageNetwork(Kernel(), 0, 0.0, 1e6)
