@@ -7,6 +7,9 @@ send** — with credit-window flow control on the send side and
 acknowledgements on the receive side.  The stage structure lets the same
 body run single-threaded (this paper's model) or with overlapped phase
 threads (the IPPS'99 SMP design) — see :mod:`repro.core.stages`.
+Every task sends through one loop (:func:`_send`) and receives through
+one loop (:func:`_recv`), over the node's messages in the plan's one
+list per inter-task edge (:class:`~repro.core.plan.Route`).
 
 Compute mode and timing mode share every line of control flow: the only
 differences are whether payloads carry numpy arrays or
@@ -19,7 +22,7 @@ branches.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List
 
 from repro.core.context import TaskContext, data_tag
 from repro.core.stages import TaskStages, run_stages
@@ -80,19 +83,51 @@ def _empty(shape, dtype):
     return np.empty(shape, dtype=dtype)
 
 
-def _send_routed(ctx: TaskContext, k: int, requests: List[Request]):
-    """Wait out a batch of routed isends, recording the SEND phase."""
+def _send(ctx: TaskContext, k: int, cpi: int, outputs):
+    """Generator: send the node's out-messages for CPI ``cpi``.
+
+    Waits out the credit window first, then sends each message the
+    ``take`` slice of ``outputs[consumer task]`` (None in timing mode)
+    and records CPI ``k``'s SEND phase.
+    """
+    yield from ctx.await_credit(cpi)
     t0 = ctx.now
+    tag = data_tag(cpi)
+    requests: List[Request] = []
+    for peer, rank, m in ctx.out_messages:
+        out = outputs[peer]
+        sub = out[m.take] if out is not None else None
+        requests.append(ctx.rc.isend(ctx.payload(sub, m.nbytes), rank, tag))
     if requests:
         yield from Request.wait_all(ctx.kernel, requests)
     ctx.record(k, Phase.SEND, t0)
+
+
+def _recv(ctx: TaskContext, k: int, inputs):
+    """Generator: receive the node's in-messages for CPI ``k``, in plan
+    order, each stored at its ``put`` index of ``inputs[producer task]``
+    (None in timing mode) and acknowledged to its producer."""
+    tag = data_tag(k)
+    for peer, rank, m in ctx.in_messages:
+        arr = yield from ctx.rc.recv(rank, tag)
+        buf = inputs[peer]
+        if buf is not None:
+            buf[m.put] = arr
+        ctx.send_ack(rank, k)
+
+
+class _Forwarding(TaskStages):
+    """A task whose outputs for CPI ``k`` go downstream as CPI ``k``."""
+
+    def send(self, k: int, outputs):
+        return _send(self.ctx, k, k, outputs)
 
 
 # ---------------------------------------------------------------------------
 # task 0': the separate parallel-read task (Figure 4)
 
 
-class ReaderStages(TaskStages):
+class ReaderStages(_Forwarding):
     """Read the CPI slab from the files, forward it to the Doppler task."""
 
     def setup(self) -> bool:
@@ -101,9 +136,6 @@ class ReaderStages(TaskStages):
         if self.rhi <= self.rlo:
             return False
         self.reader = _make_reader(ctx, self.rlo, self.rhi)
-        self.dop_ranks = ctx.ranks("doppler")
-        self.route = ctx.plan.read_to_doppler(ctx.local)
-        ctx.register_consumers("data", [self.dop_ranks[c] for c, _, _ in self.route])
         return True
 
     def recv_prologue(self):
@@ -125,28 +157,16 @@ class ReaderStages(TaskStages):
 
     def compute(self, k: int, raw):
         # The read task performs no computation: it only distributes.
-        if self.ctx.cfg.compute:
-            return self.reader.slab_array(raw)
-        return None
+        slab = self.reader.slab_array(raw) if self.ctx.cfg.compute else None
+        return {"doppler": slab}
         yield  # pragma: no cover - generator marker
-
-    def send(self, k: int, slab):
-        ctx = self.ctx
-        yield from ctx.await_credit("data", k)
-        reqs = []
-        for c, (lo, hi), nb in self.route:
-            sub = slab[:, :, lo - self.rlo : hi - self.rlo] if slab is not None else None
-            reqs.append(
-                ctx.rc.isend(ctx.payload(sub, nb), self.dop_ranks[c], data_tag(k))
-            )
-        yield from _send_routed(ctx, k, reqs)
 
 
 # ---------------------------------------------------------------------------
 # task 0: Doppler filter processing (embedded I/O or fed by the read task)
 
 
-class DopplerStages(TaskStages):
+class DopplerStages(_Forwarding):
     """Staggered Doppler filter bank over this node's range slab."""
 
     def __init__(self, ctx: TaskContext, embedded: bool) -> None:
@@ -154,36 +174,13 @@ class DopplerStages(TaskStages):
         self.embedded = embedded
 
     def setup(self) -> bool:
-        ctx, plan, p = self.ctx, self.ctx.plan, self.ctx.params
-        self.rlo, self.rhi = plan.ranges_doppler.bounds(ctx.local)
+        ctx, p = self.ctx, self.ctx.params
+        self.rlo, self.rhi = ctx.plan.ranges_doppler.bounds(ctx.local)
         if self.rhi <= self.rlo:
             return False
         share = (self.rhi - self.rlo) / p.n_ranges
         self.t_compute = ctx.model_time(ctx.costs.doppler_flops(), share)
-
-        self.route_ebf = plan.doppler_to_bf(ctx.local, easy=True)
-        self.route_hbf = plan.doppler_to_bf(ctx.local, easy=False)
-        self.route_ew = plan.doppler_to_weights(ctx.local, easy=True)
-        self.route_hw = plan.doppler_to_weights(ctx.local, easy=False)
-        self.ebf_ranks, self.hbf_ranks = ctx.ranks("easy_bf"), ctx.ranks("hard_bf")
-        self.ew_ranks = ctx.ranks("easy_weight")
-        self.hw_ranks = ctx.ranks("hard_weight")
-        consumers = (
-            [self.ebf_ranks[c] for c, _, _ in self.route_ebf]
-            + [self.hbf_ranks[c] for c, _, _ in self.route_hbf]
-            + [self.ew_ranks[c] for c, _, _, _ in self.route_ew]
-            + [self.hw_ranks[c] for c, _, _, _ in self.route_hw]
-        )
-        ctx.register_consumers("data", consumers)
-
-        if self.embedded:
-            self.reader = _make_reader(ctx, self.rlo, self.rhi)
-            self.read_producers: List[int] = []
-            self.read_ranks = ()
-        else:
-            self.reader = None
-            self.read_producers = plan.doppler_expected_read_producers(ctx.local)
-            self.read_ranks = ctx.ranks("read")
+        self.reader = _make_reader(ctx, self.rlo, self.rhi) if self.embedded else None
         return True
 
     def recv_prologue(self):
@@ -193,7 +190,7 @@ class DopplerStages(TaskStages):
         yield
 
     def recv(self, k: int):
-        ctx, plan, p = self.ctx, self.ctx.plan, self.ctx.params
+        ctx, p = self.ctx, self.ctx.params
         if self.embedded:
             yield from ctx.await_arrival(k)
             raw = yield from self.reader.read(k)
@@ -204,12 +201,7 @@ class DopplerStages(TaskStages):
             if ctx.cfg.compute
             else None
         )
-        for rp in self.read_producers:
-            arr = yield from ctx.rc.recv(self.read_ranks[rp], data_tag(k))
-            if slab is not None:
-                lo, hi = plan.ranges_doppler.overlap(ctx.local, plan.ranges_read, rp)
-                slab[:, :, lo - self.rlo : hi - self.rlo] = arr
-            ctx.send_ack(self.read_ranks[rp], k)
+        yield from _recv(ctx, k, {"read": slab})
         return slab
 
     def teardown(self) -> None:
@@ -224,33 +216,7 @@ class DopplerStages(TaskStages):
 
             easy, hard = doppler_filter_arrays(slab, ctx.params)
         yield from ctx.compute_for(self.t_compute)
-        return easy, hard
-
-    def send(self, k: int, outputs):
-        ctx = self.ctx
-        easy, hard = outputs
-        yield from ctx.await_credit("data", k)
-        reqs: List[Request] = []
-        for c, (blo, bhi), nb in self.route_ebf:
-            sub = easy[blo:bhi] if easy is not None else None
-            reqs.append(ctx.rc.isend(ctx.payload(sub, nb), self.ebf_ranks[c], data_tag(k)))
-        for c, (blo, bhi), nb in self.route_hbf:
-            sub = hard[blo:bhi] if hard is not None else None
-            reqs.append(ctx.rc.isend(ctx.payload(sub, nb), self.hbf_ranks[c], data_tag(k)))
-        for c, (blo, bhi), cols, nb in self.route_ew:
-            sub = self._gate_columns(easy[blo:bhi], cols) if easy is not None else None
-            reqs.append(ctx.rc.isend(ctx.payload(sub, nb), self.ew_ranks[c], data_tag(k)))
-        for c, (blo, bhi), cols, nb in self.route_hw:
-            sub = self._gate_columns(hard[blo:bhi], cols) if hard is not None else None
-            reqs.append(ctx.rc.isend(ctx.payload(sub, nb), self.hw_ranks[c], data_tag(k)))
-        yield from _send_routed(ctx, k, reqs)
-
-    def _gate_columns(self, rows: np.ndarray, cols: List[int]) -> np.ndarray:
-        """Training-gate columns ``cols`` of this slab's output ``rows``."""
-        import numpy as np
-
-        gates = self.ctx.plan.train_gates
-        return np.ascontiguousarray(rows[:, :, [gates[c] - self.rlo for c in cols]])
+        return {"easy_bf": easy, "hard_bf": hard, "easy_weight": easy, "hard_weight": hard}
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +234,7 @@ class WeightStages(TaskStages):
 
     def setup(self) -> bool:
         ctx, plan, p = self.ctx, self.ctx.plan, self.ctx.params
-        rows = plan.rows_easy_w if self.easy else plan.rows_hard_w
-        self.blo, self.bhi = rows.bounds(ctx.local)
+        self.blo, self.bhi = plan.partition(ctx.name).bounds(ctx.local)
         self.nrows = self.bhi - self.blo
         if self.nrows <= 0:
             return False
@@ -281,12 +246,7 @@ class WeightStages(TaskStages):
             ctx.costs.easy_weight_flops() if self.easy else ctx.costs.hard_weight_flops()
         )
         self.t_compute = ctx.model_time(flops, self.nrows / group_total)
-
-        self.dop_ranks = ctx.ranks("doppler")
-        self.producers = plan.weight_expected_producers()
-        self.bf_ranks = ctx.ranks("easy_bf" if self.easy else "hard_bf")
-        self.route_bf = plan.weights_to_bf(ctx.local, self.easy)
-        ctx.register_consumers("w", [self.bf_ranks[c] for c, _, _ in self.route_bf])
+        self.bf_task = "easy_bf" if self.easy else "hard_bf"
         self.n_train = len(plan.train_gates)
         if ctx.cfg.compute:
             from repro.stap.weights import CovarianceTracker, steering_matrix_easy
@@ -320,16 +280,6 @@ class WeightStages(TaskStages):
             out[r] = mvdr_from_covariance(r_hat, v, p.diagonal_load)
         return out
 
-    def _ship(self, weights: Optional[np.ndarray], use_cpi: int) -> List[Request]:
-        ctx = self.ctx
-        reqs: List[Request] = []
-        for c, (lo, hi), nb in self.route_bf:
-            sub = weights[lo - self.blo : hi - self.blo] if weights is not None else None
-            reqs.append(
-                ctx.rc.isend(ctx.payload(sub, nb), self.bf_ranks[c], data_tag(use_cpi))
-            )
-        return reqs
-
     def send_prologue(self):
         """Bootstrap: quiescent weights for CPI 0 (no training data yet)."""
         ctx = self.ctx
@@ -338,49 +288,34 @@ class WeightStages(TaskStages):
             from repro.stap.weights import initial_weights
 
             w0 = initial_weights(ctx.params, hard=not self.easy, bins=self.my_bins)
-        t0 = ctx.now
-        reqs = self._ship(w0, use_cpi=0)
-        if reqs:
-            yield from Request.wait_all(ctx.kernel, reqs)
-        ctx.record(-1, Phase.SEND, t0)
+        yield from _send(ctx, -1, 0, {self.bf_task: w0})
 
     def recv(self, k: int):
-        ctx, plan = self.ctx, self.ctx.plan
+        ctx = self.ctx
         X = (
             _empty((self.nrows, self.dof, self.n_train), dtype=ctx.params.dtype)
             if ctx.cfg.compute
             else None
         )
-        for dp in self.producers:
-            arr = yield from ctx.rc.recv(self.dop_ranks[dp], data_tag(k))
-            if X is not None:
-                cols = plan.train_gate_cols(*plan.ranges_doppler.bounds(dp))
-                X[:, :, cols] = arr
-            ctx.send_ack(self.dop_ranks[dp], k)
+        yield from _recv(ctx, k, {"doppler": X})
         return X
 
     def compute(self, k: int, X):
         ctx = self.ctx
         weights = self._solve(X) if ctx.cfg.compute else None
         yield from ctx.compute_for(self.t_compute)
-        return weights
+        return {self.bf_task: weights}
 
-    def send(self, k: int, weights):
+    def send(self, k: int, outputs):
         """Ship weights trained on CPI k for use at CPI k+1."""
-        ctx = self.ctx
-        yield from ctx.await_credit("w", k + 1)
-        t0 = ctx.now
-        reqs = self._ship(weights, use_cpi=k + 1)
-        if reqs:
-            yield from Request.wait_all(ctx.kernel, reqs)
-        ctx.record(k, Phase.SEND, t0)
+        return _send(self.ctx, k, k + 1, outputs)
 
 
 # ---------------------------------------------------------------------------
 # tasks 3 and 4: beamforming
 
 
-class BeamformStages(TaskStages):
+class BeamformStages(_Forwarding):
     """Apply this node's bin rows' weights to the current CPI's data."""
 
     def __init__(self, ctx: TaskContext, easy: bool) -> None:
@@ -388,9 +323,8 @@ class BeamformStages(TaskStages):
         self.easy = easy
 
     def setup(self) -> bool:
-        ctx, plan, p = self.ctx, self.ctx.plan, self.ctx.params
-        self.rows = plan.rows_easy_bf if self.easy else plan.rows_hard_bf
-        self.blo, self.bhi = self.rows.bounds(ctx.local)
+        ctx, p = self.ctx, self.ctx.params
+        self.blo, self.bhi = ctx.plan.partition(ctx.name).bounds(ctx.local)
         self.nrows = self.bhi - self.blo
         if self.nrows <= 0:
             return False
@@ -402,45 +336,16 @@ class BeamformStages(TaskStages):
             else ctx.costs.hard_beamform_flops()
         )
         self.t_compute = ctx.model_time(flops, self.nrows / group_total)
-
-        self.dop_ranks = ctx.ranks("doppler")
-        self.data_producers = [
-            i
-            for i in range(plan.ranges_doppler.parts)
-            if plan.ranges_doppler.size(i) > 0
-        ]
-        self.w_ranks = ctx.ranks("easy_weight" if self.easy else "hard_weight")
-        self.rows_w = plan.rows_easy_w if self.easy else plan.rows_hard_w
-        self.w_producers = plan.bf_expected_weight_producers(ctx.local, self.easy)
-        self.pc_ranks = ctx.ranks(plan.pc_task)
-        self.route_pc = plan.bf_to_pc(ctx.local, self.easy)
-        ctx.register_consumers("data", [self.pc_ranks[c] for c, _, _ in self.route_pc])
+        self.w_task = "easy_weight" if self.easy else "hard_weight"
         return True
 
     def recv(self, k: int):
-        ctx, plan, p = self.ctx, self.ctx.plan, self.ctx.params
-        W = (
-            _empty((self.nrows, self.dof, p.n_beams), dtype="complex64")
-            if ctx.cfg.compute
-            else None
-        )
-        for wp in self.w_producers:
-            arr = yield from ctx.rc.recv(self.w_ranks[wp], data_tag(k))
-            if W is not None:
-                lo, hi = self.rows.overlap(ctx.local, self.rows_w, wp)
-                W[lo - self.blo : hi - self.blo] = arr
-            ctx.send_ack(self.w_ranks[wp], k)
-        X = (
-            _empty((self.nrows, self.dof, p.n_ranges), dtype=p.dtype)
-            if ctx.cfg.compute
-            else None
-        )
-        for dp in self.data_producers:
-            arr = yield from ctx.rc.recv(self.dop_ranks[dp], data_tag(k))
-            if X is not None:
-                rlo, rhi = plan.ranges_doppler.bounds(dp)
-                X[:, :, rlo:rhi] = arr
-            ctx.send_ack(self.dop_ranks[dp], k)
+        ctx, p = self.ctx, self.ctx.params
+        W = X = None
+        if ctx.cfg.compute:
+            W = _empty((self.nrows, self.dof, p.n_beams), dtype="complex64")
+            X = _empty((self.nrows, self.dof, p.n_ranges), dtype=p.dtype)
+        yield from _recv(ctx, k, {self.w_task: W, "doppler": X})
         return W, X
 
     def compute(self, k: int, inputs):
@@ -452,20 +357,11 @@ class BeamformStages(TaskStages):
 
             Y = np.einsum("bjk,bjr->bkr", W.conj(), X).astype(np.complex64)
         yield from ctx.compute_for(self.t_compute)
-        return Y
-
-    def send(self, k: int, Y):
-        ctx = self.ctx
-        yield from ctx.await_credit("data", k)
-        reqs: List[Request] = []
-        for c, (lo, hi), nb in self.route_pc:
-            sub = Y[lo - self.blo : hi - self.blo] if Y is not None else None
-            reqs.append(ctx.rc.isend(ctx.payload(sub, nb), self.pc_ranks[c], data_tag(k)))
-        yield from _send_routed(ctx, k, reqs)
+        return {ctx.plan.pc_task: Y}
 
 
 # ---------------------------------------------------------------------------
-# shared receive for the bin-partitioned tail tasks
+# shared by the bin-partitioned tail tasks
 
 
 class _ReportWriterMixin(TaskStages):
@@ -536,37 +432,25 @@ class _ReportWriterMixin(TaskStages):
 
 
 class _BinRowsMixin(TaskStages):
-    """Receive machinery shared by pulse compression / CFAR / combined."""
+    """Receive shared by pulse compression / combined: the beamforming
+    rows of this node's global bins, from both streams."""
 
     def _setup_bin_rows(self) -> bool:
-        ctx, plan = self.ctx, self.ctx.plan
-        self.glo, self.ghi = plan.bins_pc.bounds(ctx.local)
+        ctx = self.ctx
+        self.glo, self.ghi = ctx.plan.bins_pc.bounds(ctx.local)
         if self.ghi <= self.glo:
             return False
         self.share = (self.ghi - self.glo) / ctx.params.n_doppler_bins
-        self.producers = []
-        for task, j in plan.pc_expected_bf_producers(ctx.local):
-            easy = task == "easy_bf"
-            rows_bf = plan.rows_easy_bf if easy else plan.rows_hard_bf
-            labels = plan.easy_labels if easy else plan.hard_labels
-            plo, phi = rows_bf.bounds(j)
-            # Buffer rows (global bin - glo) this producer's rows fill.
-            rows = [b - self.glo for b in labels[plo:phi] if self.glo <= b < self.ghi]
-            self.producers.append((ctx.ranks(task)[j], rows))
         return True
 
-    def _recv_bin_rows(self, k: int):
+    def recv(self, k: int):
         ctx, p = self.ctx, self.ctx.params
         buf = (
             _empty((self.ghi - self.glo, p.n_beams, p.n_ranges), dtype=p.dtype)
             if ctx.cfg.compute
             else None
         )
-        for src_rank, rows in self.producers:
-            arr = yield from ctx.rc.recv(src_rank, data_tag(k))
-            if buf is not None:
-                buf[rows] = arr
-            ctx.send_ack(src_rank, k)
+        yield from _recv(ctx, k, {"easy_bf": buf, "hard_bf": buf})
         return buf
 
 
@@ -574,22 +458,15 @@ class _BinRowsMixin(TaskStages):
 # task 5: pulse compression
 
 
-class PulseStages(_BinRowsMixin):
+class PulseStages(_BinRowsMixin, _Forwarding):
     """Overlap-save matched filtering of this node's global bins."""
 
     def setup(self) -> bool:
         if not self._setup_bin_rows():
             return False
-        ctx, plan = self.ctx, self.ctx.plan
+        ctx = self.ctx
         self.t_compute = ctx.model_time(ctx.costs.pulse_compression_flops(), self.share)
-        self.cfar_ranks = ctx.ranks("cfar")
-        self.route = plan.pc_to_cfar(ctx.local)
-        ctx.register_consumers("data", [self.cfar_ranks[c] for c, _, _ in self.route])
         return True
-
-    def recv(self, k: int):
-        buf = yield from self._recv_bin_rows(k)
-        return buf
 
     def compute(self, k: int, buf):
         ctx = self.ctx
@@ -599,18 +476,7 @@ class PulseStages(_BinRowsMixin):
 
             Y = pulse_compress(buf, ctx.params.pulse_len)
         yield from ctx.compute_for(self.t_compute)
-        return Y
-
-    def send(self, k: int, Y):
-        ctx = self.ctx
-        yield from ctx.await_credit("data", k)
-        reqs: List[Request] = []
-        for c, (lo, hi), nb in self.route:
-            sub = Y[lo - self.glo : hi - self.glo] if Y is not None else None
-            reqs.append(
-                ctx.rc.isend(ctx.payload(sub, nb), self.cfar_ranks[c], data_tag(k))
-            )
-        yield from _send_routed(ctx, k, reqs)
+        return {"cfar": Y}
 
 
 # ---------------------------------------------------------------------------
@@ -621,30 +487,23 @@ class CfarStages(_ReportWriterMixin):
     """CA-CFAR over this node's global bins; produces detection reports."""
 
     def setup(self) -> bool:
-        ctx, plan, p = self.ctx, self.ctx.plan, self.ctx.params
-        self.glo, self.ghi = plan.bins_cfar.bounds(ctx.local)
+        ctx, p = self.ctx, self.ctx.params
+        self.glo, self.ghi = ctx.plan.bins_cfar.bounds(ctx.local)
         if self.ghi <= self.glo:
             return False
         share = (self.ghi - self.glo) / p.n_doppler_bins
         self.t_compute = ctx.model_time(ctx.costs.cfar_flops(), share)
-        self.pc_ranks = ctx.ranks("pulse_compr")
-        self.producers = plan.cfar_expected_pc_producers(ctx.local)
         self._setup_report_writer()
         return True
 
     def recv(self, k: int):
-        ctx, plan, p = self.ctx, self.ctx.plan, self.ctx.params
+        ctx, p = self.ctx, self.ctx.params
         buf = (
             _empty((self.ghi - self.glo, p.n_beams, p.n_ranges), dtype=p.dtype)
             if ctx.cfg.compute
             else None
         )
-        for j in self.producers:
-            arr = yield from ctx.rc.recv(self.pc_ranks[j], data_tag(k))
-            if buf is not None:
-                lo, hi = plan.bins_cfar.overlap(ctx.local, plan.bins_pc, j)
-                buf[lo - self.glo : hi - self.glo] = arr
-            ctx.send_ack(self.pc_ranks[j], k)
+        yield from _recv(ctx, k, {"pulse_compr": buf})
         return buf
 
     def compute(self, k: int, buf):
@@ -672,10 +531,6 @@ class PulseCfarStages(_BinRowsMixin, _ReportWriterMixin):
         )
         self._setup_report_writer()
         return True
-
-    def recv(self, k: int):
-        buf = yield from self._recv_bin_rows(k)
-        return buf
 
     def compute(self, k: int, buf):
         ctx = self.ctx

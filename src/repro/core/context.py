@@ -167,8 +167,11 @@ class TaskContext:
         self._phantom = Phantom
         # Every ack carries this one payload: only its size is read.
         self._ack = Phantom(ACK_NBYTES, {"ack": True})
-        # Per-consumer-set credit bookkeeping: edge key -> consumer ranks.
-        self._credit_consumers: Dict[str, Tuple[int, ...]] = {}
+        #: This node's messages, read from the plan's one list per edge.
+        self.out_messages = plan.out_messages(task.name, local)
+        self.in_messages = plan.in_messages(task.name, local)
+        #: The credit window's consumer ranks: those of the out-messages.
+        self.consumers = tuple(sorted({link.rank for link in self.out_messages}))
 
     # -- sugar ------------------------------------------------------------
     @property
@@ -233,22 +236,18 @@ class TaskContext:
         return self.node_spec.compute_time(full_cpi_flops * share, bytes_touched * share)
 
     # -- flow control ----------------------------------------------------------
-    def register_consumers(self, edge: str, consumer_ranks) -> None:
-        """Declare the consumer set of an outgoing edge (once, at start)."""
-        self._credit_consumers[edge] = tuple(sorted(set(consumer_ranks)))
+    def await_credit(self, cpi: int):
+        """Process generator: wait for every consumer's ack of CPI
+        ``cpi - window``.
 
-    def await_credit(self, edge: str, cpi: int):
-        """Process generator: wait for acks of CPI ``cpi - window``.
-
-        Call before *sending* CPI ``cpi`` on ``edge``.  Records the stall
-        as a CREDIT phase (idle, excluded from service times).
+        Call before *sending* CPI ``cpi``.  Records the stall as a
+        CREDIT phase (idle, excluded from service times).
         """
         need = cpi - self.cfg.window
         if need < 0:
             return
-        consumers = self._credit_consumers[edge]
         t0 = self.now
-        for c in consumers:
+        for c in self.consumers:
             yield from self.rc.recv(source=c, tag=data_tag(need))
         if self.now > t0:
             self.record(cpi, Phase.CREDIT, t0)

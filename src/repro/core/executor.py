@@ -27,10 +27,10 @@ bodies) is imported by :meth:`Substrate.build` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DeadlockError
 from repro.core.context import ExecutionConfig, TaskContext
 from repro.core.metrics import DroppedCpi, PipelineMeasurement, measure
 from repro.core.serialize import Codec, LazyMapping, coded, from_dict, sparse
@@ -180,6 +180,9 @@ class Substrate:
         The shared :class:`~repro.obs.MetricsRegistry` and its
         kernel-hook :class:`~repro.obs.Sampler`, or None when the run is
         not metered.
+    task_processes:
+        Every tenant's task-node processes, shared by all tenant views,
+        so a deadlock can name the nodes still blocked.
     """
 
     kernel: Kernel
@@ -190,6 +193,7 @@ class Substrate:
     file_prefix: str = "cpi"
     metrics: Optional[MetricsRegistry] = None
     sampler: Optional[Sampler] = None
+    task_processes: List[Any] = field(default_factory=list)
 
     @classmethod
     def build(
@@ -267,7 +271,15 @@ class Substrate:
 
             instrument_substrate(self.metrics, self)
             self.sampler.attach()
-        self.kernel.run()
+        try:
+            self.kernel.run()
+        except DeadlockError as exc:
+            blocked = [p.name for p in self.task_processes if p.is_alive]
+            if not blocked:
+                raise
+            raise DeadlockError(
+                f"{exc}; blocked task nodes: {', '.join(blocked)}"
+            ) from None
         if self.sampler is not None:
             self.sampler.finalize(self.kernel.now)
 
@@ -525,9 +537,11 @@ class PipelineExecutor:
                     tenant=self.tenant,
                     arrival_times=self._arrival_times,
                 )
-                self.kernel.process(
-                    body_for(inst.spec.kind, ctx),
-                    name=f"{self._stem}{name}[{local}]",
+                self.substrate.task_processes.append(
+                    self.kernel.process(
+                        body_for(inst.spec.kind, ctx),
+                        name=f"{self._stem}{name}[{local}]",
+                    )
                 )
 
     def spawn_writer(self, load) -> None:

@@ -9,17 +9,20 @@ to concrete partitions:
 * pulse compression, CFAR, and the combined task partition **global
   Doppler bins**.
 
-All inter-task message routing (who sends which slice to whom, and how
-many messages each node must expect) is derived here from pure partition
-arithmetic, so the compute-mode and timing-mode executors follow exactly
-the same communication pattern.
+Every inter-task redistribution is one :class:`Route`: the list of its
+:class:`Message` s, derived here once from pure partition arithmetic.
+Senders, receivers, credit windows and the validator all read that one
+list, so the compute-mode and timing-mode executors follow exactly the
+same communication pattern, and no consumer can expect a message that
+no producer sends.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.errors import PipelineError
 from repro.core.partition import BlockPartition, label_block_rows
@@ -27,7 +30,86 @@ from repro.core.pipeline import PipelineSpec
 from repro.core.task import TaskInstance
 from repro.stap.params import STAPParams, training_gate_indices
 
-__all__ = ["PipelinePlan"]
+__all__ = ["PipelinePlan", "Route", "Message", "Link"]
+
+#: A numpy index kept as plain slices and lists, so that timing mode,
+#: which moves only byte counts, never needs numpy.
+Index = Union[slice, List[int], Tuple[Union[slice, List[int]], ...]]
+
+_ALL = slice(None)
+
+
+def _gates(lo: int, hi: int) -> Index:
+    """Range gates ``[lo, hi)`` of a (channel|dof, pulse|row, gate) array."""
+    return (_ALL, _ALL, slice(lo, hi))
+
+
+class Message(NamedTuple):
+    """One inter-task message, sent once per CPI.
+
+    Producer node ``src`` sends the ``take`` slice of its output to
+    consumer node ``dst``, which stores it at ``put`` in its input
+    buffer; both nodes are task-local indices.
+    """
+
+    src: int
+    dst: int
+    take: Index
+    put: Index
+    nbytes: int
+
+
+class Route(NamedTuple):
+    """One inter-task edge: all messages from task ``src`` to task
+    ``dst``, ordered by (producer, consumer)."""
+
+    src: str
+    dst: str
+    messages: Tuple[Message, ...]
+
+
+class Link(NamedTuple):
+    """One of a node's messages, seen from that node: ``peer`` is the
+    task at the other end and ``rank`` its node's global rank."""
+
+    peer: str
+    rank: int
+    message: Message
+
+
+#: Task name -> the plan attribute holding its partition.
+_PARTITION = {
+    "read": "ranges_read",
+    "doppler": "ranges_doppler",
+    "easy_weight": "rows_easy_w",
+    "hard_weight": "rows_hard_w",
+    "easy_bf": "rows_easy_bf",
+    "hard_bf": "rows_hard_bf",
+    "pulse_compr": "bins_pc",
+    "pc_cfar": "bins_pc",
+    "cfar": "bins_cfar",
+}
+
+
+def _overlaps(
+    src: BlockPartition, dst: BlockPartition, unit_bytes: int, index=slice
+) -> Tuple[Message, ...]:
+    """Redistribute one unit axis from ``src``'s blocks to ``dst``'s:
+    each producer sends each consumer their overlap, ``index``-ed in
+    both nodes' local coordinates."""
+    out = []
+    for i in range(src.parts):
+        ilo = src.bounds(i)[0]
+        for j in src.peers_overlapping(i, dst):
+            lo, hi = src.overlap(i, dst, j)
+            jlo = dst.bounds(j)[0]
+            out.append(
+                Message(
+                    i, j, index(lo - ilo, hi - ilo), index(lo - jlo, hi - jlo),
+                    (hi - lo) * unit_bytes,
+                )
+            )
+    return tuple(out)
 
 
 @dataclass
@@ -85,6 +167,10 @@ class PipelinePlan:
         """Global ranks of a task's nodes."""
         return self.instances[task].ranks
 
+    def partition(self, task: str) -> BlockPartition:
+        """The block partition of ``task``'s work over its nodes."""
+        return getattr(self, _PARTITION[task])
+
     # -- training-gate routing ------------------------------------------------
     def train_gate_cols(self, rlo: int, rhi: int) -> List[int]:
         """Which training-gate *columns* (indices into the gate list)
@@ -92,181 +178,129 @@ class PipelinePlan:
         gates = self.train_gates
         return list(range(bisect_left(gates, rlo), bisect_left(gates, rhi)))
 
-    # -- routing tables ----------------------------------------------------------
-    # Each entry: (consumer_local_index, slice description, nbytes).
+    # -- routing ------------------------------------------------------------------
+    @cached_property
+    def routes(self) -> Tuple[Route, ...]:
+        """One :class:`Route` per inter-task edge, built on first use.
 
-    def doppler_to_bf(
-        self, dop_local: int, easy: bool
-    ) -> List[Tuple[int, Tuple[int, int], int]]:
-        """What Doppler node ``dop_local`` sends each easy/hard BF node.
-
-        Returns (bf_local, (row_lo, row_hi), nbytes); the range extent is
-        the Doppler node's own slab, the rows are the consumer's.
+        The list order is the order nodes process their edges: a node
+        sends its out-routes and receives its in-routes in list order,
+        one message per peer in ascending peer order.  So Doppler sends
+        easy beamforming, hard beamforming, easy weights, then hard
+        weights; beamforming receives its weights before its data; and
+        pulse compression receives the easy stream before the hard one.
         """
         p = self.params
-        rlo, rhi = self.ranges_doppler.bounds(dop_local)
-        rows_bf = self.rows_easy_bf if easy else self.rows_hard_bf
-        dof = p.easy_dof if easy else p.hard_dof
+        routes = []
+        if self.ranges_read is not None:
+            row = p.n_channels * p.n_pulses * self.itemsize
+            routes.append(
+                Route("read", "doppler", _overlaps(
+                    self.ranges_read, self.ranges_doppler, row, _gates))
+            )
+        streams = (
+            ("easy", self.rows_easy_w, self.rows_easy_bf, p.easy_dof, self.easy_labels),
+            ("hard", self.rows_hard_w, self.rows_hard_bf, p.hard_dof, self.hard_labels),
+        )
+        for s, rows_w, rows_bf, dof, _ in streams:
+            unit = dof * p.n_beams * self.itemsize
+            routes.append(
+                Route(f"{s}_weight", f"{s}_bf", _overlaps(rows_w, rows_bf, unit))
+            )
+        for s, _, rows_bf, dof, _ in streams:
+            routes.append(Route("doppler", f"{s}_bf", self._doppler_to_bf(rows_bf, dof)))
+        for s, rows_w, _, dof, _ in streams:
+            routes.append(
+                Route("doppler", f"{s}_weight", self._doppler_to_weights(rows_w, dof))
+            )
+        for s, _, rows_bf, _, labels in streams:
+            routes.append(Route(f"{s}_bf", self.pc_task, self._bf_to_pc(rows_bf, labels)))
+        if self.bins_cfar is not None:
+            unit = p.n_beams * p.n_ranges * self.itemsize
+            routes.append(
+                Route("pulse_compr", "cfar", _overlaps(self.bins_pc, self.bins_cfar, unit))
+            )
+        return tuple(routes)
+
+    def _doppler_to_bf(self, rows_bf: BlockPartition, dof: int) -> Tuple[Message, ...]:
+        """Each Doppler node's range slab of each beamforming node's rows."""
         out = []
-        for c in range(rows_bf.parts):
-            blo, bhi = rows_bf.bounds(c)
-            if bhi <= blo:
+        consumers = [(c, b) for c, b in enumerate(rows_bf.all_bounds()) if b[1] > b[0]]
+        for d, (rlo, rhi) in enumerate(self.ranges_doppler.all_bounds()):
+            if rhi <= rlo:
                 continue
-            nbytes = (bhi - blo) * dof * (rhi - rlo) * self.itemsize
-            out.append((c, (blo, bhi), nbytes))
-        return out
+            for c, (blo, bhi) in consumers:
+                nbytes = (bhi - blo) * dof * (rhi - rlo) * self.itemsize
+                out.append(Message(d, c, slice(blo, bhi), _gates(rlo, rhi), nbytes))
+        return tuple(out)
 
-    def doppler_to_weights(
-        self, dop_local: int, easy: bool
-    ) -> List[Tuple[int, Tuple[int, int], List[int], int]]:
-        """What Doppler node ``dop_local`` sends each weight node.
+    def _doppler_to_weights(
+        self, rows_w: BlockPartition, dof: int
+    ) -> Tuple[Message, ...]:
+        """Each Doppler node's training-gate columns of each weight
+        node's rows: weight training never needs the full range extent,
+        and a Doppler node that holds no training gate sends nothing."""
+        out = []
+        consumers = [(c, b) for c, b in enumerate(rows_w.all_bounds()) if b[1] > b[0]]
+        for d, (rlo, rhi) in enumerate(self.ranges_doppler.all_bounds()):
+            cols = self.train_gate_cols(rlo, rhi)
+            if not cols:
+                continue
+            gates = [self.train_gates[c] - rlo for c in cols]
+            for c, (blo, bhi) in consumers:
+                nbytes = (bhi - blo) * dof * len(cols) * self.itemsize
+                out.append(
+                    Message(d, c, (slice(blo, bhi), _ALL, gates), (_ALL, _ALL, cols), nbytes)
+                )
+        return tuple(out)
 
-        Only training-gate columns travel (weight training never needs
-        the full range extent).  Returns
-        (w_local, (row_lo, row_hi), gate_cols, nbytes); empty-gate
-        entries are skipped — the consumer knows which producers to
-        expect via :meth:`weight_expected_producers`.
-        """
+    def _bf_to_pc(
+        self, rows_bf: BlockPartition, labels: Tuple[int, ...]
+    ) -> Tuple[Message, ...]:
+        """Beam rows each beamforming node sends each pulse-compression
+        node: the rows whose global bin labels the PC node owns, placed
+        at those bins."""
         p = self.params
-        rlo, rhi = self.ranges_doppler.bounds(dop_local)
-        cols = self.train_gate_cols(rlo, rhi)
-        rows_w = self.rows_easy_w if easy else self.rows_hard_w
-        dof = p.easy_dof if easy else p.hard_dof
-        out = []
-        if len(cols) == 0:
-            return out
-        for c in range(rows_w.parts):
-            blo, bhi = rows_w.bounds(c)
-            if bhi <= blo:
-                continue
-            nbytes = (bhi - blo) * dof * len(cols) * self.itemsize
-            out.append((c, (blo, bhi), cols, nbytes))
-        return out
-
-    def weight_expected_producers(self) -> List[int]:
-        """Doppler-local indices that hold at least one training gate."""
-        out = []
-        for i in range(self.ranges_doppler.parts):
-            rlo, rhi = self.ranges_doppler.bounds(i)
-            if len(self.train_gate_cols(rlo, rhi)) > 0:
-                out.append(i)
-        return out
-
-    def weights_to_bf(
-        self, w_local: int, easy: bool
-    ) -> List[Tuple[int, Tuple[int, int], int]]:
-        """Weight rows each weight node sends each BF node (overlaps)."""
-        p = self.params
-        rows_w = self.rows_easy_w if easy else self.rows_hard_w
-        rows_bf = self.rows_easy_bf if easy else self.rows_hard_bf
-        dof = p.easy_dof if easy else p.hard_dof
-        out = []
-        for c in rows_w.peers_overlapping(w_local, rows_bf):
-            lo, hi = rows_w.overlap(w_local, rows_bf, c)
-            if hi <= lo:
-                continue
-            nbytes = (hi - lo) * dof * p.n_beams * self.itemsize
-            out.append((c, (lo, hi), nbytes))
-        return out
-
-    def bf_expected_weight_producers(self, bf_local: int, easy: bool) -> List[int]:
-        """Weight-task locals a BF node receives weights from."""
-        rows_w = self.rows_easy_w if easy else self.rows_hard_w
-        rows_bf = self.rows_easy_bf if easy else self.rows_hard_bf
-        return [
-            j
-            for j in rows_bf.peers_overlapping(bf_local, rows_w)
-            if rows_bf.overlap(bf_local, rows_w, j)[1]
-            > rows_bf.overlap(bf_local, rows_w, j)[0]
+        # The plan built these label lists sorted; skip the re-scan.
+        pc = [
+            (glo, *label_block_rows(labels, glo, ghi, assume_sorted=True))
+            for glo, ghi in self.bins_pc.all_bounds()
         ]
-
-    def bf_to_pc(
-        self, bf_local: int, easy: bool
-    ) -> List[Tuple[int, Tuple[int, int], int]]:
-        """Beam rows each BF node sends each pulse-compression node.
-
-        Rows are in the easy/hard *row* space; the PC node re-labels
-        them to global bins via the stream's label list.
-        """
-        p = self.params
-        rows_bf = self.rows_easy_bf if easy else self.rows_hard_bf
-        labels = self.easy_labels if easy else self.hard_labels
-        mylo, myhi = rows_bf.bounds(bf_local)
+        unit = p.n_beams * p.n_ranges * self.itemsize
         out = []
-        for c in range(self.bins_pc.parts):
-            glo, ghi = self.bins_pc.bounds(c)
-            # The plan built these label lists sorted; skip the re-scan.
-            row_lo, row_hi = label_block_rows(labels, glo, ghi, assume_sorted=True)
-            lo, hi = max(row_lo, mylo), min(row_hi, myhi)
-            if hi <= lo:
-                continue
-            nbytes = (hi - lo) * p.n_beams * p.n_ranges * self.itemsize
-            out.append((c, (lo, hi), nbytes))
-        return out
+        for b in range(rows_bf.parts):
+            mylo, myhi = rows_bf.bounds(b)
+            for c, (glo, row_lo, row_hi) in enumerate(pc):
+                lo, hi = max(row_lo, mylo), min(row_hi, myhi)
+                if hi <= lo:
+                    continue
+                put = [labels[r] - glo for r in range(lo, hi)]
+                out.append(Message(b, c, slice(lo - mylo, hi - mylo), put, (hi - lo) * unit))
+        return tuple(out)
 
-    def pc_expected_bf_producers(self, pc_local: int) -> List[Tuple[str, int]]:
-        """(bf task name, bf local) pairs a PC node receives from."""
-        out: List[Tuple[str, int]] = []
-        glo, ghi = self.bins_pc.bounds(pc_local)
-        for easy, task, rows_bf, labels in (
-            (True, "easy_bf", self.rows_easy_bf, self.easy_labels),
-            (False, "hard_bf", self.rows_hard_bf, self.hard_labels),
-        ):
-            row_lo, row_hi = label_block_rows(labels, glo, ghi, assume_sorted=True)
-            if row_hi <= row_lo:
-                continue
-            for j in range(rows_bf.parts):
-                blo, bhi = rows_bf.bounds(j)
-                if max(blo, row_lo) < min(bhi, row_hi):
-                    out.append((task, j))
-        return out
+    def messages(self, src: str, dst: str) -> Tuple[Message, ...]:
+        """The messages of the ``src -> dst`` edge."""
+        for route in self.routes:
+            if route.src == src and route.dst == dst:
+                return route.messages
+        raise PipelineError(f"pipeline {self.spec.name!r} has no {src}->{dst} edge")
 
-    def pc_to_cfar(self, pc_local: int) -> List[Tuple[int, Tuple[int, int], int]]:
-        """Global-bin rows each PC node sends each CFAR node."""
-        if self.bins_cfar is None:
-            raise PipelineError("combined pipeline has no pc->cfar edge")
-        p = self.params
-        out = []
-        for c in self.bins_pc.peers_overlapping(pc_local, self.bins_cfar):
-            lo, hi = self.bins_pc.overlap(pc_local, self.bins_cfar, c)
-            if hi <= lo:
-                continue
-            nbytes = (hi - lo) * p.n_beams * p.n_ranges * self.itemsize
-            out.append((c, (lo, hi), nbytes))
-        return out
+    @cached_property
+    def _links(self) -> Tuple[Dict, Dict]:
+        """(task, local) -> its outgoing and its incoming :class:`Link` s."""
+        out: Dict[Tuple[str, int], List[Link]] = {}
+        into: Dict[Tuple[str, int], List[Link]] = {}
+        for src, dst, messages in self.routes:
+            src_ranks, dst_ranks = self.ranks(src), self.ranks(dst)
+            for m in messages:
+                out.setdefault((src, m.src), []).append(Link(dst, dst_ranks[m.dst], m))
+                into.setdefault((dst, m.dst), []).append(Link(src, src_ranks[m.src], m))
+        return out, into
 
-    def cfar_expected_pc_producers(self, cfar_local: int) -> List[int]:
-        """PC locals a CFAR node receives from."""
-        if self.bins_cfar is None:
-            raise PipelineError("combined pipeline has no pc->cfar edge")
-        return [
-            j
-            for j in self.bins_cfar.peers_overlapping(cfar_local, self.bins_pc)
-            if self.bins_cfar.overlap(cfar_local, self.bins_pc, j)[1]
-            > self.bins_cfar.overlap(cfar_local, self.bins_pc, j)[0]
-        ]
+    def out_messages(self, task: str, local: int) -> List[Link]:
+        """Node ``task[local]``'s messages, in send order."""
+        return self._links[0].get((task, local), [])
 
-    def read_to_doppler(self, read_local: int) -> List[Tuple[int, Tuple[int, int], int]]:
-        """Range sub-slabs a read node sends each Doppler node."""
-        if self.ranges_read is None:
-            raise PipelineError("embedded pipeline has no read task")
-        p = self.params
-        row = p.n_channels * p.n_pulses * self.itemsize
-        out = []
-        for c in self.ranges_read.peers_overlapping(read_local, self.ranges_doppler):
-            lo, hi = self.ranges_read.overlap(read_local, self.ranges_doppler, c)
-            if hi <= lo:
-                continue
-            out.append((c, (lo, hi), (hi - lo) * row))
-        return out
-
-    def doppler_expected_read_producers(self, dop_local: int) -> List[int]:
-        """Read locals a Doppler node receives its slab from."""
-        if self.ranges_read is None:
-            raise PipelineError("embedded pipeline has no read task")
-        return [
-            j
-            for j in self.ranges_doppler.peers_overlapping(dop_local, self.ranges_read)
-            if self.ranges_doppler.overlap(dop_local, self.ranges_read, j)[1]
-            > self.ranges_doppler.overlap(dop_local, self.ranges_read, j)[0]
-        ]
+    def in_messages(self, task: str, local: int) -> List[Link]:
+        """Messages addressed to node ``task[local]``, in receive order."""
+        return self._links[1].get((task, local), [])

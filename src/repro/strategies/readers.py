@@ -337,8 +337,7 @@ def declare_access_pattern(ctx) -> None:
     pattern's stripe units in contiguous blocks over the directories,
     landing each node's slab on the minimal directory set.
     """
-    plan = ctx.plan
-    part = plan.ranges_read if ctx.name == "read" else plan.ranges_doppler
+    part = ctx.plan.partition(ctx.name)
     bounds = [part.bounds(i) for i in range(part.parts) if part.size(i) > 0]
     lo = min(b[0] for b in bounds)
     hi = max(b[1] for b in bounds)
@@ -367,8 +366,7 @@ class TwoPhaseReader(SlabReader):
 
     def __init__(self, ctx, rlo: int, rhi: int) -> None:
         super().__init__(ctx, rlo, rhi)
-        plan = ctx.plan
-        part = plan.ranges_read if ctx.name == "read" else plan.ranges_doppler
+        part = ctx.plan.partition(ctx.name)
         self.peer_ranks = ctx.ranks(ctx.name)
         self.participants = [i for i in range(part.parts) if part.size(i) > 0]
         #: local -> [slab_lo, slab_hi) byte extent in any CPI file.

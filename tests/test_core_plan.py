@@ -1,8 +1,8 @@
-"""Tests for the execution plan's routing tables.
+"""Tests for the execution plan's message lists.
 
 The key invariants: every unit of every stream is routed exactly once,
-producer routes and consumer expectations agree, and byte accounting
-matches the cost models.
+each node receives exactly the messages addressed to it, and byte
+accounting matches the cost models.
 """
 
 import pytest
@@ -48,148 +48,133 @@ class TestStructure:
         assert sorted(all_ranks) == list(range(plan.spec.total_nodes))
 
 
+def rows(take):
+    """Length of a row-slice ``take``."""
+    return take.stop - take.start
+
+
+def received(plan, task, local, producer):
+    """The messages node ``task[local]`` receives from ``producer``."""
+    return [
+        link.message
+        for link in plan.in_messages(task, local)
+        if link.peer == producer
+    ]
+
+
 class TestDopplerRouting:
     def test_bf_routes_cover_all_rows(self, plan_embedded, small_params):
         plan = plan_embedded
-        for easy, total_rows in ((True, small_params.n_easy_bins), (False, small_params.n_hard_bins)):
+        for s, total_rows in (("easy", small_params.n_easy_bins), ("hard", small_params.n_hard_bins)):
+            messages = plan.messages("doppler", f"{s}_bf")
             for dop in range(plan.ranges_doppler.parts):
-                rows_covered = sum(
-                    hi - lo for _, (lo, hi), _ in plan.doppler_to_bf(dop, easy)
-                )
+                rows_covered = sum(rows(m.take) for m in messages if m.src == dop)
                 assert rows_covered == total_rows
 
     def test_bf_route_bytes_match_cost_model(self, plan_embedded, small_params):
         plan = plan_embedded
         costs = STAPCosts(small_params)
-        total = sum(
-            nb
-            for dop in range(plan.ranges_doppler.parts)
-            for _, _, nb in plan.doppler_to_bf(dop, True)
-        )
+        total = sum(m.nbytes for m in plan.messages("doppler", "easy_bf"))
         assert total == costs.doppler_easy_bytes()
 
     def test_weight_routes_cover_all_gates(self, plan_embedded, small_params):
         plan = plan_embedded
-        cols_seen = []
-        for dop in range(plan.ranges_doppler.parts):
-            routes = plan.doppler_to_weights(dop, easy=True)
-            if routes:
-                cols_seen.extend(routes[0][2])  # same cols for every consumer
-        assert sorted(cols_seen) == list(range(len(plan.train_gates)))
+        # Every weight node gets the same columns from one Doppler node.
+        cols = {m.src: m.put[2] for m in plan.messages("doppler", "easy_weight")}
+        cols_seen = [c for dop in sorted(cols) for c in cols[dop]]
+        assert cols_seen == list(range(len(plan.train_gates)))
 
     def test_weight_producers_match_gate_owners(self, plan_embedded):
         plan = plan_embedded
-        expected = plan.weight_expected_producers()
-        for dop in range(plan.ranges_doppler.parts):
-            has_route = bool(plan.doppler_to_weights(dop, True))
-            assert (dop in expected) == has_route
+        owners = [
+            dop
+            for dop in range(plan.ranges_doppler.parts)
+            if plan.train_gate_cols(*plan.ranges_doppler.bounds(dop))
+        ]
+        for w in range(plan.rows_easy_w.parts):
+            producers = [m.src for m in received(plan, "easy_weight", w, "doppler")]
+            assert producers == owners
 
 
 class TestWeightToBF:
     def test_rows_conserved(self, plan_embedded, small_params):
         plan = plan_embedded
-        for easy, rows_w, total in (
-            (True, plan.rows_easy_w, small_params.n_easy_bins),
-            (False, plan.rows_hard_w, small_params.n_hard_bins),
+        for s, total in (
+            ("easy", small_params.n_easy_bins),
+            ("hard", small_params.n_hard_bins),
         ):
-            covered = sum(
-                hi - lo
-                for w in range(rows_w.parts)
-                for _, (lo, hi), _ in plan.weights_to_bf(w, easy)
-            )
+            covered = sum(rows(m.take) for m in plan.messages(f"{s}_weight", f"{s}_bf"))
             assert covered == total
 
     def test_bf_expectations_mirror_routes(self, plan_embedded):
         plan = plan_embedded
-        for easy, rows_bf, rows_w in (
-            (True, plan.rows_easy_bf, plan.rows_easy_w),
-            (False, plan.rows_hard_bf, plan.rows_hard_w),
-        ):
-            # build reverse map from producer routes
-            incoming = {c: set() for c in range(rows_bf.parts)}
-            for w in range(rows_w.parts):
-                for c, _, _ in plan.weights_to_bf(w, easy):
-                    incoming[c].add(w)
-            for c in range(rows_bf.parts):
-                assert set(plan.bf_expected_weight_producers(c, easy)) == incoming[c]
+        for s in ("easy", "hard"):
+            messages = plan.messages(f"{s}_weight", f"{s}_bf")
+            for c in range(plan.partition(f"{s}_bf").parts):
+                assert received(plan, f"{s}_bf", c, f"{s}_weight") == [
+                    m for m in messages if m.dst == c
+                ]
+
+
+def routed_bins(plan):
+    """Global bins the beamforming nodes send, by their row ``take``."""
+    routed = []
+    for s, labels in (("easy", plan.easy_labels), ("hard", plan.hard_labels)):
+        for m in plan.messages(f"{s}_bf", plan.pc_task):
+            blo = plan.partition(f"{s}_bf").bounds(m.src)[0]
+            routed.extend(labels[blo + m.take.start : blo + m.take.stop])
+    return routed
 
 
 class TestBFToPC:
     def test_all_bins_routed_once(self, plan_embedded, small_params):
-        plan = plan_embedded
-        routed = []
-        for easy, rows_bf, labels in (
-            (True, plan.rows_easy_bf, plan.easy_labels),
-            (False, plan.rows_hard_bf, plan.hard_labels),
-        ):
-            for bf in range(rows_bf.parts):
-                for _, (lo, hi), _ in plan.bf_to_pc(bf, easy):
-                    routed.extend(labels[lo:hi])
+        routed = routed_bins(plan_embedded)
         assert sorted(routed) == list(range(small_params.n_doppler_bins))
 
     def test_pc_expectations_mirror_routes(self, plan_embedded):
         plan = plan_embedded
-        incoming = {c: set() for c in range(plan.bins_pc.parts)}
-        for easy, rows_bf, task in (
-            (True, plan.rows_easy_bf, "easy_bf"),
-            (False, plan.rows_hard_bf, "hard_bf"),
-        ):
-            for bf in range(rows_bf.parts):
-                for c, _, _ in plan.bf_to_pc(bf, easy):
-                    incoming[c].add((task, bf))
         for c in range(plan.bins_pc.parts):
-            assert set(plan.pc_expected_bf_producers(c)) == incoming[c]
+            # Easy rows arrive before hard ones.
+            expected = [
+                m
+                for s in ("easy", "hard")
+                for m in plan.messages(f"{s}_bf", "pulse_compr")
+                if m.dst == c
+            ]
+            assert [link.message for link in plan.in_messages("pulse_compr", c)] == expected
 
     def test_same_for_combined_pipeline(self, plan_combined, small_params):
-        plan = plan_combined
-        routed = []
-        for easy, rows_bf, labels in (
-            (True, plan.rows_easy_bf, plan.easy_labels),
-            (False, plan.rows_hard_bf, plan.hard_labels),
-        ):
-            for bf in range(rows_bf.parts):
-                for _, (lo, hi), _ in plan.bf_to_pc(bf, easy):
-                    routed.extend(labels[lo:hi])
+        routed = routed_bins(plan_combined)
         assert sorted(routed) == list(range(small_params.n_doppler_bins))
 
 
 class TestPCToCFAR:
     def test_bins_conserved(self, plan, small_params):
-        covered = sum(
-            hi - lo
-            for pc in range(plan.bins_pc.parts)
-            for _, (lo, hi), _ in plan.pc_to_cfar(pc)
-        )
+        covered = sum(rows(m.take) for m in plan.messages("pulse_compr", "cfar"))
         assert covered == small_params.n_doppler_bins
 
     def test_combined_pipeline_has_no_edge(self, plan_combined):
         from repro.errors import PipelineError
 
         with pytest.raises(PipelineError):
-            plan_combined.pc_to_cfar(0)
-        with pytest.raises(PipelineError):
-            plan_combined.cfar_expected_pc_producers(0)
+            plan_combined.messages("pulse_compr", "cfar")
+        assert plan_combined.in_messages("cfar", 0) == []
 
 
 class TestReadToDoppler:
     def test_ranges_conserved(self, plan, small_params):
-        covered = sum(
-            hi - lo
-            for rd in range(plan.ranges_read.parts)
-            for _, (lo, hi), _ in plan.read_to_doppler(rd)
-        )
+        covered = sum(rows(m.take[2]) for m in plan.messages("read", "doppler"))
         assert covered == small_params.n_ranges
 
     def test_doppler_expectations_mirror_routes(self, plan):
-        incoming = {c: set() for c in range(plan.ranges_doppler.parts)}
-        for rd in range(plan.ranges_read.parts):
-            for c, _, _ in plan.read_to_doppler(rd):
-                incoming[c].add(rd)
+        messages = plan.messages("read", "doppler")
         for c in range(plan.ranges_doppler.parts):
-            assert set(plan.doppler_expected_read_producers(c)) == incoming[c]
+            assert received(plan, "doppler", c, "read") == [
+                m for m in messages if m.dst == c
+            ]
 
     def test_embedded_plan_raises(self, plan_embedded):
         from repro.errors import PipelineError
 
         with pytest.raises(PipelineError):
-            plan_embedded.read_to_doppler(0)
+            plan_embedded.messages("read", "doppler")

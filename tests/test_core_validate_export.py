@@ -61,12 +61,29 @@ class TestValidatePlan:
         with pytest.raises(PipelineError, match="validation failed"):
             validate_plan(plan)
 
-    def test_mismatched_expectation_detected(self, small_params):
-        a = NodeAssignment.balanced(small_params, 20)
-        plan = PipelinePlan(build_embedded_pipeline(a), small_params)
-        plan.bf_expected_weight_producers = lambda c, easy: []  # type: ignore
-        with pytest.raises(PipelineError, match="mirror"):
-            validate_plan(plan)
+    def test_deadlock_names_blocked_node(self, small_params, monkeypatch):
+        """A node waiting for a message nobody sends is named."""
+        from repro.core import bodies
+        from repro.core.context import ExecutionConfig, data_tag
+        from repro.core.executor import FSConfig, PipelineExecutor
+        from repro.errors import DeadlockError
+        from repro.machine.presets import paragon
+
+        honest_recv = bodies.CfarStages.recv
+
+        def sabotaged_recv(self, k):
+            if self.ctx.local == 1:
+                yield from self.ctx.rc.recv(0, data_tag(k + 1000))
+            return (yield from honest_recv(self, k))
+
+        monkeypatch.setattr(bodies.CfarStages, "recv", sabotaged_recv)
+        a = NodeAssignment(4, 1, 1, 2, 2, 2, cfar=2)
+        ex = PipelineExecutor(
+            build_embedded_pipeline(a), small_params, paragon(),
+            FSConfig("pfs", 4), ExecutionConfig(n_cpis=3, warmup=1),
+        )
+        with pytest.raises(DeadlockError, match=r"blocked task nodes: .*cfar\[1\]"):
+            ex.run()
 
 
 class TestChromeExport:

@@ -11,7 +11,7 @@ find partition/routing corner cases the hand-written tests missed.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.context import ExecutionConfig
+from repro.core.context import ExecutionConfig, TaskContext
 from repro.core.executor import FSConfig, PipelineExecutor
 from repro.core.pipeline import (
     NodeAssignment,
@@ -71,7 +71,38 @@ class TestPlanFuzz:
     @settings(max_examples=120, deadline=None)
     def test_every_legal_config_plans_coherently(self, params, assignment, b):
         spec = BUILDERS[b](assignment)
-        validate_plan(PipelinePlan(spec, params))
+        plan = PipelinePlan(spec, params)
+        validate_plan(plan)
+        # No message leaves or enters an empty partition.
+        for route in plan.routes:
+            src, dst = plan.partition(route.src), plan.partition(route.dst)
+            for m in route.messages:
+                assert src.size(m.src) > 0 and dst.size(m.dst) > 0
+        cfg = ExecutionConfig()
+        for task, inst in plan.instances.items():
+            for local in range(inst.n_nodes):
+                # Its in-messages are exactly those addressed to it, edge
+                # by edge, in ascending producer order.
+                links = plan.in_messages(task, local)
+                assert [(link.peer, link.message) for link in links] == [
+                    (route.src, m)
+                    for route in plan.routes
+                    if route.dst == task
+                    for m in route.messages
+                    if m.dst == local
+                ]
+                for route in plan.routes:
+                    srcs = [link.message.src for link in links if link.peer == route.src]
+                    assert srcs == sorted(srcs)
+                assert all(
+                    link.rank == plan.ranks(link.peer)[link.message.src]
+                    for link in links
+                )
+                # Its credit set is the unique ranks of its out-messages.
+                ctx = TaskContext(None, None, inst, local, plan, cfg, None, None, None, {})
+                assert ctx.consumers == tuple(
+                    sorted({link.rank for link in plan.out_messages(task, local)})
+                )
 
 
 class TestRunFuzz:

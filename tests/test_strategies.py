@@ -114,6 +114,38 @@ DEADLINE_HASHES = {
 }
 
 
+#: Full-result hashes of the small spec in threaded mode (receive,
+#: compute and send as concurrent node threads, so the credit wait sits
+#: in the send thread), on the Paragon mesh with PFS and on the SP
+#: switch with PIOFS; captured before the plan listed each inter-task
+#: edge once as one message table.
+THREADED_HASHES = {
+    ("paragon", "embedded-io"):
+        "d541c1e39f4091a438ac55ddd337fdc5c8b1ceaa8a07e5c5cce6d3313ba9784f",
+    ("paragon", "embedded-io+combined"):
+        "21dbcc636f77ce3e2cb23996e7ff1a697ad482e44a2efaa305cc7f4baf650bc5",
+    ("paragon", "separate-io"):
+        "f7d37a7ff3de8ffe19895cd06f9adb5d1fcb45fe1c2962520e179e574177550f",
+    ("sp", "embedded-io"):
+        "c92c108d28b731c99d9c9d11e7766f849f3fdf48db404bd337c62869253bb4fe",
+    ("sp", "embedded-io+combined"):
+        "1188de01ee19b6aadc4765a64d710db11d87046372090fc4c560db9c9b030246",
+    ("sp", "separate-io"):
+        "8b12dde852c684ce7bdb373df23062b0a8a3cb45ce9fa347e9b2a96a00d509b5",
+}
+
+#: More hard-weight (10) and hard-beamforming (9) nodes than the small
+#: spec's 8 hard bins: the surplus nodes own no rows and take no part.
+EMPTY_PARTITION_ASSIGNMENT = NodeAssignment(
+    doppler=2, easy_weight=1, hard_weight=10, easy_bf=2, hard_bf=9,
+    pulse_compr=2, cfar=1,
+)
+#: Full-result hash of the embedded-io small spec on that assignment,
+#: captured alongside :data:`THREADED_HASHES`.
+EMPTY_PARTITION_HASH = (
+    "2b54ac29169eec65948c29487e8efb4a126c231d27b33d2edad2d0cc104f0714"
+)
+
 def small_spec(small_params, **kw):
     kw.setdefault("assignment", NodeAssignment.balanced(small_params, 14))
     kw.setdefault("machine", "paragon")
@@ -260,6 +292,21 @@ class TestMigrationPins:
         result = run_spec(spec)
         assert 0 < len(result.dropped_cpis) < 12  # drops and completes
         assert result_hash(result) == DEADLINE_HASHES[(machine, name)]
+
+    @pytest.mark.parametrize("machine,name", sorted(THREADED_HASHES))
+    def test_threaded_result_hash(self, machine, name, small_params):
+        kind = "pfs" if machine == "paragon" else "piofs"
+        spec = small_spec(
+            small_params, pipeline=name, machine=machine,
+            fs=FSConfig(kind, 8),
+            cfg=ExecutionConfig(n_cpis=4, warmup=1, threaded=True),
+        )
+        assert result_hash(run_spec(spec)) == THREADED_HASHES[(machine, name)]
+
+    def test_empty_partition_result_hash(self, small_params):
+        spec = small_spec(small_params, pipeline="embedded-io",
+                          assignment=EMPTY_PARTITION_ASSIGNMENT)
+        assert result_hash(run_spec(spec)) == EMPTY_PARTITION_HASH
 
     def test_registry_names_alias_legacy_results(self, small_params):
         """'embedded-io' differs from 'embedded' only by spec name."""
